@@ -44,8 +44,6 @@ class ConfigError(ValueError):
     """A configuration document violates a precondition."""
 
 
-_COMMON_DEFAULTS = {"seed": 0}
-
 _SIM_DEFAULTS = {
     "p": 2.0, "q": 2.0, "n": 1, "R": 1.0,
     "profile": "smooth",
@@ -56,25 +54,22 @@ _SIM_DEFAULTS = {
 }
 
 _DEFAULTS = {
-    "simulate": {**_COMMON_DEFAULTS, **_SIM_DEFAULTS},
-    "audit": {**_COMMON_DEFAULTS, **_SIM_DEFAULTS, "T0_fraction": 0.3},
+    "simulate": _SIM_DEFAULTS,
+    "audit": {**_SIM_DEFAULTS, "T0_fraction": 0.3},
     "kato": {
-        **_COMMON_DEFAULTS,
         "p": 2.0, "q": 2.0, "n": 1, "R": 1.0,
         "F1_0": 1000.0, "dF1_0": 100.0, "F2_0": 1000.0, "dF2_0": 100.0,
         "horizon": 50.0, "ode_threshold": 1e12,
         "C3": 1.0, "k2": 1.0, "k4": 1.0,
     },
     "regions": {
-        **_COMMON_DEFAULTS,
         "n": 1, "p_min": 1.1, "p_max": 10.0, "q_min": 1.1, "q_max": 10.0,
         "resolution": 100, "svg": False,
     },
-    "phi": {**_COMMON_DEFAULTS, "n": 3, "r_max": 20.0, "samples": 200},
+    "phi": {"n": 3, "r_max": 20.0, "samples": 200},
 }
 
-# "amplitudes": scalar shorthand for all four data amplitudes.
-_SHORTHAND_KEYS = {"amplitudes"}
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,9 @@ class ExperimentConfig:
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     """Parse and validate a JSON config document.
 
-    Unknown keys are rejected (strict parsing); defaults are filled for
+    Unknown keys are rejected (strict parsing), and so is a value whose
+    JSON type differs from its default's (a float default also takes a
+    JSON integer; a bool is never a number).  Defaults are filled for
     every missing key, so the resolved config round-trips through its
     own echo.
     """
@@ -110,6 +107,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown mode {doc_mode!r}; expected one of {MODES}")
 
     defaults = _DEFAULTS[doc_mode]
+    # "amplitudes": scalar shorthand for all four data amplitudes.
     if "amplitudes" in doc:
         if doc_mode not in ("simulate", "audit"):
             raise ConfigError(f"unknown key 'amplitudes' for mode {doc_mode!r}")
@@ -119,6 +117,11 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys for mode {doc_mode!r}: {sorted(unknown)}")
+    for key, value in doc.items():
+        expected = type(defaults[key])
+        if not (type(value) is expected or (expected is float and type(value) is int)):
+            raise ConfigError(
+                f"{key}={value!r} must be a JSON {_JSON_TYPE_NAMES[expected]}")
     settings = {**defaults, **doc}
     _validate(doc_mode, settings)
     return ExperimentConfig(mode=doc_mode, settings=settings)
@@ -327,7 +330,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     elif config.mode == "phi":
         n = int(s["n"])
         r = np.linspace(0.0, float(s["r_max"]), int(s["samples"]))
-        vals = np.asarray(phi(r, n), dtype=float)
+        vals = phi(r, n)
         asym = np.empty_like(vals)
         asym[0] = math.nan
         if r.size > 1:

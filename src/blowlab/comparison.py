@@ -52,7 +52,6 @@ __all__ = [
     "z_blowup_time",
 ]
 
-GOLDEN_DECAY = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_ODE_THRESHOLD = 1e12
 CONDITION_TOLERANCE = 1e-12
 

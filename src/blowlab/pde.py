@@ -33,6 +33,7 @@ from .testfuncs import (
     TestFunctionKind,
     ball_volume,
     phi,
+    radial_laplacian,
     sphere_area,
     weighted_power_integral,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "audit_inequalities",
 ]
 
-GOLDEN_DECAY = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BLOWUP_THRESHOLD = 1e12
 
 
@@ -104,11 +104,8 @@ class Exponents:
 
     def theorem_range_ok(self) -> bool:
         """Exponent hypotheses of the blow-up theorem for this dimension."""
-        if self.n == 1:
-            return True
-        if self.n in (2, 3):
-            cap = 2.0 * self.n / (self.n - 1)
-            return self.p < cap and self.q < cap
+        if self.n <= 3:
+            return self.simulator_range_ok()
         return (self.p <= (self.n + 3) / (self.n - 1)
                 and self.q <= self.n / (self.n - 2))
 
@@ -179,17 +176,6 @@ class CoupledState:
     coupling: bool = True
 
 
-def _radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Second-order radial Laplacian f'' + (n-1)/r f' with symmetric origin."""
-    lap = np.zeros_like(f)
-    lap[0] = 2.0 * n * (f[1] - f[0]) / h**2
-    lap[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-    if n > 1:
-        lap[1:-1] += (n - 1) / r[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
-    # Outer node is homogeneous Dirichlet; its Laplacian is never used.
-    return lap
-
-
 def init_state(exponents: Exponents, data: InitialData, grid_points: int,
                horizon: float, cfl_factor: float = 0.5,
                coupling: bool = True) -> CoupledState:
@@ -238,8 +224,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     n = exponents.n
     f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
     f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
-    utt0 = _radial_laplacian(u0, r, h, n) - u1 + f_u
-    vtt0 = _radial_laplacian(v0, r, h, n) + f_v
+    utt0 = radial_laplacian(u0, r, h, n) - u1 + f_u
+    vtt0 = radial_laplacian(v0, r, h, n) + f_v
     u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
     v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
     u_prev[-1] = 0.0
@@ -272,8 +258,8 @@ def step(state: CoupledState, dt: float | None = None,
         raise ValueError(f"time step {dt} violates the CFL bound (h = {state.h:g})")
     ex = state.exponents
     n = ex.n
-    lap_u = _radial_laplacian(state.u, state.r, state.h, n)
-    lap_v = _radial_laplacian(state.v, state.r, state.h, n)
+    lap_u = radial_laplacian(state.u, state.r, state.h, n)
+    lap_v = radial_laplacian(state.v, state.r, state.h, n)
     with np.errstate(over="ignore", invalid="ignore"):
         if state.coupling:
             f_u = np.abs(state.v) ** ex.p
@@ -342,7 +328,7 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
     F1 = quad(state.u)
     F2 = quad(state.v)
     F3 = math.exp(-t) * quad(state.v * phi_mesh)
-    F4 = math.exp(-GOLDEN_DECAY * t) * quad(state.u * phi_mesh)
+    F4 = math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(state.u * phi_mesh)
     p_conj = ex.p / (ex.p - 1.0)
     q_conj = ex.q / (ex.q - 1.0)
     W2 = weighted_power_integral(TestFunctionKind.PSI2, p_conj, t, ex.R, n)

@@ -14,9 +14,11 @@ solve the adjoint equations psi_tt - Laplace(psi) - psi_t = 0 and
 psi_tt - Laplace(psi) = 0 respectively.  The decay rate of psi1 is the
 positive number d with (-d)^2 - (-d) - 1 = 0, i.e. d = (sqrt(5)-1)/2.
 
-Closed forms are used for n = 1 (2 cosh r) and n = 3 (4 pi sinh(r)/r);
-every other dimension goes through adaptive Gauss-Legendre quadrature
-over the polar angle.
+Every dimension uses the one identity phi(r) = |S^{n-1}| 0F1(; n/2; r^2/4),
+the power series of the spherical mean of exp(x . w); it reduces to
+2 cosh r for n = 1 and 4 pi sinh(r)/r for n = 3.  Adaptive
+Gauss-Legendre quadrature over the polar angle (``phi_quadrature``) is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import enum
 import math
 
 import numpy as np
+from scipy.special import hyp0f1
 
 __all__ = [
     "DomainError",
@@ -34,6 +37,7 @@ __all__ = [
     "phi_quadrature",
     "phi_asymptotic",
     "psi",
+    "radial_laplacian",
     "verify_wave_identity",
     "weighted_power_integral",
     "sphere_area",
@@ -151,8 +155,8 @@ def phi_quadrature(r: float, n: int, overflow_limit: float = OVERFLOW_LIMIT) -> 
 def phi(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
     """The spherical exponential mean phi at radius ``r`` in dimension ``n``.
 
-    Uses the closed forms 2 cosh(r) for n = 1 and 4 pi sinh(r)/r for
-    n = 3; other dimensions fall back to ``phi_quadrature``.  Accepts a
+    Evaluates |S^{n-1}| 0F1(; n/2; r^2/4), which is finite and exact at
+    the origin (phi(0) = |S^{n-1}|) in every dimension.  Accepts a
     scalar or an ndarray of radii.
     """
     _check_dimension(n)
@@ -163,16 +167,7 @@ def phi(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
         raise OverflowGuardError(
             f"radius exceeds the overflow guard {overflow_limit}"
         )
-    if n == 1:
-        out = 2.0 * np.cosh(arr)
-    elif n == 3:
-        # sinh(r)/r has a removable singularity at the origin (limit 1).
-        out = 4.0 * math.pi * np.where(arr > 1e-8, np.sinh(arr) / np.where(arr > 0, arr, 1.0),
-                                       1.0 + arr**2 / 6.0)
-    else:
-        if arr.ndim == 0:
-            return phi_quadrature(float(arr), n, overflow_limit)
-        out = np.array([phi_quadrature(float(x), n, overflow_limit) for x in arr])
+    out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
     if np.ndim(r) == 0:
         return float(out)
     return out
@@ -207,6 +202,17 @@ def psi(kind: TestFunctionKind, t: float, r, n: int,
     return math.exp(-kind.decay_rate * t) * phi(r, n, overflow_limit)
 
 
+def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Second-order radial Laplacian f'' + (n-1)/r f' with symmetric origin."""
+    lap = np.zeros_like(f)
+    lap[0] = 2.0 * n * (f[1] - f[0]) / h**2
+    lap[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+    if n > 1:
+        lap[1:-1] += (n - 1) / r[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
+    # The outer node has no right neighbour; its value is never used.
+    return lap
+
+
 def verify_wave_identity(kind: TestFunctionKind, n: int,
                          grid_spacing: float, r_max: float = 10.0) -> float:
     """Max-norm residual of the adjoint wave identity for psi_kind.
@@ -239,12 +245,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     f_hi = math.exp(-d * (t0 + ht)) * base
 
     psi_tt = (f_hi - 2.0 * f_mid + f_lo) / ht**2
-    lap = np.empty_like(f_mid)
-    lap[0] = 2.0 * n * (f_mid[1] - f_mid[0]) / h**2
-    lap[1:-1] = (f_mid[2:] - 2.0 * f_mid[1:-1] + f_mid[:-2]) / h**2
-    if n > 1:
-        lap[1:-1] += (n - 1) / r[1:-1] * (f_mid[2:] - f_mid[:-2]) / (2.0 * h)
-    residual = psi_tt - lap
+    residual = psi_tt - radial_laplacian(f_mid, r, h, n)
     if kind is TestFunctionKind.PSI1:
         psi_t = (f_hi - f_lo) / (2.0 * ht)
         residual = residual - psi_t
@@ -280,7 +281,6 @@ def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
     damp = math.exp(-kind.decay_rate * t)
 
     def integrand(r):
-        vals = np.asarray(phi(r, n), dtype=float)
-        return (damp * vals) ** conj_exponent * r ** (n - 1)
+        return (damp * phi(r, n)) ** conj_exponent * r ** (n - 1)
 
     return sphere_area(n) * adaptive_gauss(integrand, 0.0, top)

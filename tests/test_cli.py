@@ -81,6 +81,15 @@ class TestParseConfig:
             parse_config('{"p_min": 0.5}', mode="regions")
         with pytest.raises(ConfigError, match="overflow guard"):
             parse_config('{"r_max": 1000.0}', mode="phi")
+        # Mistyped values are rejected, not coerced.
+        for mode, doc in (("simulate", '{"coupling": "false"}'),
+                          ("simulate", '{"coupling": 0}'),
+                          ("simulate", '{"grid_points": 2000.7}'),
+                          ("simulate", '{"p": "2"}'),
+                          ("regions", '{"svg": "false"}'),
+                          ("regions", '{"n": 2.9}')):
+            with pytest.raises(ConfigError, match="must be a JSON"):
+                parse_config(doc, mode=mode)
 
 
 class TestRunExperiment:

@@ -82,14 +82,25 @@ class TestPhi:
 
     def test_quadrature_matches_closed_forms(self):
         r = np.linspace(0.0, 20.0, 40)
-        for n in (1, 3):
+        for n in range(1, 9):
             closed = phi(r, n)
             by_quad = np.array([phi_quadrature(float(x), n) for x in r])
-            assert np.max(np.abs(by_quad / closed - 1.0)) <= 1e-10
+            assert np.max(np.abs(by_quad / closed - 1.0)) <= 1e-12
+
+    def test_finite_at_overflow_guard(self):
+        # At the guard edge r = 700 phi is finite and follows the
+        # two-term asymptotic series: the leading form times
+        # 1 - (n-1)(n-3)/(8r), from the Bessel expansion of 0F1.
+        r = 700.0
+        for n in range(1, 9):
+            value = phi(r, n)
+            assert math.isfinite(value)
+            two_term = phi_asymptotic(r, n) * (1.0 - (n - 1) * (n - 3) / (8.0 * r))
+            assert abs(value / two_term - 1.0) <= 1e-3
 
     def test_origin_series_continuity_n3(self):
-        # The removable singularity of sinh(r)/r must be smooth across
-        # the series/ratio switch point.
+        # Near the origin 4 pi sinh(r)/r rises from 4 pi without a kink:
+        # the 0F1 series is exact at r = 0 and monotone in r.
         r = np.array([0.0, 5e-9, 2e-8, 1e-4, 1e-2])
         vals = phi(r, 3)
         assert np.all(np.diff(vals) >= 0.0)
