@@ -6,8 +6,9 @@ into an output directory together with an echo of the fully resolved
 configuration, so identical configs reproduce byte-identical outputs.
 
 Detected blow-up is a scientific result, not an error: the process exits
-0 for completed runs and for blow-up, nonzero for numerical instability
-or configuration errors.
+0 for completed runs and for blow-up, 1 for numerical instability, and 2
+for configuration errors (found before anything is written) or a tripped
+weight-integral overflow guard.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import comparison, criticality, pde
 from .criticality import Label
-from .pde import Exponents, InitialData, Profile
+from .pde import AMPLITUDE_KEYS, Exponents, InitialData, Profile
 from .testfuncs import phi, phi_asymptotic
 
 __all__ = [
@@ -87,9 +88,11 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
 
     Unknown keys are rejected (strict parsing), and so is a value whose
     JSON type differs from its default's (a float default also takes a
-    JSON integer; a bool is never a number).  Defaults are filled for
-    every missing key, so the resolved config round-trips through its
-    own echo.
+    JSON integer; a bool is never a number) or a number that is not
+    finite.  Defaults are filled for every missing key, so the resolved
+    config round-trips through its own echo.  Parameter ranges are
+    checked by building the domain inputs the run starts from, so a
+    config that parses runs to a recorded outcome.
     """
     try:
         doc = json.loads(text)
@@ -107,88 +110,87 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown mode {doc_mode!r}; expected one of {MODES}")
 
     defaults = _DEFAULTS[doc_mode]
-    # "amplitudes": scalar shorthand for all four data amplitudes.
-    if "amplitudes" in doc:
-        if doc_mode not in ("simulate", "audit"):
-            raise ConfigError(f"unknown key 'amplitudes' for mode {doc_mode!r}")
-        a = float(doc.pop("amplitudes"))
-        for key in ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1"):
-            doc.setdefault(key, a)
-    unknown = set(doc) - set(defaults)
+    # "amplitudes" is shorthand for the four data amplitudes, typed like them.
+    schema = {**defaults, "amplitudes": 1.0} if "amplitude_u0" in defaults else defaults
+    unknown = set(doc) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys for mode {doc_mode!r}: {sorted(unknown)}")
     for key, value in doc.items():
-        expected = type(defaults[key])
+        expected = type(schema[key])
         if not (type(value) is expected or (expected is float and type(value) is int)):
             raise ConfigError(
                 f"{key}={value!r} must be a JSON {_JSON_TYPE_NAMES[expected]}")
+        # Rejects NaN, +-Infinity (also 1e400, which parses to inf) and
+        # integers beyond the float range.
+        if expected in (int, float) and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{key}={value!r} must be a finite number")
+    if "amplitudes" in doc:
+        a = doc.pop("amplitudes")
+        for key in AMPLITUDE_KEYS:
+            doc.setdefault(key, a)
     settings = {**defaults, **doc}
-    _validate(doc_mode, settings)
+    _check_run_settings(doc_mode, settings)
+    try:
+        if doc_mode in ("simulate", "audit"):
+            ex, data, mesh = _domain_inputs(doc_mode, settings)
+            # The run evaluates phi out to the mesh's last node, R + horizon
+            # plus five cells, so that node must pass the overflow guard.
+            # Overflow in the seed time level is left for the run to report.
+            with np.errstate(all="ignore"):
+                state = pde.init_state(ex, data, **mesh)
+            phi(state.r[-1], ex.n)
+        elif doc_mode == "kato":
+            _domain_inputs(doc_mode, settings)
+        elif doc_mode == "regions":
+            # classify builds Exponents(p, q, n) for every cell of the map.
+            Exponents(settings["p_max"], settings["q_max"], settings["n"])
+        else:
+            phi_asymptotic(settings["r_max"], settings["n"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return ExperimentConfig(mode=doc_mode, settings=settings)
 
 
-def _validate(mode: str, s: dict) -> None:
-    def positive(key):
+def _check_run_settings(mode: str, s: dict) -> None:
+    """Ranges of the settings that no domain input checks before a run."""
+    positive = {"simulate": ("blowup_threshold",), "audit": ("blowup_threshold",),
+                "kato": ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon", "ode_threshold")}
+    for key in positive.get(mode, ()):
         if not s[key] > 0:
             raise ConfigError(f"{key}={s[key]} must be positive")
-
-    if mode in ("simulate", "audit", "kato"):
-        for key in ("p", "q"):
-            if not float(s[key]) > 1.0:
-                raise ConfigError(f"{key}={s[key]} must exceed 1")
-        n = int(s["n"])
-        if n < 1:
-            raise ConfigError(f"n={n} must be a positive integer")
-        positive("R")
-    if mode in ("simulate", "audit"):
-        n = int(s["n"])
-        if n > 3:
-            raise ConfigError(f"n={n}: the radial simulator supports n <= 3")
-        if n >= 2:
-            cap = 2.0 * n / (n - 1)
-            for key in ("p", "q"):
-                if float(s[key]) >= cap:
-                    raise ConfigError(
-                        f"{key}={s[key]:g} >= 2n/(n-1)={cap:g} for n={n}")
-        if s["profile"] not in ("smooth", "polynomial"):
-            raise ConfigError(f"profile={s['profile']!r} must be smooth or polynomial")
-        for key in ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1"):
-            if float(s[key]) < 0:
-                raise ConfigError(f"{key}={s[key]} must be nonnegative")
-        if int(s["grid_points"]) < 200:
-            raise ConfigError(f"grid_points={s['grid_points']} must be >= 200")
-        positive("horizon")
-        if not 0.0 < float(s["cfl_factor"]) <= 1.0:
-            raise ConfigError(f"cfl_factor={s['cfl_factor']} must lie in (0, 1]")
-        if int(s["sample_every"]) < 1:
-            raise ConfigError(f"sample_every={s['sample_every']} must be >= 1")
-        positive("blowup_threshold")
-        if mode == "audit" and not 0.0 < float(s["T0_fraction"]) < 1.0:
-            raise ConfigError(f"T0_fraction={s['T0_fraction']} must lie in (0, 1)")
-    if mode == "kato":
-        for key in ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon",
-                    "ode_threshold", "C3", "k2", "k4"):
-            positive(key)
+    if mode in ("simulate", "audit") and s["sample_every"] < 1:
+        raise ConfigError(f"sample_every={s['sample_every']} must be >= 1")
+    if mode == "audit" and not 0.0 < s["T0_fraction"] < 1.0:
+        raise ConfigError(f"T0_fraction={s['T0_fraction']} must lie in (0, 1)")
     if mode == "regions":
-        n = int(s["n"])
-        if not 1 <= n <= 8:
-            raise ConfigError(f"n={n} must lie in [1, 8]")
         for lo_k, hi_k in (("p_min", "p_max"), ("q_min", "q_max")):
             lo, hi = float(s[lo_k]), float(s[hi_k])
             if not (1.0 < lo < hi <= 20.0):
                 raise ConfigError(
                     f"range ({lo_k}, {hi_k}) = ({lo}, {hi}) must satisfy 1 < lo < hi <= 20")
-        if not 1 <= int(s["resolution"]) <= 2000:
+        if not 1 <= s["resolution"] <= 2000:
             raise ConfigError(f"resolution={s['resolution']} must lie in [1, 2000]")
-    if mode == "phi":
-        n = int(s["n"])
-        if not 1 <= n <= 8:
-            raise ConfigError(f"n={n} must lie in [1, 8]")
-        positive("r_max")
-        if float(s["r_max"]) > 700.0:
-            raise ConfigError(f"r_max={s['r_max']} exceeds the overflow guard 700")
-        if int(s["samples"]) < 2:
-            raise ConfigError(f"samples={s['samples']} must be >= 2")
+    if mode == "phi" and s["samples"] < 2:
+        raise ConfigError(f"samples={s['samples']} must be >= 2")
+
+
+def _domain_inputs(mode: str, s: dict):
+    """The domain objects a simulate, audit or kato run starts from.
+
+    Their constructors own the parameter ranges and raise ValueError on
+    a setting outside them.  For simulate and audit this returns the
+    exponents, the initial data and the mesh keywords of
+    ``pde.init_state``; for kato, the comparison-system parameters.
+    """
+    ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
+    if mode == "kato":
+        return comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
+    data = InitialData(Profile(s["profile"]),
+                       **{k: float(s[k]) for k in AMPLITUDE_KEYS},
+                       support_radius=float(s["R"]))
+    mesh = {"grid_points": s["grid_points"], "horizon": float(s["horizon"]),
+            "cfl_factor": float(s["cfl_factor"]), "coupling": s["coupling"]}
+    return ex, data, mesh
 
 
 @dataclass
@@ -225,18 +227,6 @@ def _summary_doc(config: ExperimentConfig, outcome: str,
     return doc
 
 
-def _sim_objects(s: dict):
-    ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=int(s["n"]), R=float(s["R"]))
-    profile = Profile.SMOOTH_BUMP if s["profile"] == "smooth" else Profile.POLYNOMIAL_BUMP
-    data = InitialData(profile=profile,
-                       amplitude_u0=float(s["amplitude_u0"]),
-                       amplitude_u1=float(s["amplitude_u1"]),
-                       amplitude_v0=float(s["amplitude_v0"]),
-                       amplitude_v1=float(s["amplitude_v1"]),
-                       support_radius=float(s["R"]))
-    return ex, data
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     """Dispatch to the owning module and write all artifacts."""
     out = Path(out_dir)
@@ -248,17 +238,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     blowup_time = None
 
     if config.mode in ("simulate", "audit"):
-        ex, data = _sim_objects(s)
-        trace = pde.run(ex, data, grid_points=int(s["grid_points"]),
-                        horizon=float(s["horizon"]),
-                        sample_every=int(s["sample_every"]),
-                        cfl_factor=float(s["cfl_factor"]),
-                        coupling=bool(s["coupling"]),
+        ex, data, mesh = _domain_inputs(config.mode, s)
+        trace = pde.run(ex, data, **mesh, sample_every=s["sample_every"],
                         blowup_threshold=float(s["blowup_threshold"]))
         outcome = trace.outcome
         blowup_time = trace.blowup_time
         files.append(_write(out / "trace.csv", "\n".join(trace.csv_rows()) + "\n"))
-        if config.mode == "audit":
+        # An unstable run has no trustworthy functionals to audit.
+        if config.mode == "audit" and outcome != "instability":
             report = pde.audit_inequalities(trace, ex,
                                             T0_fraction=float(s["T0_fraction"]))
             doc = {
@@ -279,9 +266,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         summary = _summary_doc(config, outcome, blowup_time, {"dt": trace.dt})
 
     elif config.mode == "kato":
-        ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=int(s["n"]), R=float(s["R"]))
-        params = comparison.derive_params(
-            ex, {"C3": float(s["C3"]), "k2": float(s["k2"]), "k4": float(s["k4"])})
+        params = _domain_inputs(config.mode, s)
         report = comparison.check_conditions(params)
         lines = [
             f"cond1_lhs={report.cond1_lhs:.17g}",
@@ -431,7 +416,8 @@ def emit_region_svg(grid: list, path) -> Path:
     return path
 
 
-def _apply_sweep(config: ExperimentConfig, sweep: str):
+def _apply_sweep(config: ExperimentConfig, sweep: str) -> list:
+    """Parse every value of a ``key=v1,v2,...`` sweep, before any runs."""
     key, _, raw = sweep.partition("=")
     if not raw:
         raise ConfigError(f"malformed sweep spec {sweep!r}; expected key=v1,v2,...")
@@ -441,13 +427,15 @@ def _apply_sweep(config: ExperimentConfig, sweep: str):
         base = {k: v for k, v in base.items() if not k.startswith("amplitude_")}
     elif key not in config.settings:
         raise ConfigError(f"sweep key {key!r} is not a config key for {config.mode!r}")
+    configs = []
     for v in values:
         doc = dict(base)
         try:
             doc[key] = json.loads(v)
         except json.JSONDecodeError:
             doc[key] = v
-        yield v, parse_config(json.dumps(doc))
+        configs.append((v, parse_config(json.dumps(doc))))
+    return configs
 
 
 def main(argv=None) -> int:
@@ -467,14 +455,16 @@ def main(argv=None) -> int:
     try:
         text = args.config.read_text() if args.config else "{}"
         config = parse_config(text, mode=args.mode)
+        sweep = _apply_sweep(config, args.sweep) if args.sweep else None
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    # The one error left at run time is the weight integral's overflow guard.
     try:
         if args.sweep:
             worst = 0
-            for value, cfg in _apply_sweep(config, args.sweep):
+            for value, cfg in sweep:
                 summary = run_experiment(cfg, args.out / f"{args.sweep.split('=')[0]}={value}")
                 print(f"[{value}] outcome={summary.outcome} "
                       f"blowup_time={summary.blowup_time}")
@@ -487,9 +477,6 @@ def main(argv=None) -> int:
         for f in summary.files:
             print(f"wrote {f}")
         return 1 if summary.outcome == "instability" else 0
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -82,8 +82,9 @@ class KatoParams:
             raise ValueError("alpha1 and beta1 must be positive")
         if min(self.alpha2, self.beta2, self.beta3) < 0.0:
             raise ValueError("alpha2, beta2, beta3 must be nonnegative")
-        if min(self.k0, self.k1, self.k2, self.k3, self.k4) <= 0.0:
-            raise ValueError("all k constants must be positive")
+        for key in ("k0", "k1", "k2", "k3", "k4"):
+            if getattr(self, key) <= 0.0:
+                raise ValueError(f"{key}={getattr(self, key)} must be positive")
         if self.R <= 0.0 or self.T0 < 0.0:
             raise ValueError("need R > 0 and T0 >= 0")
 

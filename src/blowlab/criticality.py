@@ -106,9 +106,6 @@ def classify(p: float, q: float, n: int) -> CriticalityReport:
     p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4); the other three curves
     are labeled from their inequality alone.
     """
-    _check_pq(p, q)
-    if not 1 <= n <= 8:
-        raise ValueError(f"dimension must satisfy 1 <= n <= 8, got {n}")
     a_new = alpha_new(p, q)
     a_nw = alpha_nakao_wakasugi(p, q)
     a_w = alpha_wave(p, q)

@@ -39,6 +39,7 @@ from .testfuncs import (
 )
 
 __all__ = [
+    "AMPLITUDE_KEYS",
     "Exponents",
     "Profile",
     "InitialData",
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
+
+AMPLITUDE_KEYS = ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1")
 
 
 class BlowUpDetected(RuntimeError):
@@ -86,12 +89,13 @@ class Exponents:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.p <= 1.0 or self.q <= 1.0:
-            raise ValueError(f"exponents must exceed 1, got p={self.p}, q={self.q}")
+        for key, value in (("p", self.p), ("q", self.q)):
+            if value <= 1.0:
+                raise ValueError(f"{key}={value} must exceed 1")
         if not 1 <= self.n <= 8:
-            raise ValueError(f"dimension must satisfy 1 <= n <= 8, got {self.n}")
+            raise ValueError(f"n={self.n} must lie in [1, 8]")
         if self.R <= 0.0:
-            raise ValueError(f"support radius must be positive, got {self.R}")
+            raise ValueError(f"R={self.R} must be positive")
 
     def simulator_range_ok(self) -> bool:
         """Admissible range for the radial simulator (n <= 3)."""
@@ -114,6 +118,10 @@ class Profile(enum.Enum):
     SMOOTH_BUMP = "smooth"
     POLYNOMIAL_BUMP = "polynomial"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"profile={value!r} must be smooth or polynomial")
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -133,10 +141,9 @@ class InitialData:
     support_radius: float = 1.0
 
     def __post_init__(self):
-        amps = (self.amplitude_u0, self.amplitude_u1,
-                self.amplitude_v0, self.amplitude_v1)
-        if any(a < 0.0 for a in amps):
-            raise ValueError("amplitudes must be nonnegative")
+        for key in AMPLITUDE_KEYS:
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"{key}={getattr(self, key)} must be nonnegative")
         if self.support_radius <= 0.0:
             raise ValueError("support radius must be positive")
 
@@ -156,8 +163,7 @@ class InitialData:
     def sample(self, r: np.ndarray):
         """(u0, u1, v0, v1) on the mesh."""
         base = self.shape(r)
-        return (self.amplitude_u0 * base, self.amplitude_u1 * base,
-                self.amplitude_v0 * base, self.amplitude_v1 * base)
+        return tuple(getattr(self, key) * base for key in AMPLITUDE_KEYS)
 
 
 @dataclass
@@ -186,31 +192,30 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     undamped analogue for v), so the first leapfrog step is second-order
     accurate.
     """
+    n = exponents.n
     if grid_points < 200:
-        raise ValueError(f"need at least 200 grid points, got {grid_points}")
+        raise ValueError(f"grid_points={grid_points}: need at least 200 grid points")
     if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+        raise ValueError(f"horizon={horizon} must be positive")
     if not 0.0 < cfl_factor <= 1.0:
-        raise ValueError(f"CFL factor must lie in (0, 1], got {cfl_factor}")
-    if exponents.n > 3:
-        raise ValueError(f"the radial simulator supports n <= 3, got n={exponents.n}")
+        raise ValueError(f"cfl_factor={cfl_factor}: CFL factor must lie in (0, 1]")
+    if n > 3:
+        raise ValueError(f"n={n}: the radial simulator supports n <= 3")
     if not exponents.simulator_range_ok():
-        cap = 2.0 * exponents.n / (exponents.n - 1)
+        cap = 2.0 * n / (n - 1)
+        key, value = ("p", exponents.p) if exponents.p >= cap else ("q", exponents.q)
         raise ValueError(
-            f"exponents out of range: need p, q < 2n/(n-1) = {cap:g} "
-            f"for n = {exponents.n}, got p={exponents.p}, q={exponents.q}"
-        )
+            f"exponents out of range: {key}={value:g} >= 2n/(n-1)={cap:g} for n={n}")
     if data.support_radius != exponents.R:
         raise ValueError("data support radius must equal exponents.R")
-    amps = (data.amplitude_u0, data.amplitude_u1,
-            data.amplitude_v0, data.amplitude_v1)
-    if all(a == 0.0 for a in amps):
+    zero = [key for key in AMPLITUDE_KEYS if getattr(data, key) == 0.0]
+    if len(zero) == len(AMPLITUDE_KEYS):
         raise ValueError("initial data must not vanish identically")
-    if coupling and any(a == 0.0 for a in amps):
+    if coupling and zero:
         # The blow-up machinery needs int u_j dx > 0 and int v_j dx > 0.
         raise ValueError(
-            "all four data components must be strictly positive for a "
-            "coupled run (the functional lower bounds require it)"
+            f"{zero[0]}=0.0: all four data components must be strictly "
+            "positive for a coupled run (the functional lower bounds require it)"
         )
 
     # r_max = R + horizon + margin, with the margin fixed at five cells.
@@ -221,7 +226,6 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     dt = cfl_factor * h
 
     u0, u1, v0, v1 = data.sample(r)
-    n = exponents.n
     f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
     f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
     utt0 = radial_laplacian(u0, r, h, n) - u1 + f_u

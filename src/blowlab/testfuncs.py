@@ -95,7 +95,7 @@ def _check_dimension(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"dimension must be an integer, got {n!r}")
     if n < 1 or n > MAX_DIMENSION:
-        raise DomainError(f"dimension must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
+        raise DomainError(f"n={n} must lie in [1, {MAX_DIMENSION}]")
 
 
 def _check_radius(r: float, overflow_limit: float) -> None:
@@ -165,7 +165,7 @@ def phi(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
         raise DomainError("radius must be nonnegative")
     if np.any(arr > overflow_limit):
         raise OverflowGuardError(
-            f"radius exceeds the overflow guard {overflow_limit}"
+            f"radius {arr.max():g} exceeds the overflow guard {overflow_limit:g}"
         )
     out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
     if np.ndim(r) == 0:
@@ -182,10 +182,10 @@ def phi_asymptotic(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
     _check_dimension(n)
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
-        raise DomainError("asymptotic form requires r > 0")
+        raise DomainError(f"asymptotic form requires r > 0, got r={arr.min():g}")
     if np.any(arr > overflow_limit):
         raise OverflowGuardError(
-            f"radius exceeds the overflow guard {overflow_limit}"
+            f"radius {arr.max():g} exceeds the overflow guard {overflow_limit:g}"
         )
     c_n = (2.0 * math.pi) ** ((n - 1) / 2.0)
     out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)

@@ -6,8 +6,12 @@ configuration errors are 2)."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowlab.cli import (
+    _DEFAULTS,
+    MODES,
     ConfigError,
     emit_region_svg,
     main,
@@ -17,6 +21,30 @@ from blowlab.cli import (
 from blowlab.criticality import scan
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
+
+# Out-of-range, mistyped and non-finite configs, and a sweep with one bad
+# value: each must be rejected at parse time, before the output directory
+# exists.
+REJECTED = [
+    ("simulate", '{"amplitude_u1": 0.0}', ()),
+    ("simulate", '{"amplitudes": 0.0, "coupling": false}', ()),
+    ("simulate", '{"R": 800.0}', ()),
+    ("kato", '{"n": 9}', ()),
+    ("kato", '{"n": 3, "p": 3.5}', ()),
+    ("simulate", '{"amplitudes": "5"}', ()),
+    ("simulate", '{"amplitudes": true}', ()),
+    ("simulate", '{"amplitudes": Infinity}', ()),
+    ("simulate", '{"horizon": Infinity}', ()),
+    ("simulate", '{"R": Infinity}', ()),
+    ("kato", '{"F1_0": Infinity}', ()),
+    ("simulate", '{"p": NaN}', ()),
+    ("simulate", '{"horizon": 1e400}', ()),
+    ("simulate", '{"grid_points": 250, "horizon": 2.0}',
+     ("--sweep", "grid_points=250,10")),
+]
+
+JSON_VALUES = st.one_of(st.integers(-10, 5000), st.floats(), st.booleans(),
+                        st.text(max_size=12))
 
 
 class TestParseConfig:
@@ -86,10 +114,28 @@ class TestParseConfig:
                           ("simulate", '{"coupling": 0}'),
                           ("simulate", '{"grid_points": 2000.7}'),
                           ("simulate", '{"p": "2"}'),
+                          ("simulate", '{"amplitudes": "5"}'),
+                          ("simulate", '{"amplitudes": true}'),
                           ("regions", '{"svg": "false"}'),
                           ("regions", '{"n": 2.9}')):
             with pytest.raises(ConfigError, match="must be a JSON"):
                 parse_config(doc, mode=mode)
+        for value in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(ConfigError, match="must be a finite number"):
+                parse_config(f'{{"horizon": {value}}}', mode="kato")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_is_total(self, mode, data):
+        # Any object on the mode's keys either parses or is a ConfigError;
+        # no other exception escapes the range checks.
+        keys = sorted(_DEFAULTS[mode]) + ["amplitudes"]
+        doc = data.draw(st.dictionaries(st.sampled_from(keys), JSON_VALUES))
+        try:
+            parse_config(json.dumps(doc), mode=mode)
+        except ConfigError:
+            pass
 
 
 class TestRunExperiment:
@@ -215,6 +261,29 @@ class TestMain:
         assert "[10]" in out and "[20]" in out
         assert (tmp_path / "out" / "amplitudes=10" / "trace.csv").exists()
         assert (tmp_path / "out" / "amplitudes=20" / "summary.json").exists()
+
+    @pytest.mark.parametrize("mode,doc,extra", REJECTED)
+    def test_rejected_before_any_work(self, tmp_path, capsys, mode, doc, extra):
+        config = tmp_path / "cfg.json"
+        config.write_text(doc)
+        code = main([mode, "--config", str(config),
+                     "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    def test_audit_of_unstable_run(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"amplitudes": 50.0, "grid_points": 250, "horizon": 10.0,
+             "blowup_threshold": 1e308}))
+        code = main(["audit", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "outcome=instability" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["outcome"] == "instability"
+        assert not (tmp_path / "out" / "audit.json").exists()
 
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])
