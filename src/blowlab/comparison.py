@@ -20,10 +20,11 @@ closed-form auxiliary scalar problems
     Y' = kappa e^{-nu t} (t+R)^{-alpha} Y^beta            (Bernoulli),
     Z' + Z = kappa e^{-gamma t} (t+R)^{-alpha} Z^beta,
 
-whose bracket hitting zero is the blow-up event; the Z solution is the
-integrating-factor-exact one (substitute W = e^{t-T9} Z and solve the
-Bernoulli equation for W), validated against a numerical ODE oracle in
-the test suite.
+whose bracket hitting zero is the blow-up event.  The Z problem is a
+shifted Y problem: W = e^{t-T9} Z solves the Bernoulli equation for Y in
+sigma = t - T9 with kappa e^{-gamma T9}, nu = gamma + beta - 1 and
+R + T9.  Both are validated against a numerical ODE oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -91,8 +92,16 @@ class KatoParams:
     @property
     def k5(self) -> float:
         p, q = self.p, self.q
-        return ((2 * q + 1) * self.k2**q * self.k4
-                / (2 * ((p + 2) * q + 1) * (4 * (p + 1) * (p + 2)) ** q))
+        base = 4 * (p + 1) * (p + 2)
+        try:
+            return ((2 * q + 1) * self.k2**q * self.k4
+                    / (2 * ((p + 2) * q + 1) * base**q))
+        except OverflowError:
+            # k2^q or base^q is beyond the float range, but the q-th power
+            # of their ratio saturates to 0 or inf.
+            with np.errstate(over="ignore"):
+                return float((2 * q + 1) * self.k4 / (2 * ((p + 2) * q + 1))
+                             * np.float64(self.k2 / base) ** q)
 
     @property
     def k6(self) -> float:
@@ -217,14 +226,14 @@ class OdeTrace:
 
 def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                          F2_0: float, dF2_0: float, horizon: float,
-                         threshold: float = DEFAULT_ODE_THRESHOLD,
-                         rtol: float = 1e-8) -> OdeTrace:
+                         threshold: float = DEFAULT_ODE_THRESHOLD) -> OdeTrace:
     """Integrate the sharp (equality) comparison system from T0.
 
     Any solution of the inequality system majorizes the equality system,
     so blow-up here certifies blow-up there.  Adaptive embedded
-    Runge-Kutta with terminal events at max(F1, F2) = threshold; the
-    event time is refined by the solver's root finder.
+    Runge-Kutta (rtol 1e-8, atol 1e-10) with terminal events at
+    max(F1, F2) = threshold; the event time is refined by the solver's
+    root finder.
     """
     if min(F1_0, dF1_0, F2_0, dF2_0) <= 0.0:
         raise ValueError("initial data must be positive")
@@ -251,7 +260,7 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     hit_f2.terminal = True
 
     sol = solve_ivp(rhs, (params.T0, horizon), [F1_0, dF1_0, F2_0, dF2_0],
-                    method="RK45", rtol=rtol, atol=1e-10,
+                    method="RK45", rtol=1e-8, atol=1e-10,
                     events=(hit_f1, hit_f2), dense_output=False)
 
     blowup_time = None
@@ -302,8 +311,9 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
     return B ** (-1.0 / (beta - 1.0))
 
 
-def _bracket_root(bracket, T_start, rtol=1e-9):
-    """Root of a monotone decreasing bracket, or None if it stays positive."""
+def _bracket_root(bracket, T_start):
+    """Root of a monotone decreasing bracket (to 1e-9 relative), or None
+    if it stays positive."""
     b0 = bracket(T_start)
     if b0 <= 0.0:
         return float(T_start)
@@ -311,7 +321,7 @@ def _bracket_root(bracket, T_start, rtol=1e-9):
     lo = T_start
     for _ in range(200):
         if bracket(hi) <= 0.0:
-            root = brentq(bracket, lo, hi, rtol=rtol, xtol=1e-14)
+            root = brentq(bracket, lo, hi, rtol=1e-9, xtol=1e-14)
             return float(root)
         lo, hi = hi, 2.0 * hi
     return None
@@ -337,50 +347,35 @@ def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
                          T6)
 
 
-def _z_bracket(kappa, gamma, alpha, beta, R, T9, Z0, t):
-    """Bracket of the integrating-factor solution of Z' + Z = kappa e^{-gamma t}
-    (t+R)^{-alpha} Z^beta: substitute W = e^{t-T9} Z and solve for W."""
-    integral, _ = quad(
-        lambda s: math.exp(-gamma * s - (beta - 1.0) * (s - T9)) * (s + R) ** (-alpha),
-        T9, t, limit=200)
-    return Z0 ** (1.0 - beta) - kappa * (beta - 1.0) * integral
-
-
 def z_closed_form(kappa: float, gamma: float, alpha: float, beta: float,
                   R: float, T9: float, Z0: float, t: float) -> float:
     """Exact solution of Z' + Z = kappa e^{-gamma t} (t+R)^{-alpha} Z^beta.
 
-    Z(t) = e^{-(t-T9)} (Z0^{1-beta} - kappa (beta-1)
-           int_{T9}^t e^{-gamma s - (beta-1)(s-T9)} (s+R)^{-alpha} ds)^{-1/(beta-1)}.
-
-    Raises :class:`OverflowError` when the bracket has hit zero.
+    Z(t) = e^{-(t-T9)} W(t-T9), where W solves the Y problem
+    W' = kappa e^{-gamma T9} e^{-(gamma+beta-1) s} (s+R+T9)^{-alpha} W^beta,
+    W(0) = Z0.  Raises :class:`OverflowError` when the bracket has hit zero.
     """
     _check_bernoulli_args(kappa, beta, Z0)
     if gamma < 0.0 or R <= 0.0 or t < T9:
         raise ValueError("need gamma >= 0, R > 0 and t >= T9")
-    B = _z_bracket(kappa, gamma, alpha, beta, R, T9, Z0, t)
-    if B <= 0.0:
-        raise OverflowError(f"solution blew up at or before t = {t}")
-    return math.exp(-(t - T9)) * B ** (-1.0 / (beta - 1.0))
+    try:
+        W = y_closed_form(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
+                          alpha, beta, R + T9, 0.0, Z0, t - T9)
+    except OverflowError:
+        raise OverflowError(f"solution blew up at or before t = {t}") from None
+    return math.exp(-(t - T9)) * W
 
 
 def z_blowup_time(kappa: float, gamma: float, alpha: float, beta: float,
                   R: float, T9: float, Z0: float) -> float | None:
     """First zero of the Z bracket, or None if it stays positive.
 
-    The damping factor e^{-(beta-1)(s-T9)} makes the weight integral
-    always convergent, so the large-data threshold is explicit: blow-up
-    happens iff Z0^{1-beta} < kappa (beta-1) * (full integral)."""
+    The shifted Y problem has nu = gamma + beta - 1 > 0, so its weight
+    integral always converges and the large-data threshold is explicit:
+    blow-up happens iff Z0^{1-beta} < kappa (beta-1) * (full integral)."""
     _check_bernoulli_args(kappa, beta, Z0)
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    if kappa == 0.0:
-        return None
-    tail, _ = quad(
-        lambda s: math.exp(-gamma * s - (beta - 1.0) * (s - T9)) * (s + R) ** (-alpha),
-        T9, math.inf, limit=200)
-    limit = Z0 ** (1.0 - beta) - kappa * (beta - 1.0) * tail
-    if limit > 0.0:
-        return None
-    return _bracket_root(lambda t: _z_bracket(kappa, gamma, alpha, beta, R, T9, Z0, t),
-                         T9)
+    root = y_blowup_time(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
+                         alpha, beta, R + T9, 0.0, Z0)
+    return None if root is None else T9 + root

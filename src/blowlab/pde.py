@@ -278,21 +278,24 @@ def step(state: CoupledState, dt: float | None = None,
     v_next[-1] = 0.0
 
     t_next = state.time + dt
-    outside = state.r > t_next + ex.R + 2.0 * state.h
-    if np.any(outside):
-        edge = np.argmax(outside) - 1
-        w = state.r ** (n - 1)
-        if edge >= 0 and w[edge] > 0.0:
-            u_next[edge] += np.dot(u_next[outside], w[outside]) / w[edge]
-            v_next[edge] += np.dot(v_next[outside], w[outside]) / w[edge]
-        u_next[outside] = 0.0
-        v_next[outside] = 0.0
-    peak_prev = max(np.max(np.abs(state.u)), np.max(np.abs(state.v)))
-    if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
+    # First node beyond the causal radius; the mesh is increasing, and
+    # r[1] = h lies inside the radius, so the edge node is never the origin.
+    outside = np.searchsorted(state.r, t_next + ex.R + 2.0 * state.h, side="right")
+    if outside < state.r.size:
+        edge = outside - 1
+        w = state.r[edge:] ** (n - 1)
+        u_next[edge] += np.dot(u_next[outside:], w[1:]) / w[0]
+        v_next[edge] += np.dot(v_next[outside:], w[1:]) / w[0]
+        u_next[outside:] = 0.0
+        v_next[outside:] = 0.0
+    # np.maximum and np.max propagate NaN, so one non-finite value anywhere
+    # makes the peak non-finite.
+    peak = np.maximum(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
+    if not np.isfinite(peak):
+        peak_prev = np.maximum(np.max(np.abs(state.u)), np.max(np.abs(state.v)))
         if peak_prev > blowup_threshold:
             raise BlowUpDetected(state.time, peak_prev)
         raise NumericalInstability(t_next)
-    peak = max(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
     if peak > blowup_threshold:
         raise BlowUpDetected(t_next, peak)
 
@@ -300,17 +303,17 @@ def step(state: CoupledState, dt: float | None = None,
                    v=v_next, v_prev=state.v)
 
 
-def support_radius(state: CoupledState, support_tolerance: float = 1e-12) -> float:
+def support_radius(state: CoupledState) -> float:
     """Largest mesh radius where either field exceeds the support tolerance.
 
-    The tolerance is relative to the current peak field value; a zero
-    state has support radius 0.
+    The tolerance is 1e-12 relative to the current peak field value; a
+    zero state has support radius 0.
     """
     mag = np.maximum(np.abs(state.u), np.abs(state.v))
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
-    idx = np.nonzero(mag > support_tolerance * peak)[0]
+    idx = np.nonzero(mag > 1e-12 * peak)[0]
     if idx.size == 0:
         return 0.0
     return float(state.r[idx[-1]])
@@ -485,8 +488,7 @@ class AuditReport:
 
 
 def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
-                       T0_fraction: float = 0.3,
-                       tolerance_scale: float = 1e-9) -> AuditReport:
+                       T0_fraction: float = 0.3) -> AuditReport:
     """Audit the five functional lower bounds on a recorded trace.
 
     Constants: C0 and C1 come from the phi-weighted data integrals, C2
@@ -500,7 +502,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     Derivatives of the F-traces are one-pass central differences; the
     last three samples are excluded from the audit window because the
     end-of-trace derivative estimates are unreliable (one-sided stencils
-    on a possibly exploding signal).
+    on a possibly exploding signal), so a trace of at most three samples
+    is inconclusive.  A margin passes down to -1e-9 times max |lhs|.
     """
     if trace.outcome == "instability":
         raise ValueError("cannot audit an unstable run")
@@ -528,20 +531,19 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     growth = 1.0 + (2.0 - p) / 2.0 * (n - 1)
     C3 = C0**p * C2 ** (-(p - 1.0)) / (4.0 * (2.0 + (2.0 - p) * (n - 1)))
 
-    dF1 = np.gradient(trace.F1, t)
-    d2F1 = np.gradient(dF1, t)
-    dF2 = np.gradient(trace.F2, t)
-    d2F2 = np.gradient(dF2, t)
-
     mask = t >= T0
-    if trace.times.size > 3:
-        mask[-3:] = False
+    mask[-3:] = False
     if not np.any(mask):
         return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
                            fitted_k2=math.nan, fitted_k4=math.nan,
                            records=[], window=(T0, float(t[-1])),
                            min_passing_T0=None, inconclusive=True,
                            note="audit window empty (blow-up before T0)")
+
+    dF1 = np.gradient(trace.F1, t)
+    d2F1 = np.gradient(dF1, t)
+    dF2 = np.gradient(trace.F2, t)
+    d2F2 = np.gradient(dF2, t)
 
     holder_p = ball_volume(n) ** (1.0 - p)
     holder_q = ball_volume(n) ** (1.0 - q)
@@ -570,8 +572,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
         margins = lhs - rhs
         scale = float(np.max(np.abs(lhs[mask]))) or 1.0
         margin_min = float(np.min(margins[mask]))
-        passed = margin_min >= -tolerance_scale * scale
-        pointwise_ok &= margins >= -tolerance_scale * scale
+        passed = margin_min >= -1e-9 * scale
+        pointwise_ok &= margins >= -1e-9 * scale
         records.append(InequalityRecord(
             name=name, t_start=float(t[mask][0]), t_end=float(t[mask][-1]),
             constant=constant, margin_min=margin_min, scale=scale,

@@ -50,6 +50,9 @@ OVERFLOW_LIMIT = 700.0
 
 MAX_DIMENSION = 8
 
+# The 16-node Gauss-Legendre rule on [-1, 1] that every panel carries.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
@@ -98,42 +101,46 @@ def _check_dimension(n: int) -> None:
         raise DomainError(f"n={n} must lie in [1, {MAX_DIMENSION}]")
 
 
-def _check_radius(r: float, overflow_limit: float) -> None:
-    if r < 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    if r > overflow_limit:
+def _check_radius(r, positive: bool = False) -> np.ndarray:
+    """The radius (scalar or array) as an array, checked against the
+    domain r >= 0 (r > 0 if ``positive``) and the overflow guard."""
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr <= 0.0 if positive else arr < 0.0):
+        bound = "positive" if positive else "nonnegative"
+        raise DomainError(f"radius r={arr.min():g} must be {bound}")
+    if np.any(arr > OVERFLOW_LIMIT):
         raise OverflowGuardError(
-            f"radius {r} exceeds the overflow guard {overflow_limit}"
+            f"radius {arr.max():g} exceeds the overflow guard {OVERFLOW_LIMIT:g}"
         )
+    return arr
 
 
-def adaptive_gauss(f, a: float, b: float, rtol: float = 1e-12,
-                   nodes: int = 16, max_doublings: int = 16) -> float:
+def adaptive_gauss(f, a: float, b: float) -> float:
     """Panel-doubled Gauss-Legendre quadrature of a vectorized integrand.
 
-    Doubles the number of equal panels (each carrying an n-node rule)
-    until two successive estimates agree to ``rtol`` relative.  Intended
-    for smooth, possibly exponentially growing integrands.
+    Doubles the number of equal panels (each carrying a 16-node rule),
+    at most 16 times, until two successive estimates agree to 1e-12
+    relative.  Intended for smooth, possibly exponentially growing
+    integrands.
     """
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
     previous = None
     panels = 1
-    for _ in range(max_doublings):
+    for _ in range(16):
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        wts = (half[:, None] * w0[None, :]).ravel()
+        pts = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+        wts = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
         estimate = float(np.dot(wts, f(pts)))
         if previous is not None:
-            if abs(estimate - previous) <= rtol * max(abs(estimate), 1e-300):
+            if abs(estimate - previous) <= 1e-12 * max(abs(estimate), 1e-300):
                 return estimate
         previous = estimate
         panels *= 2
     return previous
 
 
-def phi_quadrature(r: float, n: int, overflow_limit: float = OVERFLOW_LIMIT) -> float:
+def phi_quadrature(r: float, n: int) -> float:
     """Evaluate phi(r) by quadrature over the polar angle.
 
     For n >= 2 this is |S^{n-2}| int_0^pi exp(r cos(theta)) sin(theta)^{n-2}
@@ -141,7 +148,7 @@ def phi_quadrature(r: float, n: int, overflow_limit: float = OVERFLOW_LIMIT) -> 
     "quadrature" degenerates to the two-point sum e^r + e^{-r}.
     """
     _check_dimension(n)
-    _check_radius(r, overflow_limit)
+    _check_radius(r)
     if n == 1:
         return math.exp(r) + math.exp(-r)
     ring = sphere_area(n - 1)
@@ -152,7 +159,7 @@ def phi_quadrature(r: float, n: int, overflow_limit: float = OVERFLOW_LIMIT) -> 
     return ring * adaptive_gauss(integrand, 0.0, math.pi)
 
 
-def phi(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
+def phi(r, n: int):
     """The spherical exponential mean phi at radius ``r`` in dimension ``n``.
 
     Evaluates |S^{n-1}| 0F1(; n/2; r^2/4), which is finite and exact at
@@ -160,33 +167,21 @@ def phi(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
     scalar or an ndarray of radii.
     """
     _check_dimension(n)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("radius must be nonnegative")
-    if np.any(arr > overflow_limit):
-        raise OverflowGuardError(
-            f"radius {arr.max():g} exceeds the overflow guard {overflow_limit:g}"
-        )
+    arr = _check_radius(r)
     out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
     if np.ndim(r) == 0:
         return float(out)
     return out
 
 
-def phi_asymptotic(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
+def phi_asymptotic(r, n: int):
     """Leading-order growth C_n r^{-(n-1)/2} e^r with C_n = (2 pi)^{(n-1)/2}.
 
     The constant follows from Laplace's method applied to the polar-angle
     integral (and reduces to the elementary expansions for n = 1, 3).
     """
     _check_dimension(n)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError(f"asymptotic form requires r > 0, got r={arr.min():g}")
-    if np.any(arr > overflow_limit):
-        raise OverflowGuardError(
-            f"radius {arr.max():g} exceeds the overflow guard {overflow_limit:g}"
-        )
+    arr = _check_radius(r, positive=True)
     c_n = (2.0 * math.pi) ** ((n - 1) / 2.0)
     out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)
     if np.ndim(r) == 0:
@@ -194,12 +189,11 @@ def phi_asymptotic(r, n: int, overflow_limit: float = OVERFLOW_LIMIT):
     return out
 
 
-def psi(kind: TestFunctionKind, t: float, r, n: int,
-        overflow_limit: float = OVERFLOW_LIMIT):
+def psi(kind: TestFunctionKind, t: float, r, n: int):
     """Damped test function psi_kind(t, r) = exp(-d t) phi(r)."""
     if t < 0.0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    return math.exp(-kind.decay_rate * t) * phi(r, n, overflow_limit)
+    return math.exp(-kind.decay_rate * t) * phi(r, n)
 
 
 def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -214,15 +208,16 @@ def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarr
 
 
 def verify_wave_identity(kind: TestFunctionKind, n: int,
-                         grid_spacing: float, r_max: float = 10.0) -> float:
+                         grid_spacing: float) -> float:
     """Max-norm residual of the adjoint wave identity for psi_kind.
 
     Discretizes psi_tt - Laplace(psi) - psi_t (PSI1) or
     psi_tt - Laplace(psi) (PSI2) with second-order central differences.
     The radial Laplacian is f'' + (n-1)/r f', with the symmetric origin
-    stencil 2 n (f(h) - f(0)) / h^2.  The residual is scaled pointwise by
-    phi(r) so that the exponential growth of the test function does not
-    mask the truncation error; it shrinks as O(grid_spacing^2).
+    stencil 2 n (f(h) - f(0)) / h^2, on the window [0, 10].  The residual
+    is scaled pointwise by phi(r) so that the exponential growth of the
+    test function does not mask the truncation error; it shrinks as
+    O(grid_spacing^2).
 
     The time step is half the spatial spacing: with equal steps the
     temporal and spatial truncation errors of the undamped kind cancel
@@ -232,6 +227,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     """
     _check_dimension(n)
     h = float(grid_spacing)
+    r_max = 10.0
     if h <= 0.0 or h > r_max / 4.0:
         raise DomainError(f"grid spacing {h} does not fit the window [0, {r_max}]")
     d = kind.decay_rate
@@ -254,8 +250,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
 
 
 def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
-                            t: float, R: float, n: int,
-                            overflow_limit: float = OVERFLOW_LIMIT) -> float:
+                            t: float, R: float, n: int) -> float:
     """Integral of psi_kind(t, .)^{s'} over the ball of radius t + R.
 
     ``conj_exponent`` is the conjugate exponent s' = s / (s - 1) of the
@@ -272,10 +267,10 @@ def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
     if t < 0.0 or R <= 0.0:
         raise DomainError("need t >= 0 and R > 0")
     top = t + R
-    if conj_exponent * top > overflow_limit:
+    if conj_exponent * top > OVERFLOW_LIMIT:
         raise OverflowGuardError(
             f"exponent argument {conj_exponent * top:.3g} exceeds the "
-            f"overflow guard {overflow_limit}"
+            f"overflow guard {OVERFLOW_LIMIT:g}"
         )
     _check_dimension(n)
     damp = math.exp(-kind.decay_rate * t)

@@ -285,6 +285,32 @@ class TestMain:
         assert doc["outcome"] == "instability"
         assert not (tmp_path / "out" / "audit.json").exists()
 
+    def test_audit_of_first_step_blowup(self, tmp_path, capsys):
+        # The initial peak is above the threshold, so the run blows up at
+        # its first step and the trace holds one sample.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"amplitudes": 1e13, "grid_points": 250, "horizon": 2.0}))
+        code = main(["audit", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "outcome=blowup" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert doc["inconclusive"] is True
+        assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("power", [200, 5000])
+    def test_kato_with_powers_beyond_float_range(self, tmp_path, capsys, power):
+        # (4(p+1)(p+2))^q in k5 is beyond the float range; k5 saturates to 0.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p": power, "q": power}))
+        code = main(["kato", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        for name in ("conditions.txt", "ode_trace.csv", "summary.json"):
+            assert (tmp_path / "out" / name).exists()
+        assert "k5=0\n" in (tmp_path / "out" / "conditions.txt").read_text()
+
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])
         assert code == 2

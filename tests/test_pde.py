@@ -6,7 +6,7 @@ relaxes as F1(0) + (1 - e^{-t}) F1'(0); the undamped mass is affine).
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -308,6 +308,19 @@ class TestAudit:
         report = audit_inequalities(trace, ex, T0_fraction=0.999999)
         assert report.inconclusive
         assert not report.all_pass
+        assert report.min_passing_T0 is None
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_short_trace_is_inconclusive(self, reference, samples):
+        # The last three samples are always excluded, so at most three
+        # samples leave the window empty, before any derivative is taken.
+        ex, trace = reference
+        short = replace(trace, **{f.name: getattr(trace, f.name)[:samples]
+                                  for f in fields(trace)
+                                  if isinstance(getattr(trace, f.name), np.ndarray)})
+        report = audit_inequalities(short, ex)
+        assert report.inconclusive
+        assert report.records == []
         assert report.min_passing_T0 is None
 
     def test_instability_rejected(self, reference):
