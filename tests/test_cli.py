@@ -297,6 +297,11 @@ class TestMain:
         assert "outcome=blowup" in capsys.readouterr().out
         doc = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert doc["inconclusive"] is True
+        # T0 = 0.3 t[-1] = 0, and blow-up comes after it; the window is
+        # empty because the last three samples are excluded.
+        assert doc["note"] == ("audit window empty: every sample at or after "
+                               "T0 = 0 is among the last three, which are "
+                               "excluded")
         assert (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("power", [200, 5000])
@@ -310,6 +315,12 @@ class TestMain:
         for name in ("conditions.txt", "ode_trace.csv", "summary.json"):
             assert (tmp_path / "out" / name).exists()
         assert "k5=0\n" in (tmp_path / "out" / "conditions.txt").read_text()
+        # F2_0^p = 1000^p is inf, so the comparison ODE blows up at T0 = 0.
+        assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["outcome"] == "blowup" and doc["blowup_time"] == 0.0
+        rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
+        assert rows == ["t,F1,dF1,F2,dF2", "0,1000,100,1000,100"]
 
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])

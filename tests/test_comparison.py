@@ -135,6 +135,15 @@ class TestIntegrateComparison:
         assert trace.terminal_reason is TerminalReason.HORIZON
         assert trace.blowup_time is None
 
+    @pytest.mark.parametrize("T0", [0.0, 2.0])
+    def test_rhs_beyond_float_range_is_blowup_at_T0(self, T0):
+        # F2_0^p = 1000^200 = inf: the solution escapes at once.
+        params = replace(derive_params(Exponents(200.0, 200.0, 1)), T0=T0)
+        trace = integrate_comparison(params, 1e3, 1e2, 1e3, 1e2, horizon=50.0)
+        assert trace.terminal_reason is TerminalReason.BLOWUP
+        assert trace.blowup_time == T0
+        assert list(trace.csv_rows())[1:] == [f"{T0:.17g},1000,100,1000,100"]
+
     def test_csv_schema(self):
         params = derive_params(Exponents(2.0, 2.0, 1))
         trace = integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=1.0)

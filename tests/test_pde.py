@@ -27,7 +27,9 @@ from blowlab.pde import (
     support_radius,
 )
 from blowlab.testfuncs import TestFunctionKind as Kind
-from blowlab.testfuncs import sphere_area, weighted_power_integral
+from blowlab.testfuncs import radial_laplacian, sphere_area, weighted_power_integral
+
+FIELDS = ("u", "u_prev", "v", "v_prev")
 
 
 def smooth_data(amplitude=1.0, R=1.0):
@@ -172,6 +174,118 @@ class TestStep:
         # exactly linearly, clip included.
         expected = before + 200 * drift
         assert np.dot(state.v, w) == pytest.approx(expected, rel=1e-10)
+
+
+def step_full_mesh(state, dt=None, blowup_threshold=1e12):
+    """Oracle: the leapfrog step computed over the whole mesh.
+
+    This is the step as it was before it was confined to the causal
+    window; the windowed step must reproduce it bit for bit.
+    """
+    if dt is None:
+        dt = state.dt
+    ex = state.exponents
+    n = ex.n
+    lap_u = radial_laplacian(state.u, state.r, state.h, n)
+    lap_v = radial_laplacian(state.v, state.r, state.h, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.coupling:
+            f_u = np.abs(state.v) ** ex.p
+            f_v = np.abs(state.u) ** ex.q
+        else:
+            f_u = 0.0
+            f_v = 0.0
+        u_next = (2.0 * state.u - (1.0 - 0.5 * dt) * state.u_prev
+                  + dt**2 * (lap_u + f_u)) / (1.0 + 0.5 * dt)
+        v_next = 2.0 * state.v - state.v_prev + dt**2 * (lap_v + f_v)
+    u_next[-1] = 0.0
+    v_next[-1] = 0.0
+
+    t_next = state.time + dt
+    outside = np.searchsorted(state.r, t_next + ex.R + 2.0 * state.h, side="right")
+    if outside < state.r.size:
+        edge = outside - 1
+        w = state.r[edge:] ** (n - 1)
+        u_next[edge] += np.dot(u_next[outside:], w[1:]) / w[0]
+        v_next[edge] += np.dot(v_next[outside:], w[1:]) / w[0]
+        u_next[outside:] = 0.0
+        v_next[outside:] = 0.0
+    peak = np.maximum(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
+    if not np.isfinite(peak):
+        peak_prev = np.maximum(np.max(np.abs(state.u)), np.max(np.abs(state.v)))
+        if peak_prev > blowup_threshold:
+            raise BlowUpDetected(state.time, peak_prev)
+        raise NumericalInstability(t_next)
+    if peak > blowup_threshold:
+        raise BlowUpDetected(t_next, peak)
+    return replace(state, time=t_next, u=u_next, u_prev=state.u,
+                   v=v_next, v_prev=state.v)
+
+
+def step_beside_oracle(state, steps, blowup_threshold=1e12):
+    """Advance ``step`` and the full-mesh oracle side by side.
+
+    Every step must agree bit for bit.  Returns the last state and the
+    failure both raised at the same step, or None.
+    """
+    oracle = state
+    for _ in range(steps):
+        try:
+            oracle = step_full_mesh(oracle, blowup_threshold=blowup_threshold)
+        except (BlowUpDetected, NumericalInstability) as expected:
+            with pytest.raises(type(expected)) as info:
+                step(state, blowup_threshold=blowup_threshold)
+            assert info.value.time == expected.time
+            assert getattr(info.value, "peak", None) == getattr(expected, "peak", None)
+            return state, expected
+        state = step(state, blowup_threshold=blowup_threshold)
+        assert state.time == oracle.time
+        for name in FIELDS:
+            assert np.array_equal(getattr(state, name), getattr(oracle, name)), name
+    return state, None
+
+
+class TestCausalWindow:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("profile", list(Profile))
+    def test_matches_full_mesh_step_past_horizon(self, n, coupling, profile):
+        ex = Exponents(1.5, 2.5, n)
+        horizon = 2.0
+        state = init_state(ex, InitialData(profile=profile), 250, horizon,
+                           coupling=coupling)
+        # Twenty steps past the horizon the causal radius has left the
+        # mesh, so the window has reached the last node and then covered
+        # the whole mesh.
+        steps = math.ceil(horizon / state.dt) + 20
+        state, failure = step_beside_oracle(state, steps)
+        assert failure is None
+        assert state.time + ex.R + 2.0 * state.h > state.r[-1]
+
+    @pytest.mark.parametrize("threshold, error", [
+        (1e12, BlowUpDetected),
+        (math.inf, NumericalInstability),
+    ])
+    def test_same_failure_at_same_step(self, threshold, error):
+        ex = Exponents(2.0, 2.0, 3)
+        state = init_state(ex, smooth_data(amplitude=20.0), 400, 10.0)
+        _, failure = step_beside_oracle(state, math.ceil(10.0 / state.dt),
+                                        blowup_threshold=threshold)
+        assert type(failure) is error
+        # Blow-up comes at T* ~ 0.6, while the window is a small prefix.
+        assert failure.time < 1.0
+
+    def test_input_state_unchanged(self):
+        ex = Exponents(2.0, 2.0, 1)
+        state = init_state(ex, smooth_data(), 400, 5.0)
+        for _ in range(50):
+            state = step(state)
+        before = {name: getattr(state, name).copy() for name in FIELDS}
+        out = step(state)
+        for name in FIELDS:
+            assert np.array_equal(getattr(state, name), before[name])
+        assert out.u is not state.u and out.v is not state.v
+        assert out.u.size == out.v.size == state.r.size
 
 
 class TestSupportRadius:
@@ -322,6 +436,8 @@ class TestAudit:
         assert report.inconclusive
         assert report.records == []
         assert report.min_passing_T0 is None
+        assert report.note.startswith("audit window empty: every sample at or "
+                                      f"after T0 = {0.3 * short.times[-1]:.6g}")
 
     def test_instability_rejected(self, reference):
         ex, trace = reference
