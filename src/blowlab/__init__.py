@@ -3,56 +3,4 @@ system: adjoint test functions, a radial finite-difference simulator with
 a functional-inequality audit, a comparison-ODE blow-up engine, and a
 critical-curve classifier for the (p, q, n) parameter space."""
 
-from .comparison import (
-    ConditionReport,
-    KatoParams,
-    OdeTrace,
-    TerminalReason,
-    check_conditions,
-    derive_params,
-    integrate_comparison,
-    y_blowup_time,
-    y_closed_form,
-    z_blowup_time,
-    z_closed_form,
-)
-from .criticality import (
-    CriticalityReport,
-    Label,
-    alpha_damped,
-    alpha_nakao_wakasugi,
-    alpha_new,
-    alpha_wave,
-    classify,
-    reduction_equiv_check,
-    scan,
-)
-from .pde import (
-    AuditReport,
-    BlowUpDetected,
-    CoupledState,
-    Exponents,
-    FunctionalTrace,
-    InitialData,
-    NumericalInstability,
-    Profile,
-    audit_inequalities,
-    functionals,
-    init_state,
-    run,
-    step,
-    support_radius,
-)
-from .testfuncs import (
-    DomainError,
-    OverflowGuardError,
-    TestFunctionKind,
-    phi,
-    phi_asymptotic,
-    phi_quadrature,
-    psi,
-    verify_wave_identity,
-    weighted_power_integral,
-)
-
 __version__ = "0.1.0"

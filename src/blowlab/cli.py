@@ -25,7 +25,8 @@ import numpy as np
 
 from . import comparison, criticality, pde
 from .criticality import Label
-from .pde import AMPLITUDE_KEYS, Exponents, InitialData, Profile
+from .exponents import Exponents
+from .pde import AMPLITUDE_KEYS, InitialData, Profile
 from .testfuncs import phi, phi_asymptotic
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 MODES = ("simulate", "audit", "kato", "regions", "phi")
+
+# The longest phi table a config may ask for.
+MAX_PHI_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -133,12 +137,9 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     try:
         if doc_mode in ("simulate", "audit"):
             ex, data, mesh = _domain_inputs(doc_mode, settings)
-            # The run evaluates phi out to the mesh's last node, R + horizon
-            # plus five cells, so that node must pass the overflow guard.
             # Overflow in the seed time level is left for the run to report.
             with np.errstate(all="ignore"):
-                state = pde.init_state(ex, data, **mesh)
-            phi(state.r[-1], ex.n)
+                pde.init_state(ex, data, **mesh)
         elif doc_mode == "kato":
             _domain_inputs(doc_mode, settings)
         elif doc_mode == "regions":
@@ -170,8 +171,8 @@ def _check_run_settings(mode: str, s: dict) -> None:
                     f"range ({lo_k}, {hi_k}) = ({lo}, {hi}) must satisfy 1 < lo < hi <= 20")
         if not 1 <= s["resolution"] <= 2000:
             raise ConfigError(f"resolution={s['resolution']} must lie in [1, 2000]")
-    if mode == "phi" and s["samples"] < 2:
-        raise ConfigError(f"samples={s['samples']} must be >= 2")
+    if mode == "phi" and not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
+        raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
 
 
 def _domain_inputs(mode: str, s: dict):
@@ -186,8 +187,7 @@ def _domain_inputs(mode: str, s: dict):
     if mode == "kato":
         return comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
     data = InitialData(Profile(s["profile"]),
-                       **{k: float(s[k]) for k in AMPLITUDE_KEYS},
-                       support_radius=float(s["R"]))
+                       **{k: float(s[k]) for k in AMPLITUDE_KEYS})
     mesh = {"grid_points": s["grid_points"], "horizon": float(s["horizon"]),
             "cfl_factor": float(s["cfl_factor"]), "coupling": s["coupling"]}
     return ex, data, mesh
@@ -293,9 +293,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         summary = _summary_doc(config, outcome, blowup_time)
 
     elif config.mode == "regions":
-        grid = criticality.scan((float(s["p_min"]), float(s["p_max"])),
-                                (float(s["q_min"]), float(s["q_max"])),
-                                int(s["n"]), int(s["resolution"]))
+        p_range = (float(s["p_min"]), float(s["p_max"]))
+        q_range = (float(s["q_min"]), float(s["q_max"]))
+        grid = criticality.scan(p_range, q_range, int(s["n"]), int(s["resolution"]))
         rows = ["p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
                 "label_new,label_NW,label_W,label_DW"]
         for row in grid:
@@ -309,7 +309,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
                 ]))
         files.append(_write(out / "regions.csv", "\n".join(rows) + "\n"))
         if bool(s["svg"]):
-            files.append(emit_region_svg(grid, out / "regions.svg"))
+            files.append(emit_region_svg(grid, p_range, q_range, out / "regions.svg"))
         summary = _summary_doc(config, outcome, None)
 
     elif config.mode == "phi":
@@ -355,18 +355,19 @@ def _svg_category(report) -> str:
     return "undetermined"
 
 
-def emit_region_svg(grid: list, path) -> Path:
-    """Deterministic 800x800 SVG heat map of the comparison-ODE label."""
+def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, path) -> Path:
+    """Deterministic 800x800 SVG heat map of the comparison-ODE label.
+
+    ``grid`` is the scan of the window ``p_range`` x ``q_range``; the
+    plot area spans that window, so axis ticks are placed from it.
+    """
     if not grid or not grid[0]:
         raise ValueError("cannot render an empty grid")
     path = Path(path)
     n_q = len(grid)
     n_p = len(grid[0])
     x0, y0, x1, y1 = 70.0, 40.0, 760.0, 730.0
-    p_lo = grid[0][0].p
-    p_hi = grid[0][-1].p
-    q_lo = grid[0][0].q
-    q_hi = grid[-1][0].q
+    (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     cw = (x1 - x0) / n_p
     ch = (y1 - y0) / n_q
     colors = dict(_SVG_CATEGORIES)
@@ -388,16 +389,14 @@ def emit_region_svg(grid: list, path) -> Path:
     # Axis ticks at integer exponent values.
     parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                  f'height="{y1 - y0:.2f}" fill="none" stroke="#000000"/>')
-    span_p = max(p_hi - p_lo, 1e-12)
-    span_q = max(q_hi - q_lo, 1e-12)
     for k in range(int(math.ceil(p_lo)), int(math.floor(p_hi)) + 1):
-        x = x0 + (k - p_lo) / span_p * (x1 - x0)
+        x = x0 + (k - p_lo) / (p_hi - p_lo) * (x1 - x0)
         parts.append(f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" '
                      f'y2="{y1 + 6:.2f}" stroke="#000000"/>')
         parts.append(f'<text x="{x:.2f}" y="{y1 + 20:.2f}" font-size="12" '
                      f'text-anchor="middle">{k}</text>')
     for k in range(int(math.ceil(q_lo)), int(math.floor(q_hi)) + 1):
-        y = y1 - (k - q_lo) / span_q * (y1 - y0)
+        y = y1 - (k - q_lo) / (q_hi - q_lo) * (y1 - y0)
         parts.append(f'<line x1="{x0 - 6:.2f}" y1="{y:.2f}" x2="{x0:.2f}" '
                      f'y2="{y:.2f}" stroke="#000000"/>')
         parts.append(f'<text x="{x0 - 10:.2f}" y="{y + 4:.2f}" font-size="12" '

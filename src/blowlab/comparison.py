@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .pde import Exponents
+from .exponents import Exponents, check_powers
 
 __all__ = [
     "KatoParams",
@@ -46,6 +46,7 @@ __all__ = [
     "OdeTrace",
     "check_conditions",
     "derive_params",
+    "reduction_equiv_check",
     "integrate_comparison",
     "y_closed_form",
     "y_blowup_time",
@@ -77,8 +78,7 @@ class KatoParams:
     T0: float = 0.0
 
     def __post_init__(self):
-        if self.p <= 1.0 or self.q <= 1.0:
-            raise ValueError("exponents must exceed 1")
+        check_powers(self.p, self.q)
         if self.alpha1 <= 0.0 or self.beta1 <= 0.0:
             raise ValueError("alpha1 and beta1 must be positive")
         if min(self.alpha2, self.beta2, self.beta3) < 0.0:
@@ -184,10 +184,8 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
     p, q, n = exponents.p, exponents.q, exponents.n
     alpha1 = 1.0 + (2.0 - p) / 2.0 * (n - 1)
     if alpha1 <= 0.0:
-        raise ValueError(
-            f"p={p} >= 2n/(n-1)={2 * n / (n - 1):g} for n={n}: alpha1 <= 0 "
-            "violates the comparison hypotheses"
-        )
+        raise ValueError(f"{exponents.at_cap('p')}: alpha1 <= 0 violates "
+                         "the comparison hypotheses")
     constants = constants or {}
     C3 = float(constants.get("C3", 1.0))
     k2 = float(constants.get("k2", 1.0))
@@ -200,6 +198,32 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
         k0=C3, k1=4.0 * C3, k2=k2, k3=1.0, k4=k4,
         R=exponents.R,
     )
+
+
+def reduction_equiv_check(p: float, q: float, n: int, tol: float = 1e-9) -> bool:
+    """Verify the algebraic reduction of the two blow-up conditions.
+
+    With the weights alpha1 = 1 + (2-p)(n-1)/2, alpha2 = n(p-1),
+    beta1 = 1, beta2 = n(q-1), condition 1 is equivalent to
+    (q+1)/(pq-1) >= (n-1)/2 and condition 2 to (2+2/p)/(pq-1) >= (n-1)/2
+    (the two arguments of alpha_new).  Returns True iff the condition
+    checker agrees with the closed forms, to ``tol`` per condition.
+    """
+    params = derive_params(Exponents(p, q, n))
+    rep = check_conditions(params)
+    d = p * q - 1.0
+    closed1 = (q + 1.0) / d - (n - 1) / 2.0
+    closed2 = (2.0 + 2.0 / p) / d - (n - 1) / 2.0
+    # The raw slacks are exact positive multiples of the closed forms.
+    scale1 = 2.0 * d
+    scale2 = p * d
+    ok1 = (abs(rep.cond1_slack - closed1 * scale1)
+           <= tol * max(1.0, abs(rep.cond1_slack)))
+    ok2 = (abs(rep.cond2_slack - closed2 * scale2)
+           <= tol * max(1.0, abs(rep.cond2_slack)))
+    agree1 = rep.cond1_holds == (closed1 * scale1 >= -tol)
+    agree2 = rep.cond2_holds == (closed2 * scale2 >= -tol)
+    return ok1 and ok2 and agree1 and agree2
 
 
 class TerminalReason(enum.Enum):
@@ -247,9 +271,12 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
 
     def rhs(t, y):
         F1, dF1, F2, dF2 = y
+        # A float64 base makes a weight beyond the float range saturate to
+        # inf, as in k5, where a Python float would raise OverflowError.
+        s = np.float64(t + R)
         with np.errstate(over="ignore", invalid="ignore"):
-            g1 = k2 * (t + R) ** (-a2) * max(F2, 0.0) ** p - dF1
-            g2 = k4 * math.exp(-b3 * t) * (t + R) ** (-b2) * max(F1, 0.0) ** q
+            g1 = k2 * s ** (-a2) * max(F2, 0.0) ** p - dF1
+            g2 = k4 * math.exp(-b3 * t) * s ** (-b2) * max(F1, 0.0) ** q
         return [dF1, g1, dF2, g2]
 
     def hit_f1(t, y):

@@ -19,8 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .comparison import check_conditions, derive_params
-from .pde import Exponents
+from .exponents import Exponents, check_powers
 
 __all__ = [
     "Label",
@@ -31,32 +30,26 @@ __all__ = [
     "alpha_nakao_wakasugi",
     "classify",
     "scan",
-    "reduction_equiv_check",
 ]
-
-
-def _check_pq(p: float, q: float) -> None:
-    if p <= 1.0 or q <= 1.0:
-        raise ValueError(f"exponents must exceed 1, got p={p}, q={q}")
 
 
 def alpha_new(p: float, q: float) -> float:
     """max{(q+1)/(pq-1), (2 + 2/p)/(pq-1)}."""
-    _check_pq(p, q)
+    check_powers(p, q)
     d = p * q - 1.0
     return max((q + 1.0) / d, (2.0 + 2.0 / p) / d)
 
 
 def alpha_wave(p: float, q: float) -> float:
     """max{(p+2+1/q)/(pq-1), (q+2+1/p)/(pq-1)}; symmetric in (p, q)."""
-    _check_pq(p, q)
+    check_powers(p, q)
     d = p * q - 1.0
     return max((p + 2.0 + 1.0 / q) / d, (q + 2.0 + 1.0 / p) / d)
 
 
 def alpha_damped(p: float, q: float) -> float:
     """max{(p+1)/(pq-1), (q+1)/(pq-1)}; symmetric in (p, q)."""
-    _check_pq(p, q)
+    check_powers(p, q)
     d = p * q - 1.0
     return max((p + 1.0) / d, (q + 1.0) / d)
 
@@ -67,7 +60,7 @@ def alpha_nakao_wakasugi(p: float, q: float) -> float:
     The first term tends to 1/2 as p = q grows, so for n = 1 every pair
     of exponents lies on the blow-up side.
     """
-    _check_pq(p, q)
+    check_powers(p, q)
     d = p * q - 1.0
     return max((q / 2.0 + 1.0) / d + 0.5, (q + 1.0) / d, (p + 1.0) / d)
 
@@ -152,29 +145,3 @@ def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
         row = [classify(pv, qv, n) for pv in centers(*p_range)]
         rows.append(row)
     return rows
-
-
-def reduction_equiv_check(p: float, q: float, n: int, tol: float = 1e-9) -> bool:
-    """Verify the algebraic reduction of the two blow-up conditions.
-
-    With the weights alpha1 = 1 + (2-p)(n-1)/2, alpha2 = n(p-1),
-    beta1 = 1, beta2 = n(q-1), condition 1 is equivalent to
-    (q+1)/(pq-1) >= (n-1)/2 and condition 2 to (2+2/p)/(pq-1) >= (n-1)/2
-    (the two arguments of alpha_new).  Returns True iff the condition
-    checker agrees with the closed forms, to ``tol`` per condition.
-    """
-    params = derive_params(Exponents(p, q, n))
-    rep = check_conditions(params)
-    d = p * q - 1.0
-    closed1 = (q + 1.0) / d - (n - 1) / 2.0
-    closed2 = (2.0 + 2.0 / p) / d - (n - 1) / 2.0
-    # The raw slacks are exact positive multiples of the closed forms.
-    scale1 = 2.0 * d
-    scale2 = p * d
-    ok1 = (abs(rep.cond1_slack - closed1 * scale1)
-           <= tol * max(1.0, abs(rep.cond1_slack)))
-    ok2 = (abs(rep.cond2_slack - closed2 * scale2)
-           <= tol * max(1.0, abs(rep.cond2_slack)))
-    agree1 = rep.cond1_holds == (closed1 * scale1 >= -tol)
-    agree2 = rep.cond2_holds == (closed2 * scale2 >= -tol)
-    return ok1 and ok2 and agree1 and agree2

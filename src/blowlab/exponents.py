@@ -1,0 +1,83 @@
+"""The parameter domain of the coupled system: the powers p, q > 1, the
+dimension 1 <= n <= 8 and the data-support radius R > 0, with the
+exponent ranges of the radial simulator and of the blow-up theorem.
+
+Every other module takes these rules from here.  This module imports
+nothing from blowlab, numpy or scipy, so the comparison and criticality
+layers can use it without loading the solver.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import dataclass
+
+__all__ = [
+    "DomainError",
+    "MAX_DIMENSION",
+    "Exponents",
+    "check_dimension",
+    "check_powers",
+]
+
+MAX_DIMENSION = 8
+
+
+class DomainError(ValueError):
+    """An argument lies outside the mathematical domain of the operation."""
+
+
+def check_dimension(n) -> None:
+    """The dimension must be an integer in [1, MAX_DIMENSION]."""
+    # type(n) is int first: the ABC check is slow and runs once per region cell.
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+        raise DomainError(f"dimension must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise DomainError(f"n={n} must lie in [1, {MAX_DIMENSION}]")
+
+
+def check_powers(p: float, q: float) -> None:
+    """Both nonlinearity powers must exceed 1."""
+    if p <= 1.0 or q <= 1.0:
+        key, value = ("p", p) if p <= 1.0 else ("q", q)
+        raise DomainError(f"{key}={value} must exceed 1")
+
+
+@dataclass(frozen=True)
+class Exponents:
+    """Nonlinearity powers, spatial dimension and data-support radius."""
+
+    p: float
+    q: float
+    n: int
+    R: float = 1.0
+
+    def __post_init__(self):
+        check_powers(self.p, self.q)
+        check_dimension(self.n)
+        if self.R <= 0.0:
+            raise DomainError(f"R={self.R} must be positive")
+
+    @property
+    def cap(self) -> float:
+        """2n/(n-1), infinite for n = 1.  The radial simulator needs p and
+        q below it, and the comparison weight alpha1 = 1 + (2-p)(n-1)/2
+        is positive exactly when p is below it."""
+        return math.inf if self.n == 1 else 2.0 * self.n / (self.n - 1)
+
+    def at_cap(self, key: str) -> str:
+        """Why the power ``key`` ("p" or "q") fails the cap, for messages."""
+        return f"{key}={getattr(self, key):g} >= 2n/(n-1)={self.cap:g} for n={self.n}"
+
+    def simulator_range_ok(self) -> bool:
+        """Admissible range for the radial simulator: n <= 3, p, q < cap."""
+        cap = self.cap
+        return self.n <= 3 and self.p < cap and self.q < cap
+
+    def theorem_range_ok(self) -> bool:
+        """Exponent hypotheses of the blow-up theorem for this dimension."""
+        if self.n <= 3:
+            return self.simulator_range_ok()
+        return (self.p <= (self.n + 3) / (self.n - 1)
+                and self.q <= self.n / (self.n - 2))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .exponents import Exponents
 from .testfuncs import (
     TestFunctionKind,
     ball_volume,
@@ -40,7 +41,6 @@ from .testfuncs import (
 
 __all__ = [
     "AMPLITUDE_KEYS",
-    "Exponents",
     "Profile",
     "InitialData",
     "CoupledState",
@@ -58,6 +58,12 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
+
+# Bounds on the work one run may ask for: mesh nodes, and leapfrog steps
+# ceil(horizon / dt).  The grid-refinement ladder's finest rung has 16000
+# nodes and takes about 29000 steps.
+MAX_GRID_POINTS = 100_000
+MAX_STEPS = 1_000_000
 
 AMPLITUDE_KEYS = ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1")
 
@@ -79,41 +85,6 @@ class NumericalInstability(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class Exponents:
-    """Nonlinearity powers, spatial dimension and data-support radius."""
-
-    p: float
-    q: float
-    n: int
-    R: float = 1.0
-
-    def __post_init__(self):
-        for key, value in (("p", self.p), ("q", self.q)):
-            if value <= 1.0:
-                raise ValueError(f"{key}={value} must exceed 1")
-        if not 1 <= self.n <= 8:
-            raise ValueError(f"n={self.n} must lie in [1, 8]")
-        if self.R <= 0.0:
-            raise ValueError(f"R={self.R} must be positive")
-
-    def simulator_range_ok(self) -> bool:
-        """Admissible range for the radial simulator (n <= 3)."""
-        if self.n == 1:
-            return True
-        if self.n in (2, 3):
-            cap = 2.0 * self.n / (self.n - 1)
-            return self.p < cap and self.q < cap
-        return False
-
-    def theorem_range_ok(self) -> bool:
-        """Exponent hypotheses of the blow-up theorem for this dimension."""
-        if self.n <= 3:
-            return self.simulator_range_ok()
-        return (self.p <= (self.n + 3) / (self.n - 1)
-                and self.q <= self.n / (self.n - 2))
-
-
 class Profile(enum.Enum):
     SMOOTH_BUMP = "smooth"
     POLYNOMIAL_BUMP = "polynomial"
@@ -127,7 +98,8 @@ class Profile(enum.Enum):
 class InitialData:
     """Nonnegative, compactly supported, C^2 radial initial data.
 
-    Both profiles vanish identically for r >= support_radius:
+    Both profiles vanish identically for r >= R, the support radius
+    held by :class:`Exponents`:
 
         SMOOTH_BUMP      A exp(1 - 1/(1 - (r/R)^2)),
         POLYNOMIAL_BUMP  A (1 - (r/R)^2)^3.
@@ -138,18 +110,15 @@ class InitialData:
     amplitude_u1: float = 1.0
     amplitude_v0: float = 1.0
     amplitude_v1: float = 1.0
-    support_radius: float = 1.0
 
     def __post_init__(self):
         for key in AMPLITUDE_KEYS:
             if getattr(self, key) < 0.0:
                 raise ValueError(f"{key}={getattr(self, key)} must be nonnegative")
-        if self.support_radius <= 0.0:
-            raise ValueError("support radius must be positive")
 
-    def shape(self, r: np.ndarray) -> np.ndarray:
-        """Unit-amplitude profile evaluated on the mesh."""
-        s = np.asarray(r, dtype=float) / self.support_radius
+    def shape(self, r: np.ndarray, R: float) -> np.ndarray:
+        """Unit-amplitude profile of support radius R evaluated on the mesh."""
+        s = np.asarray(r, dtype=float) / R
         inside = s < 1.0
         out = np.zeros_like(s)
         if self.profile is Profile.SMOOTH_BUMP:
@@ -160,9 +129,9 @@ class InitialData:
             out[inside] = (1.0 - si**2) ** 3
         return out
 
-    def sample(self, r: np.ndarray):
-        """(u0, u1, v0, v1) on the mesh."""
-        base = self.shape(r)
+    def sample(self, r: np.ndarray, R: float):
+        """(u0, u1, v0, v1) of support radius R on the mesh."""
+        base = self.shape(r, R)
         return tuple(getattr(self, key) * base for key in AMPLITUDE_KEYS)
 
 
@@ -195,6 +164,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     n = exponents.n
     if grid_points < 200:
         raise ValueError(f"grid_points={grid_points}: need at least 200 grid points")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points={grid_points} exceeds the bound {MAX_GRID_POINTS}")
     if horizon <= 0.0:
         raise ValueError(f"horizon={horizon} must be positive")
     if not 0.0 < cfl_factor <= 1.0:
@@ -202,12 +173,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     if n > 3:
         raise ValueError(f"n={n}: the radial simulator supports n <= 3")
     if not exponents.simulator_range_ok():
-        cap = 2.0 * n / (n - 1)
-        key, value = ("p", exponents.p) if exponents.p >= cap else ("q", exponents.q)
-        raise ValueError(
-            f"exponents out of range: {key}={value:g} >= 2n/(n-1)={cap:g} for n={n}")
-    if data.support_radius != exponents.R:
-        raise ValueError("data support radius must equal exponents.R")
+        key = "p" if exponents.p >= exponents.cap else "q"
+        raise ValueError(f"exponents out of range: {exponents.at_cap(key)}")
     zero = [key for key in AMPLITUDE_KEYS if getattr(data, key) == 0.0]
     if len(zero) == len(AMPLITUDE_KEYS):
         raise ValueError("initial data must not vanish identically")
@@ -221,11 +188,19 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     # r_max = R + horizon + margin, with the margin fixed at five cells.
     h = (exponents.R + horizon) / (grid_points - 6)
     r_max = exponents.R + horizon + 5.0 * h
+    # Checked before the mesh is built: the run evaluates phi out to the
+    # last node, so that node must pass phi's overflow guard, and the step
+    # count ceil(horizon / dt) must not exceed MAX_STEPS (compared by a
+    # product, since cfl_factor * h may underflow to 0).
+    phi(r_max, n)
+    if horizon > MAX_STEPS * cfl_factor * h:
+        raise ValueError(f"horizon={horizon}, cfl_factor={cfl_factor}: the run "
+                         f"would take more than {MAX_STEPS} steps")
     r = np.linspace(0.0, r_max, grid_points)
     h = float(r[1] - r[0])
     dt = cfl_factor * h
 
-    u0, u1, v0, v1 = data.sample(r)
+    u0, u1, v0, v1 = data.sample(r, exponents.R)
     f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
     f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
     utt0 = radial_laplacian(u0, r, h, n) - u1 + f_u
@@ -415,7 +390,7 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     phi_mesh = phi(state.r, n)
     w = state.r ** (n - 1)
     surf = sphere_area(n)
-    u0, u1, v0, v1 = data.sample(state.r)
+    u0, u1, v0, v1 = data.sample(state.r, exponents.R)
     data_integrals = {
         "int_phi_u0": surf * float(np.trapezoid(u0 * phi_mesh * w, dx=state.h)),
         "int_phi_u1": surf * float(np.trapezoid(u1 * phi_mesh * w, dx=state.h)),

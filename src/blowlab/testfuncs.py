@@ -29,6 +29,8 @@ import math
 import numpy as np
 from scipy.special import hyp0f1
 
+from .exponents import DomainError, check_dimension
+
 __all__ = [
     "DomainError",
     "OverflowGuardError",
@@ -48,14 +50,8 @@ __all__ = [
 #: Largest admissible exponential argument before we refuse to evaluate.
 OVERFLOW_LIMIT = 700.0
 
-MAX_DIMENSION = 8
-
 # The 16-node Gauss-Legendre rule on [-1, 1] that every panel carries.
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
 
 
 class OverflowGuardError(ValueError):
@@ -85,20 +81,13 @@ assert abs(_GOLDEN_DECAY**2 + _GOLDEN_DECAY - 1.0) < 1e-15
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n (|S^0| = 2)."""
-    _check_dimension(n)
+    check_dimension(n)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n."""
     return sphere_area(n) / n
-
-
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"dimension must be an integer, got {n!r}")
-    if n < 1 or n > MAX_DIMENSION:
-        raise DomainError(f"n={n} must lie in [1, {MAX_DIMENSION}]")
 
 
 def _check_radius(r, positive: bool = False) -> np.ndarray:
@@ -147,7 +136,7 @@ def phi_quadrature(r: float, n: int) -> float:
     dtheta; for n = 1 the sphere S^0 = {-1, +1} is discrete and the
     "quadrature" degenerates to the two-point sum e^r + e^{-r}.
     """
-    _check_dimension(n)
+    check_dimension(n)
     _check_radius(r)
     if n == 1:
         return math.exp(r) + math.exp(-r)
@@ -166,7 +155,7 @@ def phi(r, n: int):
     the origin (phi(0) = |S^{n-1}|) in every dimension.  Accepts a
     scalar or an ndarray of radii.
     """
-    _check_dimension(n)
+    check_dimension(n)
     arr = _check_radius(r)
     out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
     if np.ndim(r) == 0:
@@ -180,7 +169,7 @@ def phi_asymptotic(r, n: int):
     The constant follows from Laplace's method applied to the polar-angle
     integral (and reduces to the elementary expansions for n = 1, 3).
     """
-    _check_dimension(n)
+    check_dimension(n)
     arr = _check_radius(r, positive=True)
     c_n = (2.0 * math.pi) ** ((n - 1) / 2.0)
     out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)
@@ -225,7 +214,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     leaving a roundoff-dominated residual that cannot exhibit the
     second-order convergence this check is meant to demonstrate.
     """
-    _check_dimension(n)
+    check_dimension(n)
     h = float(grid_spacing)
     r_max = 10.0
     if h <= 0.0 or h > r_max / 4.0:
@@ -272,7 +261,7 @@ def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
             f"exponent argument {conj_exponent * top:.3g} exceeds the "
             f"overflow guard {OVERFLOW_LIMIT:g}"
         )
-    _check_dimension(n)
+    check_dimension(n)
     damp = math.exp(-kind.decay_rate * t)
 
     def integrand(r):

@@ -16,12 +16,13 @@ from blowlab.comparison import (
     TerminalReason,
     derive_params,
     integrate_comparison,
+    reduction_equiv_check,
     y_blowup_time,
     z_blowup_time,
 )
-from blowlab.criticality import Label, classify, reduction_equiv_check, scan
+from blowlab.criticality import Label, classify, scan
+from blowlab.exponents import Exponents
 from blowlab.pde import (
-    Exponents,
     InitialData,
     Profile,
     audit_inequalities,
@@ -55,8 +56,7 @@ def report(capsys):
 def uniform_data(amplitude: float) -> InitialData:
     return InitialData(profile=Profile.SMOOTH_BUMP,
                        amplitude_u0=amplitude, amplitude_u1=amplitude,
-                       amplitude_v0=amplitude, amplitude_v1=amplitude,
-                       support_radius=1.0)
+                       amplitude_v0=amplitude, amplitude_v1=amplitude)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_criterion_04_mass_ode_exactness(report, uncoupled_traces):
         state = init_state(ex, uniform_data(1.0), gp, 10.0, coupling=False)
         w = state.r ** (n - 1)
         surf = sphere_area(n)
-        u0, u1, v0, v1 = uniform_data(1.0).sample(state.r)
+        u0, u1, v0, v1 = uniform_data(1.0).sample(state.r, ex.R)
         mass = lambda f: surf * float(np.trapezoid(f * w, dx=state.h))
         t = trace.times
         model1 = mass(u0) + (1.0 - np.exp(-t)) * mass(u1)

@@ -4,13 +4,15 @@ contract (blow-up is a scientific outcome, exit 0; instability is 1;
 configuration errors are 2)."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowlab.cli import (
     _DEFAULTS,
+    MAX_PHI_SAMPLES,
     MODES,
     ConfigError,
     emit_region_svg,
@@ -19,8 +21,16 @@ from blowlab.cli import (
     run_experiment,
 )
 from blowlab.criticality import scan
+from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
+
+
+def steps_doc(steps):
+    """A simulate config whose run takes about ``steps`` leapfrog steps:
+    horizon 10 on R + horizon = 11 over 2006 nodes, so h = 11/2000."""
+    return json.dumps({"grid_points": 2006,
+                       "cfl_factor": 10.0 / (11.0 / 2000.0 * steps)})
 
 # Out-of-range, mistyped and non-finite configs, and a sweep with one bad
 # value: each must be rejected at parse time, before the output directory
@@ -39,6 +49,11 @@ REJECTED = [
     ("kato", '{"F1_0": Infinity}', ()),
     ("simulate", '{"p": NaN}', ()),
     ("simulate", '{"horizon": 1e400}', ()),
+    ("simulate", '{"R": 1e200}', ()),
+    ("simulate", '{"horizon": 1e200}', ()),
+    ("simulate", json.dumps({"grid_points": MAX_GRID_POINTS + 1}), ()),
+    ("simulate", steps_doc(MAX_STEPS + 0.5), ()),
+    ("phi", json.dumps({"samples": MAX_PHI_SAMPLES + 1}), ()),
     ("simulate", '{"grid_points": 250, "horizon": 2.0}',
      ("--sweep", "grid_points=250,10")),
 ]
@@ -124,18 +139,29 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="must be a finite number"):
                 parse_config(f'{{"horizon": {value}}}', mode="kato")
 
+    def test_work_bounds_admit_their_value(self):
+        # One past each bound is rejected (REJECTED); the bound itself parses.
+        parse_config(json.dumps({"grid_points": MAX_GRID_POINTS}), mode="simulate")
+        parse_config(steps_doc(MAX_STEPS - 0.5), mode="simulate")
+        parse_config(json.dumps({"samples": MAX_PHI_SAMPLES}), mode="phi")
+
     @pytest.mark.parametrize("mode", MODES)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_parse_is_total(self, mode, data):
+    def test_parse_is_total(self, mode):
         # Any object on the mode's keys either parses or is a ConfigError;
         # no other exception escapes the range checks.
         keys = sorted(_DEFAULTS[mode]) + ["amplitudes"]
-        doc = data.draw(st.dictionaries(st.sampled_from(keys), JSON_VALUES))
-        try:
-            parse_config(json.dumps(doc), mode=mode)
-        except ConfigError:
-            pass
+
+        @settings(max_examples=60, deadline=None)
+        @example({"R": 1e200})
+        @example({"horizon": 1e200})
+        @given(st.dictionaries(st.sampled_from(keys), JSON_VALUES))
+        def parses_or_config_error(doc):
+            try:
+                parse_config(json.dumps(doc), mode=mode)
+            except ConfigError:
+                pass
+
+        parses_or_config_error()
 
 
 class TestRunExperiment:
@@ -205,14 +231,30 @@ class TestRunExperiment:
 class TestSvg:
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty grid"):
-            emit_region_svg([], tmp_path / "x.svg")
+            emit_region_svg([], (1.5, 2.5), (1.5, 2.5), tmp_path / "x.svg")
 
     def test_small_grid(self, tmp_path):
         grid = scan((1.5, 2.5), (1.5, 2.5), 1, 2)
-        path = emit_region_svg(grid, tmp_path / "map.svg")
+        path = emit_region_svg(grid, (1.5, 2.5), (1.5, 2.5), tmp_path / "map.svg")
         text = path.read_text()
         assert text.count("<rect") >= 4 + 2
         assert "blowup" in text and "undetermined" in text
+
+    @pytest.mark.parametrize("resolution", [1, 4])
+    def test_ticks_follow_the_window(self, tmp_path, resolution):
+        # The plot area [70, 760] x [40, 730] spans the scanned window, so
+        # tick k sits at its place in the window, whatever the resolution.
+        p_range, q_range = (1.1, 10.0), (1.5, 4.2)
+        grid = scan(p_range, q_range, 1, resolution)
+        path = emit_region_svg(grid, p_range, q_range, tmp_path / "map.svg")
+        lines = [el.attrib for el in ET.parse(path).getroot().iter()
+                 if el.tag.endswith("line")]
+        p_ticks = [float(a["x1"]) for a in lines if a["y1"] == "730.00"]
+        q_ticks = [float(a["y1"]) for a in lines if a["x2"] == "70.00"]
+        assert p_ticks == pytest.approx(
+            [70.0 + (k - 1.1) / (10.0 - 1.1) * 690.0 for k in range(2, 11)], abs=0.005)
+        assert q_ticks == pytest.approx(
+            [730.0 - (k - 1.5) / (4.2 - 1.5) * 690.0 for k in range(2, 5)], abs=0.005)
 
 
 class TestMain:
@@ -304,11 +346,16 @@ class TestMain:
                                "excluded")
         assert (tmp_path / "out" / "summary.json").exists()
 
-    @pytest.mark.parametrize("power", [200, 5000])
-    def test_kato_with_powers_beyond_float_range(self, tmp_path, capsys, power):
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"p": 200, "q": 200}, id="200"),
+        pytest.param({"p": 5000, "q": 5000}, id="5000"),
+        # (t + R)^{-alpha2} = 0.5^{-4999} is beyond the float range too.
+        pytest.param({"p": 5000, "q": 5000, "R": 0.5}, id="5000-R0.5"),
+    ])
+    def test_kato_with_powers_beyond_float_range(self, tmp_path, capsys, doc):
         # (4(p+1)(p+2))^q in k5 is beyond the float range; k5 saturates to 0.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"p": power, "q": power}))
+        config.write_text(json.dumps(doc))
         code = main(["kato", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 0

@@ -25,7 +25,7 @@ from blowlab.comparison import (
     z_blowup_time,
     z_closed_form,
 )
-from blowlab.pde import Exponents
+from blowlab.exponents import Exponents
 
 RNG = np.random.default_rng(20260823)
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from blowlab.comparison import reduction_equiv_check
 from blowlab.criticality import (
     Label,
     alpha_damped,
@@ -18,7 +19,6 @@ from blowlab.criticality import (
     alpha_new,
     alpha_wave,
     classify,
-    reduction_equiv_check,
     scan,
 )
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowlab.exponents import Exponents
 from blowlab.pde import (
     AuditReport,
     BlowUpDetected,
-    Exponents,
     InitialData,
     NumericalInstability,
     Profile,
@@ -32,11 +32,10 @@ from blowlab.testfuncs import radial_laplacian, sphere_area, weighted_power_inte
 FIELDS = ("u", "u_prev", "v", "v_prev")
 
 
-def smooth_data(amplitude=1.0, R=1.0):
+def smooth_data(amplitude=1.0):
     return InitialData(profile=Profile.SMOOTH_BUMP,
                        amplitude_u0=amplitude, amplitude_u1=amplitude,
-                       amplitude_v0=amplitude, amplitude_v1=amplitude,
-                       support_radius=R)
+                       amplitude_v0=amplitude, amplitude_v1=amplitude)
 
 
 class TestExponents:
@@ -63,7 +62,7 @@ class TestInitialData:
     def test_compact_support(self):
         data = smooth_data()
         r = np.linspace(0.0, 3.0, 301)
-        vals = data.shape(r)
+        vals = data.shape(r, 1.0)
         assert np.all(vals[r >= 1.0] == 0.0)
         assert np.all(vals[r < 1.0] > 0.0)
 
@@ -71,14 +70,12 @@ class TestInitialData:
         # int_{-1}^{1} (1 - x^2)^3 dx = 32/35 exactly.
         data = InitialData(profile=Profile.POLYNOMIAL_BUMP)
         r = np.linspace(0.0, 1.0, 20001)
-        mass = sphere_area(1) * np.trapezoid(data.shape(r), r)
+        mass = sphere_area(1) * np.trapezoid(data.shape(r, 1.0), r)
         assert mass == pytest.approx(32.0 / 35.0, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             InitialData(amplitude_u0=-1.0)
-        with pytest.raises(ValueError):
-            InitialData(support_radius=0.0)
 
 
 class TestInitState:
@@ -112,8 +109,6 @@ class TestInitState:
             init_state(Exponents(1.2, 1.2, 4), smooth_data(), 500, 5.0)
         with pytest.raises(ValueError, match="out of range"):
             init_state(Exponents(3.0, 2.0, 3), smooth_data(), 500, 5.0)
-        with pytest.raises(ValueError, match="support radius"):
-            init_state(ex, smooth_data(R=2.0), 500, 5.0)
 
     def test_coupled_needs_positive_data(self):
         ex = Exponents(2.0, 2.0, 1)
