@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +143,9 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         elif doc_mode == "kato":
             _domain_inputs(doc_mode, settings)
         elif doc_mode == "regions":
+            criticality.check_window((settings["p_min"], settings["p_max"]),
+                                     (settings["q_min"], settings["q_max"]),
+                                     settings["resolution"])
             # classify builds Exponents(p, q, n) for every cell of the map.
             Exponents(settings["p_max"], settings["q_max"], settings["n"])
         else:
@@ -163,14 +166,6 @@ def _check_run_settings(mode: str, s: dict) -> None:
         raise ConfigError(f"sample_every={s['sample_every']} must be >= 1")
     if mode == "audit" and not 0.0 < s["T0_fraction"] < 1.0:
         raise ConfigError(f"T0_fraction={s['T0_fraction']} must lie in (0, 1)")
-    if mode == "regions":
-        for lo_k, hi_k in (("p_min", "p_max"), ("q_min", "q_max")):
-            lo, hi = float(s[lo_k]), float(s[hi_k])
-            if not (1.0 < lo < hi <= 20.0):
-                raise ConfigError(
-                    f"range ({lo_k}, {hi_k}) = ({lo}, {hi}) must satisfy 1 < lo < hi <= 20")
-        if not 1 <= s["resolution"] <= 2000:
-            raise ConfigError(f"resolution={s['resolution']} must lie in [1, 2000]")
     if mode == "phi" and not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
         raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
 
@@ -195,12 +190,10 @@ def _domain_inputs(mode: str, s: dict):
 
 @dataclass
 class RunSummary:
-    mode: str
     wall_time: float
     outcome: str
     blowup_time: float | None
     files: list
-    config: ExperimentConfig
 
 
 def _write(path: Path, text: str) -> Path:
@@ -254,12 +247,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
                 "min_passing_T0": report.min_passing_T0,
                 "inconclusive": report.inconclusive,
                 "note": report.note,
-                "inequalities": [
-                    {"name": r.name, "constant": r.constant,
-                     "margin_min": r.margin_min, "scale": r.scale,
-                     "passed": r.passed}
-                    for r in report.records
-                ],
+                "inequalities": [asdict(r) for r in report.records],
             }
             files.append(_write(out / "audit.json",
                                 json.dumps(doc, sort_keys=True, indent=2) + "\n"))
@@ -318,8 +306,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         vals = phi(r, n)
         asym = np.empty_like(vals)
         asym[0] = math.nan
-        if r.size > 1:
-            asym[1:] = phi_asymptotic(r[1:], n)
+        asym[1:] = phi_asymptotic(r[1:], n)
         rows = ["r,phi,phi_asymptotic"]
         rows += [",".join(f"{x:.17g}" for x in row) for row in zip(r, vals, asym)]
         files.append(_write(out / "phi.csv", "\n".join(rows) + "\n"))
@@ -332,8 +319,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     summary["wall_time"] = round(wall, 3)
     files.append(_write(out / "summary.json",
                         json.dumps(summary, sort_keys=True, indent=2) + "\n"))
-    return RunSummary(mode=config.mode, wall_time=wall, outcome=outcome,
-                      blowup_time=blowup_time, files=files, config=config)
+    return RunSummary(wall_time=wall, outcome=outcome,
+                      blowup_time=blowup_time, files=files)
 
 
 # Cell colors: interior blow-up, boundary blow-up, undetermined, and

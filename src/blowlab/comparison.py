@@ -265,6 +265,8 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
         raise ValueError("initial data must be positive")
     if horizon <= params.T0:
         raise ValueError("horizon must exceed T0")
+    if not threshold > 0.0:
+        raise ValueError(f"threshold={threshold} must be positive")
     p, q, R = params.p, params.q, params.R
     k2, k4, b3 = params.k2, params.k4, params.beta3
     a2, b2 = params.alpha2, params.beta2

@@ -29,6 +29,7 @@ __all__ = [
     "alpha_damped",
     "alpha_nakao_wakasugi",
     "classify",
+    "check_window",
     "scan",
 ]
 
@@ -76,13 +77,11 @@ class CriticalityReport:
 
     p: float
     q: float
-    n: int
     alpha_new: float
     alpha_nakao_wakasugi: float
     alpha_wave: float
     alpha_damped: float
     threshold_wavelike: float     # (n-1)/2, for alpha_new and alpha_wave
-    threshold_heatlike: float     # n/2, for alpha_NW and alpha_DW
     label_new: Label
     label_nakao_wakasugi: Label
     label_wave: Label
@@ -111,16 +110,25 @@ def classify(p: float, q: float, n: int) -> CriticalityReport:
         return Label.BLOW_UP if ok else Label.UNDETERMINED
 
     return CriticalityReport(
-        p=p, q=q, n=n,
+        p=p, q=q,
         alpha_new=a_new, alpha_nakao_wakasugi=a_nw,
         alpha_wave=a_w, alpha_damped=a_dw,
-        threshold_wavelike=th_wave, threshold_heatlike=th_heat,
+        threshold_wavelike=th_wave,
         label_new=lab(a_new >= th_wave and hyp),
         label_nakao_wakasugi=lab(a_nw >= th_heat),
         label_wave=lab(a_w >= th_wave),
         label_damped=lab(a_dw >= th_heat),
         hypotheses_ok=hyp,
     )
+
+
+def check_window(p_range: tuple, q_range: tuple, resolution: int) -> None:
+    """Raise ValueError unless ``scan`` accepts this window and resolution."""
+    for name, (lo, hi) in (("p_range", p_range), ("q_range", q_range)):
+        if not (1.0 < lo < hi <= 20.0):
+            raise ValueError(f"{name}=({lo}, {hi}) must satisfy 1 < lo < hi <= 20")
+    if not 1 <= resolution <= 2000:
+        raise ValueError(f"resolution={resolution} must lie in [1, 2000]")
 
 
 def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
@@ -130,11 +138,7 @@ def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
     otherwise cells are placed at cell centers, so range endpoints on
     the open boundary p, q = 1 are never evaluated.
     """
-    if resolution < 1 or resolution > 2000:
-        raise ValueError("resolution must lie in [1, 2000]")
-    for lo, hi in (p_range, q_range):
-        if not (1.0 < lo < hi <= 20.0):
-            raise ValueError(f"ranges must satisfy 1 < lo < hi <= 20, got ({lo}, {hi})")
+    check_window(p_range, q_range, resolution)
 
     def centers(lo, hi):
         width = (hi - lo) / resolution

@@ -305,8 +305,6 @@ def support_radius(state: CoupledState) -> float:
     if peak == 0.0:
         return 0.0
     idx = np.nonzero(mag > 1e-12 * peak)[0]
-    if idx.size == 0:
-        return 0.0
     return float(state.r[idx[-1]])
 
 
@@ -340,9 +338,12 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
 
 @dataclass
 class FunctionalTrace:
-    """Time series of the tracked functionals plus solver diagnostics."""
+    """Time series of the tracked functionals plus solver diagnostics.
 
-    exponents: Exponents
+    The array fields, ``times`` through ``support_r``, are the columns of
+    ``trace.csv`` in order; ``run`` builds them from one row per sample.
+    """
+
     times: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
@@ -357,7 +358,6 @@ class FunctionalTrace:
     support_r: np.ndarray
     outcome: str                      # completed | blowup | instability
     blowup_time: float | None
-    grid_points: int
     h: float
     dt: float
     # Data-weighted integrals int u_j phi dx, int v_j phi dx (audit constants).
@@ -384,29 +384,26 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     """
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
+    if not blowup_threshold > 0.0:
+        raise ValueError(f"blowup_threshold={blowup_threshold} must be positive")
     state = init_state(exponents, data, grid_points, horizon,
                        cfl_factor=cfl_factor, coupling=coupling)
     n = exponents.n
     phi_mesh = phi(state.r, n)
     w = state.r ** (n - 1)
     surf = sphere_area(n)
-    u0, u1, v0, v1 = data.sample(state.r, exponents.R)
     data_integrals = {
-        "int_phi_u0": surf * float(np.trapezoid(u0 * phi_mesh * w, dx=state.h)),
-        "int_phi_u1": surf * float(np.trapezoid(u1 * phi_mesh * w, dx=state.h)),
-        "int_phi_v0": surf * float(np.trapezoid(v0 * phi_mesh * w, dx=state.h)),
-        "int_phi_v1": surf * float(np.trapezoid(v1 * phi_mesh * w, dx=state.h)),
+        key.replace("amplitude", "int_phi"):
+            surf * float(np.trapezoid(f * phi_mesh * w, dx=state.h))
+        for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
     }
 
-    samples = []
+    rows = []
 
     def record(s: CoupledState):
-        row = functionals(s, phi_mesh)
-        row["t"] = s.time
-        row["max_u"] = float(np.max(np.abs(s.u)))
-        row["max_v"] = float(np.max(np.abs(s.v)))
-        row["support_r"] = support_radius(s)
-        samples.append(row)
+        rows.append((s.time, *functionals(s, phi_mesh).values(),
+                     float(np.max(np.abs(s.u))), float(np.max(np.abs(s.v))),
+                     support_radius(s)))
 
     record(state)
     n_steps = int(math.ceil(horizon / state.dt))
@@ -425,30 +422,18 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         if k % sample_every == 0 or k == n_steps:
             record(state)
 
-    def col(name):
-        return np.array([row[name] for row in samples])
-
-    return FunctionalTrace(
-        exponents=exponents, times=col("t"),
-        F1=col("F1"), F2=col("F2"), F3=col("F3"), F4=col("F4"),
-        J1=col("J1"), J2=col("J2"), J3=col("J3"), J4=col("J4"),
-        max_abs_u=col("max_u"), max_abs_v=col("max_v"),
-        support_r=col("support_r"), outcome=outcome, blowup_time=blowup_time,
-        grid_points=grid_points, h=state.h, dt=state.dt,
-        data_integrals=data_integrals,
-    )
+    return FunctionalTrace(*np.array(rows).T, outcome=outcome,
+                           blowup_time=blowup_time, h=state.h, dt=state.dt,
+                           data_integrals=data_integrals)
 
 
 @dataclass
 class InequalityRecord:
     name: str
-    t_start: float
-    t_end: float
     constant: float
     margin_min: float
     scale: float
     passed: bool
-    margins: np.ndarray | None = None
 
 
 @dataclass
@@ -567,24 +552,16 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
         margin_min = float(np.min(margins[mask]))
         passed = margin_min >= -1e-9 * scale
         pointwise_ok &= margins >= -1e-9 * scale
-        records.append(InequalityRecord(
-            name=name, t_start=float(t[mask][0]), t_end=float(t[mask][-1]),
-            constant=constant, margin_min=margin_min, scale=scale,
-            passed=passed, margins=margins))
+        records.append(InequalityRecord(name=name, constant=constant,
+                                        margin_min=margin_min, scale=scale,
+                                        passed=passed))
 
     # Smallest T0 from which every margin stays nonnegative through the
     # end of the (trimmed) window.
-    usable = np.nonzero(mask)[0]
-    last = usable[-1]
-    min_T0 = None
-    ok_suffix = np.ones(last + 1, dtype=bool)
-    acc = True
-    for i in range(last, -1, -1):
-        acc = acc and bool(pointwise_ok[i])
-        ok_suffix[i] = acc
+    last = np.nonzero(mask)[0][-1]
+    ok_suffix = np.logical_and.accumulate(pointwise_ok[last::-1])[::-1]
     first = np.nonzero(ok_suffix)[0]
-    if first.size:
-        min_T0 = float(t[first[0]])
+    min_T0 = float(t[first[0]]) if first.size else None
 
     return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
                        fitted_k2=fitted_k2, fitted_k4=fitted_k4,

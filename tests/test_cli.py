@@ -5,6 +5,7 @@ configuration errors are 2)."""
 
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from blowlab.cli import (
     _DEFAULTS,
+    _SVG_CATEGORIES,
     MAX_PHI_SAMPLES,
     MODES,
     ConfigError,
@@ -20,7 +22,7 @@ from blowlab.cli import (
     parse_config,
     run_experiment,
 )
-from blowlab.criticality import scan
+from blowlab.criticality import Label, scan
 from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
@@ -240,6 +242,32 @@ class TestSvg:
         assert text.count("<rect") >= 4 + 2
         assert "blowup" in text and "undetermined" in text
 
+    def test_every_category_is_drawn(self, tmp_path):
+        # n = 3: the first window holds undetermined, blow-up and
+        # hypothesis-failed cells, and (2, 2) lies on the critical curve.
+        fills = {color: name for name, color in _SVG_CATEGORIES}
+        drawn, expected = Counter(), Counter()
+        for p_range, q_range, resolution in (((1.1, 4.0), (1.05, 4.0), 12),
+                                             ((1.5, 2.5), (1.5, 2.5), 1)):
+            grid = scan(p_range, q_range, 3, resolution)
+            path = emit_region_svg(grid, p_range, q_range, tmp_path / "map.svg")
+            # Legend swatches are 14 wide; every other coloured rect is a cell.
+            drawn += Counter(fills[el.get("fill")]
+                             for el in ET.parse(path).getroot().iter()
+                             if el.tag.endswith("rect") and el.get("fill") in fills
+                             and el.get("width") != "14")
+            for cell in (c for row in grid for c in row):
+                on_curve = abs(cell.alpha_new - cell.threshold_wavelike) <= 1e-12
+                if cell.label_new is Label.BLOW_UP:
+                    expected["boundary" if on_curve else "blowup"] += 1
+                elif cell.alpha_new >= cell.threshold_wavelike:
+                    expected["hypothesis-failed"] += 1
+                else:
+                    expected["undetermined"] += 1
+        assert drawn == expected
+        assert expected == {"undetermined": 102, "blowup": 34,
+                            "hypothesis-failed": 8, "boundary": 1}
+
     @pytest.mark.parametrize("resolution", [1, 4])
     def test_ticks_follow_the_window(self, tmp_path, resolution):
         # The plot area [70, 760] x [40, 730] spans the scanned window, so
@@ -291,6 +319,20 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys):
+        # The conjugate-power weight integral guards s'(t + R) > 700, which
+        # this long uncoupled run reaches mid-run, after the echo is written.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"p": 1.1, "q": 1.1, "amplitudes": 0.01, "coupling": False,
+             "horizon": 80, "grid_points": 300}))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow guard" in err
+        assert (tmp_path / "out" / "config_echo.json").exists()
 
     def test_sweep(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -158,6 +158,14 @@ class TestIntegrateComparison:
         with pytest.raises(ValueError, match="horizon"):
             integrate_comparison(params, 1.0, 1.0, 1.0, 1.0, horizon=0.0)
 
+    @pytest.mark.parametrize("threshold", [-5.0, 0.0, math.nan])
+    def test_threshold_validation(self, threshold):
+        # The data are positive, so the threshold event could never fire.
+        params = derive_params(Exponents(2.0, 2.0, 1))
+        with pytest.raises(ValueError, match="threshold"):
+            integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=1.0,
+                                 threshold=threshold)
+
     def test_closed_form_y_lower_bounds_f2(self):
         # Fit the largest kappa_eff for which Y' = kappa_eff w(t) Y^beta
         # under-estimates the growth of F2 along the trace, then check

@@ -376,6 +376,34 @@ class TestRun:
             run(Exponents(2.0, 2.0, 1), smooth_data(), grid_points=400,
                 horizon=1.0, sample_every=0)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan])
+    def test_blowup_threshold_validation(self, threshold):
+        # A threshold below every peak would record blow-up at t = dt.
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            run(Exponents(2.0, 2.0, 1), smooth_data(), grid_points=400,
+                horizon=1.0, blowup_threshold=threshold)
+
+    def test_array_fields_are_csv_columns_in_order(self):
+        # Distinct amplitudes and p != q make every column of the first
+        # row distinct, so a swap of two array fields cannot go unseen.
+        ex = Exponents(2.0, 3.0, 1)
+        data = InitialData(amplitude_u0=1.0, amplitude_u1=2.0,
+                           amplitude_v0=3.0, amplitude_v1=4.0)
+        trace = run(ex, data, grid_points=300, horizon=0.5, sample_every=5)
+        state0 = init_state(ex, data, 300, 0.5)
+        want = {"times": 0.0, **functionals(state0),
+                "max_abs_u": float(np.max(np.abs(state0.u))),
+                "max_abs_v": float(np.max(np.abs(state0.v))),
+                "support_r": support_radius(state0)}
+        arrays = [f.name for f in fields(trace)
+                  if isinstance(getattr(trace, f.name), np.ndarray)]
+        assert arrays == list(want)
+        assert tuple(getattr(trace, name)[0] for name in arrays) == \
+            tuple(want.values())
+        header, first = list(trace.csv_rows())[:2]
+        assert header == "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
+        assert first == ",".join(f"{x:.17g}" for x in want.values())
+
 
 @pytest.fixture(scope="module")
 def reference():
