@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comparison, criticality, pde
+from . import criticality, pde
 from .criticality import Label
-from .exponents import Exponents
+from .exponents import Exponents, check_dimension
 from .pde import AMPLITUDE_KEYS, InitialData, Profile
 from .testfuncs import phi, phi_asymptotic
 
@@ -146,8 +146,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
             criticality.check_window((settings["p_min"], settings["p_max"]),
                                      (settings["q_min"], settings["q_max"]),
                                      settings["resolution"])
-            # classify builds Exponents(p, q, n) for every cell of the map.
-            Exponents(settings["p_max"], settings["q_max"], settings["n"])
+            check_dimension(settings["n"])
         else:
             phi_asymptotic(settings["r_max"], settings["n"])
     except ValueError as e:
@@ -180,6 +179,8 @@ def _domain_inputs(mode: str, s: dict):
     """
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
+        # Imported here: it loads scipy.integrate and scipy.optimize.
+        from . import comparison
         return comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
@@ -254,6 +255,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         summary = _summary_doc(config, outcome, blowup_time, {"dt": trace.dt})
 
     elif config.mode == "kato":
+        from . import comparison
         params = _domain_inputs(config.mode, s)
         report = comparison.check_conditions(params)
         lines = [
@@ -283,21 +285,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     elif config.mode == "regions":
         p_range = (float(s["p_min"]), float(s["p_max"]))
         q_range = (float(s["q_min"]), float(s["q_max"]))
-        grid = criticality.scan(p_range, q_range, int(s["n"]), int(s["resolution"]))
-        rows = ["p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
-                "label_new,label_NW,label_W,label_DW"]
-        for row in grid:
-            for c in row:
-                rows.append(",".join([
-                    f"{c.p:.17g}", f"{c.q:.17g}",
-                    f"{c.alpha_new:.17g}", f"{c.alpha_nakao_wakasugi:.17g}",
-                    f"{c.alpha_wave:.17g}", f"{c.alpha_damped:.17g}",
-                    c.label_new.value, c.label_nakao_wakasugi.value,
-                    c.label_wave.value, c.label_damped.value,
-                ]))
-        files.append(_write(out / "regions.csv", "\n".join(rows) + "\n"))
+        n = int(s["n"])
+        grid = criticality.scan(p_range, q_range, n, int(s["resolution"]))
+        files.append(_write_regions_csv(grid, out / "regions.csv"))
         if bool(s["svg"]):
-            files.append(emit_region_svg(grid, p_range, q_range, out / "regions.svg"))
+            files.append(emit_region_svg(grid, p_range, q_range, n, out / "regions.svg"))
         summary = _summary_doc(config, outcome, None)
 
     elif config.mode == "phi":
@@ -323,6 +315,32 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
                       blowup_time=blowup_time, files=files)
 
 
+_ALPHA_FIELDS = ("alpha_new", "alpha_nakao_wakasugi", "alpha_wave", "alpha_damped")
+
+# The four label columns of a cell, indexed by its BlowUp masks read as
+# a 4-bit number, label_new the high bit.
+_LABEL_COLUMNS = np.array(
+    [",".join((Label.BLOW_UP if k >> bit & 1 else Label.UNDETERMINED).value
+              for bit in (3, 2, 1, 0)) for k in range(16)], dtype=object)
+
+
+def _write_regions_csv(grid: list, path: Path) -> Path:
+    """One line per cell, alphas to 17 significant digits, written one
+    grid row at a time."""
+    p_text = ["%.17g" % p for p in grid[0]["p"].tolist()]
+    with path.open("w") as fh:
+        fh.write("p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
+                 "label_new,label_NW,label_W,label_DW\n")
+        for row in grid:
+            line = "%s," + "%.17g" % row["q"][0] + ",%.17g,%.17g,%.17g,%.17g,%s\n"
+            labels = (8 * row["label_new"] + 4 * row["label_nakao_wakasugi"]
+                      + 2 * row["label_wave"] + row["label_damped"])
+            fh.write("".join(map(line.__mod__, zip(
+                p_text, *(row[key].tolist() for key in _ALPHA_FIELDS),
+                _LABEL_COLUMNS[labels].tolist()))))
+    return path
+
+
 # Cell colors: interior blow-up, boundary blow-up, undetermined, and
 # points where the inequality holds but the exponent hypotheses fail.
 _SVG_CATEGORIES = (
@@ -333,22 +351,25 @@ _SVG_CATEGORIES = (
 )
 
 
-def _svg_category(report) -> str:
-    on_curve = abs(report.alpha_new - report.threshold_wavelike) <= 1e-12
-    if report.label_new is Label.BLOW_UP:
-        return "boundary" if on_curve else "blowup"
-    if report.alpha_new >= report.threshold_wavelike and not report.hypotheses_ok:
-        return "hypothesis-failed"
-    return "undetermined"
+def _svg_categories(row, n: int) -> np.ndarray:
+    """The _SVG_CATEGORIES index of each cell in a row of a dimension-n scan."""
+    threshold = (n - 1) / 2.0
+    alpha = row["alpha_new"]
+    on_curve = np.abs(alpha - threshold) <= 1e-12
+    hypothesis_failed = (alpha >= threshold) & ~row["hypotheses_ok"]
+    return np.where(row["label_new"], np.where(on_curve, 1, 0),
+                    np.where(hypothesis_failed, 3, 2))
 
 
-def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, path) -> Path:
+def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, n: int,
+                    path) -> Path:
     """Deterministic 800x800 SVG heat map of the comparison-ODE label.
 
-    ``grid`` is the scan of the window ``p_range`` x ``q_range``; the
-    plot area spans that window, so axis ticks are placed from it.
+    ``grid`` is the dimension-``n`` scan of the window ``p_range`` x
+    ``q_range``; the plot area spans that window, so axis ticks are
+    placed from it.  Each cell is one ``<rect>``.
     """
-    if not grid or not grid[0]:
+    if not grid or not len(grid[0]):
         raise ValueError("cannot render an empty grid")
     path = Path(path)
     n_q = len(grid)
@@ -357,25 +378,15 @@ def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, path) -> Path:
     (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     cw = (x1 - x0) / n_p
     ch = (y1 - y0) / n_q
-    colors = dict(_SVG_CATEGORIES)
+    # A cell's line is its column's head, its row's y and its color's tail.
+    heads = [f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(n_p)]
+    tails = [f'" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>\n'
+             for _, color in _SVG_CATEGORIES]
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        'viewBox="0 0 800 800">',
-        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>',
-    ]
-    for j, row in enumerate(grid):
-        # q grows upward: row j sits at the bottom for j = 0.
-        y = y1 - (j + 1) * ch
-        for i, cell in enumerate(row):
-            x = x0 + i * cw
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                f'height="{ch:.2f}" fill="{colors[_svg_category(cell)]}"/>'
-            )
-    # Axis ticks at integer exponent values.
-    parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-                 f'height="{y1 - y0:.2f}" fill="none" stroke="#000000"/>')
+    # Drawn after the cells: the frame, axis ticks at integer exponent
+    # values, the axis names and the legend.
+    parts = [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+             f'height="{y1 - y0:.2f}" fill="none" stroke="#000000"/>']
     for k in range(int(math.ceil(p_lo)), int(math.floor(p_hi)) + 1):
         x = x0 + (k - p_lo) / (p_hi - p_lo) * (x1 - x0)
         parts.append(f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" '
@@ -398,7 +409,16 @@ def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, path) -> Path:
         parts.append(f'<text x="{lx + 18:.2f}" y="22" font-size="12">{name}</text>')
         lx += 170.0
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    with path.open("w") as fh:
+        fh.write('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+                 'viewBox="0 0 800 800">\n'
+                 '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n')
+        for j, row in enumerate(grid):
+            # q grows upward: row j sits at the bottom for j = 0.
+            y = f"{y1 - (j + 1) * ch:.2f}"
+            fh.write("".join([head + y + tails[c] for head, c in
+                              zip(heads, _svg_categories(row, n).tolist())]))
+        fh.write("\n".join(parts) + "\n")
     return path
 
 

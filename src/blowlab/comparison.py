@@ -257,9 +257,10 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     so blow-up here certifies blow-up there.  Adaptive embedded
     Runge-Kutta (rtol 1e-8, atol 1e-10) with terminal events at
     max(F1, F2) = threshold; the event time is refined by the solver's
-    root finder.  A right-hand side that is already beyond the float
-    range at T0 (for example F2_0^p = inf) is blow-up at T0: the trace
-    then holds the initial row alone and the solver is not called.
+    root finder.  Initial data at or above the threshold, or a
+    right-hand side that is already beyond the float range at T0 (for
+    example F2_0^p = inf), is blow-up at T0: the trace then holds the
+    initial row alone and the solver is not called.
     """
     if min(F1_0, dF1_0, F2_0, dF2_0) <= 0.0:
         raise ValueError("initial data must be positive")
@@ -291,7 +292,8 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     hit_f2.terminal = True
 
     y0 = np.array([F1_0, dF1_0, F2_0, dF2_0])
-    if not np.all(np.isfinite(rhs(params.T0, y0))):
+    if (max(F1_0, F2_0) >= threshold
+            or not np.all(np.isfinite(rhs(params.T0, y0)))):
         rows = y0[:, np.newaxis]
         return OdeTrace(times=np.array([params.T0]), F1=rows[0], dF1=rows[1],
                         F2=rows[2], dF2=rows[3], blowup_time=params.T0,

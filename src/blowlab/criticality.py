@@ -12,6 +12,9 @@ a dimension threshold:
 Only the blow-up side is known for the mixed system, so points failing a
 criterion are labeled Undetermined, never "global existence".  All
 inequalities are non-strict, so boundary points classify as BlowUp.
+
+Each curve is one formula over floats or numpy arrays: ``classify``
+evaluates it at one point, ``scan`` on a whole (p, q) grid at once.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .exponents import Exponents, check_powers
+import numpy as np
+
+from .exponents import check_dimension, check_powers, theorem_range
 
 __all__ = [
+    "CELL_DTYPE",
     "Label",
     "CriticalityReport",
     "alpha_new",
@@ -34,41 +40,78 @@ __all__ = [
 ]
 
 
-def alpha_new(p: float, q: float) -> float:
+def _denominator(p, q):
+    """pq - 1, once p, q > 1 is checked (on the smallest entry of an array)."""
+    check_powers(np.min(p), np.min(q))
+    return p * q - 1.0
+
+
+def alpha_new(p, q):
     """max{(q+1)/(pq-1), (2 + 2/p)/(pq-1)}."""
-    check_powers(p, q)
-    d = p * q - 1.0
-    return max((q + 1.0) / d, (2.0 + 2.0 / p) / d)
+    d = _denominator(p, q)
+    return np.maximum((q + 1.0) / d, (2.0 + 2.0 / p) / d)
 
 
-def alpha_wave(p: float, q: float) -> float:
+def alpha_wave(p, q):
     """max{(p+2+1/q)/(pq-1), (q+2+1/p)/(pq-1)}; symmetric in (p, q)."""
-    check_powers(p, q)
-    d = p * q - 1.0
-    return max((p + 2.0 + 1.0 / q) / d, (q + 2.0 + 1.0 / p) / d)
+    d = _denominator(p, q)
+    return np.maximum((p + 2.0 + 1.0 / q) / d, (q + 2.0 + 1.0 / p) / d)
 
 
-def alpha_damped(p: float, q: float) -> float:
+def alpha_damped(p, q):
     """max{(p+1)/(pq-1), (q+1)/(pq-1)}; symmetric in (p, q)."""
-    check_powers(p, q)
-    d = p * q - 1.0
-    return max((p + 1.0) / d, (q + 1.0) / d)
+    d = _denominator(p, q)
+    return np.maximum((p + 1.0) / d, (q + 1.0) / d)
 
 
-def alpha_nakao_wakasugi(p: float, q: float) -> float:
+def alpha_nakao_wakasugi(p, q):
     """max{(q/2+1)/(pq-1) + 1/2, (q+1)/(pq-1), (p+1)/(pq-1)}.
 
     The first term tends to 1/2 as p = q grows, so for n = 1 every pair
     of exponents lies on the blow-up side.
     """
-    check_powers(p, q)
-    d = p * q - 1.0
-    return max((q / 2.0 + 1.0) / d + 0.5, (q + 1.0) / d, (p + 1.0) / d)
+    d = _denominator(p, q)
+    return np.maximum(np.maximum((q / 2.0 + 1.0) / d + 0.5, (q + 1.0) / d),
+                      (p + 1.0) / d)
 
 
 class Label(enum.Enum):
     BLOW_UP = "BlowUp"
     UNDETERMINED = "Undetermined"
+
+
+# Each label's curve and k in its dimension threshold (n - k)/2: the
+# wave-like (n-1)/2 or the heat-like n/2.
+_CURVES = (
+    ("new", alpha_new, 1),
+    ("nakao_wakasugi", alpha_nakao_wakasugi, 0),
+    ("wave", alpha_wave, 1),
+    ("damped", alpha_damped, 0),
+)
+
+# The fields of one scanned cell: the classify report without the
+# threshold, with each label as a mask that is True for BlowUp.
+CELL_DTYPE = np.dtype(
+    [("p", "f8"), ("q", "f8")]
+    + [(f"alpha_{name}", "f8") for name, _, _ in _CURVES]
+    + [(f"label_{name}", "?") for name, _, _ in _CURVES]
+    + [("hypotheses_ok", "?")])
+
+
+def _evaluate(p, q, n: int) -> dict:
+    """Every CELL_DTYPE field but p and q, at floats or arrays p and q.
+
+    Every inequality is non-strict.  label_new also needs the exponent
+    hypotheses of the blow-up theorem; the other three labels come from
+    their inequality alone.
+    """
+    hyp = theorem_range(p, q, n)
+    fields = {"hypotheses_ok": hyp}
+    for name, curve, k in _CURVES:
+        alpha = fields[f"alpha_{name}"] = curve(p, q)
+        fields[f"label_{name}"] = alpha >= (n - k) / 2.0
+    fields["label_new"] = fields["label_new"] & hyp
+    return fields
 
 
 @dataclass(frozen=True)
@@ -96,30 +139,17 @@ def classify(p: float, q: float, n: int) -> CriticalityReport:
     BlowUp only when the exponent-range hypotheses of the blow-up
     theorem also hold (n = 1 unrestricted; p, q < 2n/(n-1) for n = 2, 3;
     p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4); the other three curves
-    are labeled from their inequality alone.
+    are labeled from their inequality alone.  This is the scalar entry
+    point: the alphas are Python floats and the labels ``Label``s.
     """
-    a_new = alpha_new(p, q)
-    a_nw = alpha_nakao_wakasugi(p, q)
-    a_w = alpha_wave(p, q)
-    a_dw = alpha_damped(p, q)
-    th_wave = (n - 1) / 2.0
-    th_heat = n / 2.0
-    hyp = Exponents(p, q, n).theorem_range_ok()
-
-    def lab(ok: bool) -> Label:
-        return Label.BLOW_UP if ok else Label.UNDETERMINED
-
+    check_dimension(n)
+    fields = _evaluate(p, q, n)
     return CriticalityReport(
-        p=p, q=q,
-        alpha_new=a_new, alpha_nakao_wakasugi=a_nw,
-        alpha_wave=a_w, alpha_damped=a_dw,
-        threshold_wavelike=th_wave,
-        label_new=lab(a_new >= th_wave and hyp),
-        label_nakao_wakasugi=lab(a_nw >= th_heat),
-        label_wave=lab(a_w >= th_wave),
-        label_damped=lab(a_dw >= th_heat),
-        hypotheses_ok=hyp,
-    )
+        p=p, q=q, threshold_wavelike=(n - 1) / 2.0,
+        hypotheses_ok=bool(fields.pop("hypotheses_ok")),
+        **{key: float(value) if key.startswith("alpha_")
+           else Label.BLOW_UP if value else Label.UNDETERMINED
+           for key, value in fields.items()})
 
 
 def check_window(p_range: tuple, q_range: tuple, resolution: int) -> None:
@@ -134,18 +164,25 @@ def check_window(p_range: tuple, q_range: tuple, resolution: int) -> None:
 def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
     """Row-major grid of classify results over [p_range] x [q_range].
 
-    With resolution 1 the single cell sits at the range midpoint;
-    otherwise cells are placed at cell centers, so range endpoints on
-    the open boundary p, q = 1 are never evaluated.
+    Returns ``resolution`` rows, q ascending; row j is a 1-D record
+    array of CELL_DTYPE over p ascending, so ``grid[j][i]`` holds what
+    ``classify`` reports at the cell, with labels as BlowUp masks.  With
+    resolution 1 the single cell sits at the range midpoint; otherwise
+    cells are placed at cell centers, so range endpoints on the open
+    boundary p, q = 1 are never evaluated.
     """
     check_window(p_range, q_range, resolution)
+    check_dimension(n)
 
     def centers(lo, hi):
         width = (hi - lo) / resolution
-        return [lo + (i + 0.5) * width for i in range(resolution)]
+        return lo + (np.arange(resolution) + 0.5) * width
 
-    rows = []
-    for qv in centers(*q_range):
-        row = [classify(pv, qv, n) for pv in centers(*p_range)]
-        rows.append(row)
-    return rows
+    p = centers(*p_range)[np.newaxis, :]
+    q = centers(*q_range)[:, np.newaxis]
+    grid = np.recarray((resolution, resolution), dtype=CELL_DTYPE)
+    grid["p"] = p
+    grid["q"] = q
+    for key, value in _evaluate(p, q, n).items():
+        grid[key] = value
+    return list(grid)

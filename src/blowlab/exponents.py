@@ -19,6 +19,7 @@ __all__ = [
     "Exponents",
     "check_dimension",
     "check_powers",
+    "theorem_range",
 ]
 
 MAX_DIMENSION = 8
@@ -44,6 +45,23 @@ def check_powers(p: float, q: float) -> None:
         raise DomainError(f"{key}={value} must exceed 1")
 
 
+def _cap(n: int) -> float:
+    return math.inf if n == 1 else 2.0 * n / (n - 1)
+
+
+def theorem_range(p, q, n: int):
+    """Exponent hypotheses of the blow-up theorem in dimension n: p, q
+    below 2n/(n-1) for n <= 3; p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4.
+
+    The comparisons are joined with ``&``, so p and q may be floats (the
+    result is a bool) or numpy arrays (an elementwise mask).
+    """
+    if n <= 3:
+        cap = _cap(n)
+        return (p < cap) & (q < cap)
+    return (p <= (n + 3) / (n - 1)) & (q <= n / (n - 2))
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Nonlinearity powers, spatial dimension and data-support radius."""
@@ -64,7 +82,7 @@ class Exponents:
         """2n/(n-1), infinite for n = 1.  The radial simulator needs p and
         q below it, and the comparison weight alpha1 = 1 + (2-p)(n-1)/2
         is positive exactly when p is below it."""
-        return math.inf if self.n == 1 else 2.0 * self.n / (self.n - 1)
+        return _cap(self.n)
 
     def at_cap(self, key: str) -> str:
         """Why the power ``key`` ("p" or "q") fails the cap, for messages."""
@@ -72,12 +90,8 @@ class Exponents:
 
     def simulator_range_ok(self) -> bool:
         """Admissible range for the radial simulator: n <= 3, p, q < cap."""
-        cap = self.cap
-        return self.n <= 3 and self.p < cap and self.q < cap
+        return self.n <= 3 and self.theorem_range_ok()
 
     def theorem_range_ok(self) -> bool:
         """Exponent hypotheses of the blow-up theorem for this dimension."""
-        if self.n <= 3:
-            return self.simulator_range_ok()
-        return (self.p <= (self.n + 3) / (self.n - 1)
-                and self.q <= self.n / (self.n - 2))
+        return theorem_range(self.p, self.q, self.n)

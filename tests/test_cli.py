@@ -17,12 +17,13 @@ from blowlab.cli import (
     MAX_PHI_SAMPLES,
     MODES,
     ConfigError,
+    _svg_categories,
     emit_region_svg,
     main,
     parse_config,
     run_experiment,
 )
-from blowlab.criticality import Label, scan
+from blowlab.criticality import Label, classify, scan
 from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
@@ -59,6 +60,40 @@ REJECTED = [
     ("simulate", '{"grid_points": 250, "horizon": 2.0}',
      ("--sweep", "grid_points=250,10")),
 ]
+
+
+def _svg_category(report) -> str:
+    """The SVG category of one classify report: the scalar oracle of the
+    category map ``emit_region_svg`` draws."""
+    on_curve = abs(report.alpha_new - report.threshold_wavelike) <= 1e-12
+    if report.label_new is Label.BLOW_UP:
+        return "boundary" if on_curve else "blowup"
+    if report.alpha_new >= report.threshold_wavelike and not report.hypotheses_ok:
+        return "hypothesis-failed"
+    return "undetermined"
+
+
+def regions_csv_per_cell(p_range, q_range, n, resolution) -> str:
+    """regions.csv as the per-cell writer produced it, from a row-major
+    grid of classify reports at the cell centres: the oracle of the
+    row-streamed writer."""
+    def centers(lo, hi):
+        width = (hi - lo) / resolution
+        return [lo + (i + 0.5) * width for i in range(resolution)]
+
+    rows = ["p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
+            "label_new,label_NW,label_W,label_DW"]
+    for qv in centers(*q_range):
+        for c in [classify(pv, qv, n) for pv in centers(*p_range)]:
+            rows.append(",".join([
+                f"{c.p:.17g}", f"{c.q:.17g}",
+                f"{c.alpha_new:.17g}", f"{c.alpha_nakao_wakasugi:.17g}",
+                f"{c.alpha_wave:.17g}", f"{c.alpha_damped:.17g}",
+                c.label_new.value, c.label_nakao_wakasugi.value,
+                c.label_wave.value, c.label_damped.value,
+            ]))
+    return "\n".join(rows) + "\n"
+
 
 JSON_VALUES = st.one_of(st.integers(-10, 5000), st.floats(), st.booleans(),
                         st.text(max_size=12))
@@ -216,6 +251,19 @@ class TestRunExperiment:
         assert lines[0] == "r,phi,phi_asymptotic"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("window", [((1.1, 10.0), (1.1, 10.0), 40),
+                                        ((1.3, 4.1), (1.05, 3.7), 23),
+                                        ((1.5, 2.5), (1.5, 2.5), 1)])
+    def test_regions_csv_equals_per_cell_writer(self, tmp_path, n, window):
+        (p_min, p_max), (q_min, q_max), resolution = window
+        cfg = parse_config(json.dumps(
+            {"n": n, "resolution": resolution, "p_min": p_min, "p_max": p_max,
+             "q_min": q_min, "q_max": q_max}), mode="regions")
+        run_experiment(cfg, tmp_path)
+        assert (tmp_path / "regions.csv").read_text() == \
+            regions_csv_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
+
     def test_byte_identical_reproducibility(self, tmp_path):
         cfg = parse_config('{"resolution": 6, "svg": true}', mode="regions")
         run_experiment(cfg, tmp_path / "a")
@@ -233,11 +281,11 @@ class TestRunExperiment:
 class TestSvg:
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty grid"):
-            emit_region_svg([], (1.5, 2.5), (1.5, 2.5), tmp_path / "x.svg")
+            emit_region_svg([], (1.5, 2.5), (1.5, 2.5), 1, tmp_path / "x.svg")
 
     def test_small_grid(self, tmp_path):
         grid = scan((1.5, 2.5), (1.5, 2.5), 1, 2)
-        path = emit_region_svg(grid, (1.5, 2.5), (1.5, 2.5), tmp_path / "map.svg")
+        path = emit_region_svg(grid, (1.5, 2.5), (1.5, 2.5), 1, tmp_path / "map.svg")
         text = path.read_text()
         assert text.count("<rect") >= 4 + 2
         assert "blowup" in text and "undetermined" in text
@@ -250,17 +298,18 @@ class TestSvg:
         for p_range, q_range, resolution in (((1.1, 4.0), (1.05, 4.0), 12),
                                              ((1.5, 2.5), (1.5, 2.5), 1)):
             grid = scan(p_range, q_range, 3, resolution)
-            path = emit_region_svg(grid, p_range, q_range, tmp_path / "map.svg")
+            path = emit_region_svg(grid, p_range, q_range, 3, tmp_path / "map.svg")
             # Legend swatches are 14 wide; every other coloured rect is a cell.
             drawn += Counter(fills[el.get("fill")]
                              for el in ET.parse(path).getroot().iter()
                              if el.tag.endswith("rect") and el.get("fill") in fills
                              and el.get("width") != "14")
+            threshold_wavelike = 1.0  # (n - 1)/2 for n = 3
             for cell in (c for row in grid for c in row):
-                on_curve = abs(cell.alpha_new - cell.threshold_wavelike) <= 1e-12
-                if cell.label_new is Label.BLOW_UP:
+                on_curve = abs(cell.alpha_new - threshold_wavelike) <= 1e-12
+                if cell.label_new:
                     expected["boundary" if on_curve else "blowup"] += 1
-                elif cell.alpha_new >= cell.threshold_wavelike:
+                elif cell.alpha_new >= threshold_wavelike:
                     expected["hypothesis-failed"] += 1
                 else:
                     expected["undetermined"] += 1
@@ -268,13 +317,30 @@ class TestSvg:
         assert expected == {"undetermined": 102, "blowup": 34,
                             "hypothesis-failed": 8, "boundary": 1}
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_category_map_equals_scalar_oracle(self, n):
+        names = [name for name, _ in _SVG_CATEGORIES]
+        seen = set()
+        for p_range, q_range, resolution in (((1.1, 4.0), (1.05, 4.0), 12),
+                                             ((1.1, 10.0), (1.1, 10.0), 25),
+                                             ((1.5, 2.5), (1.5, 2.5), 1)):
+            for row in scan(p_range, q_range, n, resolution):
+                for cell, k in zip(row, _svg_categories(row, n).tolist()):
+                    want = _svg_category(classify(float(cell.p), float(cell.q), n))
+                    assert names[k] == want, (cell.p, cell.q, n)
+                    seen.add(want)
+        # Every n reaches blowup; n = 3 also reaches the other three.
+        assert "blowup" in seen
+        if n == 3:
+            assert seen == set(names)
+
     @pytest.mark.parametrize("resolution", [1, 4])
     def test_ticks_follow_the_window(self, tmp_path, resolution):
         # The plot area [70, 760] x [40, 730] spans the scanned window, so
         # tick k sits at its place in the window, whatever the resolution.
         p_range, q_range = (1.1, 10.0), (1.5, 4.2)
         grid = scan(p_range, q_range, 1, resolution)
-        path = emit_region_svg(grid, p_range, q_range, tmp_path / "map.svg")
+        path = emit_region_svg(grid, p_range, q_range, 1, tmp_path / "map.svg")
         lines = [el.attrib for el in ET.parse(path).getroot().iter()
                  if el.tag.endswith("line")]
         p_ticks = [float(a["x1"]) for a in lines if a["y1"] == "730.00"]
@@ -408,6 +474,17 @@ class TestMain:
         assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["outcome"] == "blowup" and doc["blowup_time"] == 0.0
+        rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
+        assert rows == ["t,F1,dF1,F2,dF2", "0,1000,100,1000,100"]
+
+    def test_kato_data_above_threshold_is_blowup_at_T0(self, tmp_path, capsys):
+        # F1_0 = F2_0 = 1000 start above the threshold, so no event can fire.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"ode_threshold": 1.0}')
+        code = main(["kato", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
         rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
         assert rows == ["t,F1,dF1,F2,dF2", "0,1000,100,1000,100"]
 

@@ -144,6 +144,26 @@ class TestIntegrateComparison:
         assert trace.blowup_time == T0
         assert list(trace.csv_rows())[1:] == [f"{T0:.17g},1000,100,1000,100"]
 
+    @pytest.mark.parametrize("T0", [0.0, 2.0])
+    @pytest.mark.parametrize("threshold,F1_0,F2_0", [
+        (1.0, 1e3, 1e3), (1e3, 1e3, 1.0), (1e3, 1.0, 1e3)])
+    def test_data_at_or_above_threshold_is_blowup_at_T0(self, T0, threshold,
+                                                         F1_0, F2_0):
+        # max(F1, F2) starts at or past the threshold, so no event can
+        # cross it; the solver would run on to a step underflow.
+        params = replace(derive_params(Exponents(2.0, 2.0, 1)), T0=T0)
+        trace = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
+                                     threshold=threshold)
+        assert trace.terminal_reason is TerminalReason.BLOWUP
+        assert trace.blowup_time == T0
+        assert list(trace.csv_rows())[1:] == [
+            f"{T0:.17g},{F1_0:.17g},100,{F2_0:.17g},100"]
+        # Just above the initial data, the threshold is crossed later.
+        later = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
+                                     threshold=np.nextafter(max(F1_0, F2_0), math.inf))
+        assert later.terminal_reason is TerminalReason.BLOWUP
+        assert later.blowup_time > T0 and later.times.size > 1
+
     def test_csv_schema(self):
         params = derive_params(Exponents(2.0, 2.0, 1))
         trace = integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=1.0)

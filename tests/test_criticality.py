@@ -13,6 +13,7 @@ import pytest
 
 from blowlab.comparison import reduction_equiv_check
 from blowlab.criticality import (
+    CELL_DTYPE,
     Label,
     alpha_damped,
     alpha_nakao_wakasugi,
@@ -21,6 +22,7 @@ from blowlab.criticality import (
     classify,
     scan,
 )
+from blowlab.exponents import DomainError
 
 RNG = np.random.default_rng(20260823)
 
@@ -148,6 +150,56 @@ class TestScan:
             scan((1.0, 2.5), (1.5, 2.5), 1, 4)
         with pytest.raises(ValueError):
             scan((1.5, 25.0), (1.5, 2.5), 1, 4)
+
+
+def windows(n):
+    """Scan windows for dimension n: the resolution-1 cell at (2, 2), one
+    straddling 2n/(n-1) (for n >= 4 it also holds the bounds (n+3)/(n-1)
+    and n/(n-2)), one holding (2, 2) and the wide default window."""
+    cap = 2.0 * n / (n - 1) if n > 1 else 3.0
+    straddle = (max(1.05, cap - 1.0), cap + 1.0)
+    return [((1.5, 2.5), (1.5, 2.5), 1), (straddle, straddle, 25),
+            ((1.1, 4.0), (1.05, 4.0), 12), ((1.1, 10.0), (1.1, 10.0), 30)]
+
+
+class TestScanOracle:
+    """scan against classify, the scalar oracle, at every cell."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_field_equals_classify(self, n):
+        for p_range, q_range, resolution in windows(n):
+            grid = scan(p_range, q_range, n, resolution)
+            assert len(grid) == resolution
+            # The cell centres lo + (i + 1/2) width, computed per cell.
+            width_p = (p_range[1] - p_range[0]) / resolution
+            width_q = (q_range[1] - q_range[0]) / resolution
+            for j, row in enumerate(grid):
+                assert row.dtype == CELL_DTYPE and len(row) == resolution
+                for i, cell in enumerate(row):
+                    p = p_range[0] + (i + 0.5) * width_p
+                    q = q_range[0] + (j + 0.5) * width_q
+                    assert (cell.p, cell.q) == (p, q)
+                    rep = classify(p, q, n)
+                    for key in CELL_DTYPE.names:
+                        want = getattr(rep, key)
+                        if isinstance(want, Label):
+                            want = want is Label.BLOW_UP
+                        assert cell[key] == want, (p, q, key)
+
+    def test_windows_reach_every_outcome(self):
+        # Guards the oracle test: over n = 1..8 its windows hold cells
+        # with each label value and with the hypotheses failing.
+        cells = np.concatenate([row for n in range(1, 9)
+                                for p_range, q_range, res in windows(n)
+                                for row in scan(p_range, q_range, n, res)])
+        for key in CELL_DTYPE.names[6:]:
+            assert cells[key].any() and not cells[key].all(), key
+        assert (cells["alpha_new"] == 1.0).any()  # (2, 2) in n = 3
+
+    @pytest.mark.parametrize("n", [0, 9, 2.5, True])
+    def test_dimension_validation(self, n):
+        with pytest.raises(DomainError):
+            scan((1.5, 2.5), (1.5, 2.5), n, 4)
 
 
 class TestReductionIdentity:

@@ -23,6 +23,7 @@ from blowlab.exponents import (
     Exponents,
     check_dimension,
     check_powers,
+    theorem_range,
 )
 
 SRC = str(Path(blowlab.__file__).resolve().parent.parent)
@@ -54,6 +55,11 @@ class TestImportGraph:
         loaded = modules_after_import("blowlab.criticality")
         assert not loaded & {"blowlab.pde", "blowlab.comparison", "blowlab.testfuncs"}
         assert scipy_modules(loaded) == []
+
+    def test_cli_loads_no_ode_solver(self):
+        # Only the kato mode needs comparison, which loads these two.
+        loaded = modules_after_import("blowlab.cli")
+        assert not loaded & {"blowlab.comparison", "scipy.integrate", "scipy.optimize"}
 
     def test_comparison_loads_no_solver(self):
         # scipy.integrate loads scipy.special itself, so scipy is not checked.
@@ -87,3 +93,28 @@ class TestDomain:
         # The cap is exclusive for the simulator.
         assert not Exponents(2.0, 3.0, 3).simulator_range_ok()
         assert Exponents(2.0, np.nextafter(3.0, 0.0), 3).simulator_range_ok()
+
+    @pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
+    def test_theorem_range_on_arrays(self, n):
+        # The bounds as the theorem states them: p, q < 2n/(n-1) for
+        # n <= 3; p <= (n+3)/(n-1) and q <= n/(n-2) for n >= 4.
+        if n <= 3:
+            cap = Exponents(2.0, 2.0, n).cap
+            bounds = [cap] if cap < math.inf else []
+
+            def rule(p, q):
+                return p < cap and q < cap
+        else:
+            bounds = [(n + 3) / (n - 1), n / (n - 2)]
+
+            def rule(p, q):
+                return p <= bounds[0] and q <= bounds[1]
+        x = [1.01, 1.2, 2.0, 3.0, 4.0, 12.0]
+        x += [v for b in bounds for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 9.0))]
+        x = np.array(x)
+        mask = theorem_range(x[np.newaxis, :], x[:, np.newaxis], n)
+        for j, q in enumerate(x.tolist()):
+            for i, p in enumerate(x.tolist()):
+                ok = theorem_range(p, q, n)
+                assert type(ok) is bool and ok == mask[j, i] == rule(p, q)
+                assert ok == Exponents(p, q, n).theorem_range_ok()
