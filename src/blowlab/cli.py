@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criticality, pde
+from . import comparison, criticality, pde
 from .criticality import Label
 from .exponents import Exponents, check_dimension
 from .pde import AMPLITUDE_KEYS, InitialData, Profile
@@ -179,8 +179,6 @@ def _domain_inputs(mode: str, s: dict):
     """
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
-        # Imported here: it loads scipy.integrate and scipy.optimize.
-        from . import comparison
         return comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
@@ -255,22 +253,12 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         summary = _summary_doc(config, outcome, blowup_time, {"dt": trace.dt})
 
     elif config.mode == "kato":
-        from . import comparison
         params = _domain_inputs(config.mode, s)
-        report = comparison.check_conditions(params)
-        lines = [
-            f"cond1_lhs={report.cond1_lhs:.17g}",
-            f"cond1_rhs={report.cond1_rhs:.17g}",
-            f"cond1_holds={report.cond1_holds}",
-            f"cond1_boundary={report.cond1_boundary}",
-            f"cond2_lhs={report.cond2_lhs:.17g}",
-            f"cond2_rhs={report.cond2_rhs:.17g}",
-            f"cond2_holds={report.cond2_holds}",
-            f"cond2_boundary={report.cond2_boundary}",
-            f"k5={params.k5:.17g}",
-            f"k6={params.k6:.17g}",
-            f"k7={params.k7:.17g}",
-        ]
+        lines = []
+        for i, cond in enumerate(comparison.check_conditions(params), start=1):
+            lines += [f"cond{i}_lhs={cond.lhs:.17g}", f"cond{i}_rhs={cond.rhs:.17g}",
+                      f"cond{i}_holds={cond.holds}", f"cond{i}_boundary={cond.boundary}"]
+        lines += [f"{key}={getattr(params, key):.17g}" for key in ("k5", "k6", "k7")]
         files.append(_write(out / "conditions.txt", "\n".join(lines) + "\n"))
         trace = comparison.integrate_comparison(
             params, float(s["F1_0"]), float(s["dF1_0"]),

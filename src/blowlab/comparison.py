@@ -25,6 +25,9 @@ shifted Y problem: W = e^{t-T9} Z solves the Bernoulli equation for Y in
 sigma = t - T9 with kappa e^{-gamma T9}, nu = gamma + beta - 1 and
 R + T9.  Both are validated against a numerical ODE oracle in the test
 suite.
+
+The ODE solver, ``quad`` and ``brentq`` are imported inside the
+functions that call them, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -34,14 +37,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .exponents import Exponents, check_powers
 
 __all__ = [
     "KatoParams",
-    "ConditionReport",
+    "Condition",
     "TerminalReason",
     "OdeTrace",
     "check_conditions",
@@ -122,49 +123,34 @@ class KatoParams:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    """Both blow-up conditions evaluated exactly as written."""
+class Condition:
+    """One blow-up condition, lhs <= rhs, evaluated exactly as written."""
 
-    cond1_lhs: float
-    cond1_rhs: float
-    cond2_lhs: float
-    cond2_rhs: float
+    lhs: float
+    rhs: float
 
     @property
-    def cond1_slack(self) -> float:
-        return self.cond1_rhs - self.cond1_lhs
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
     @property
-    def cond2_slack(self) -> float:
-        return self.cond2_rhs - self.cond2_lhs
+    def holds(self) -> bool:
+        return self.slack >= -CONDITION_TOLERANCE
 
     @property
-    def cond1_holds(self) -> bool:
-        return self.cond1_slack >= -CONDITION_TOLERANCE
-
-    @property
-    def cond2_holds(self) -> bool:
-        return self.cond2_slack >= -CONDITION_TOLERANCE
-
-    @property
-    def cond1_boundary(self) -> bool:
-        return abs(self.cond1_slack) <= CONDITION_TOLERANCE
-
-    @property
-    def cond2_boundary(self) -> bool:
-        return abs(self.cond2_slack) <= CONDITION_TOLERANCE
+    def boundary(self) -> bool:
+        return abs(self.slack) <= CONDITION_TOLERANCE
 
 
-def check_conditions(params: KatoParams) -> ConditionReport:
-    """Evaluate conditions 1 and 2; equality cases are flagged separately
-    because the blow-up proof splits on boundary versus strict inequality."""
+def check_conditions(params: KatoParams) -> tuple[Condition, Condition]:
+    """Conditions 1 and 2, in that order; equality cases are flagged
+    separately because the blow-up proof splits on boundary versus strict
+    inequality."""
     p, q = params.p, params.q
-    return ConditionReport(
-        cond1_lhs=params.beta2 + params.alpha2 * q,
-        cond1_rhs=params.beta1 * (p * q - 1) + 2 * (q + 1),
-        cond2_lhs=params.alpha2 + params.beta2 * p,
-        cond2_rhs=params.alpha1 * (p * q - 1) + 2 * (p + 1),
-    )
+    return (Condition(lhs=params.beta2 + params.alpha2 * q,
+                      rhs=params.beta1 * (p * q - 1) + 2 * (q + 1)),
+            Condition(lhs=params.alpha2 + params.beta2 * p,
+                      rhs=params.alpha1 * (p * q - 1) + 2 * (p + 1)))
 
 
 def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoParams:
@@ -209,21 +195,14 @@ def reduction_equiv_check(p: float, q: float, n: int, tol: float = 1e-9) -> bool
     (the two arguments of alpha_new).  Returns True iff the condition
     checker agrees with the closed forms, to ``tol`` per condition.
     """
-    params = derive_params(Exponents(p, q, n))
-    rep = check_conditions(params)
     d = p * q - 1.0
-    closed1 = (q + 1.0) / d - (n - 1) / 2.0
-    closed2 = (2.0 + 2.0 / p) / d - (n - 1) / 2.0
     # The raw slacks are exact positive multiples of the closed forms.
-    scale1 = 2.0 * d
-    scale2 = p * d
-    ok1 = (abs(rep.cond1_slack - closed1 * scale1)
-           <= tol * max(1.0, abs(rep.cond1_slack)))
-    ok2 = (abs(rep.cond2_slack - closed2 * scale2)
-           <= tol * max(1.0, abs(rep.cond2_slack)))
-    agree1 = rep.cond1_holds == (closed1 * scale1 >= -tol)
-    agree2 = rep.cond2_holds == (closed2 * scale2 >= -tol)
-    return ok1 and ok2 and agree1 and agree2
+    closed = (((q + 1.0) / d - (n - 1) / 2.0) * (2.0 * d),
+              ((2.0 + 2.0 / p) / d - (n - 1) / 2.0) * (p * d))
+    conditions = check_conditions(derive_params(Exponents(p, q, n)))
+    return all(abs(cond.slack - x) <= tol * max(1.0, abs(cond.slack))
+               and cond.holds == (x >= -tol)
+               for cond, x in zip(conditions, closed))
 
 
 class TerminalReason(enum.Enum):
@@ -299,6 +278,8 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                         F2=rows[2], dF2=rows[3], blowup_time=params.T0,
                         terminal_reason=TerminalReason.BLOWUP)
 
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (params.T0, horizon), y0,
                     method="RK45", rtol=1e-8, atol=1e-10,
                     events=(hit_f1, hit_f2), dense_output=False)
@@ -328,7 +309,10 @@ def _check_bernoulli_args(kappa, beta, Y0):
 
 
 def _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t):
-    """B(t) = Y0^{1-beta} - kappa (beta-1) int_{T6}^t e^{-nu s}(s+R)^{-alpha} ds."""
+    """B(t) = Y0^{1-beta} - kappa (beta-1) int_{T6}^t e^{-nu s}(s+R)^{-alpha} ds;
+    t may be inf."""
+    from scipy.integrate import quad
+
     integral, _ = quad(lambda s: math.exp(-nu * s) * (s + R) ** (-alpha), T6, t,
                        limit=200)
     return Y0 ** (1.0 - beta) - kappa * (beta - 1.0) * integral
@@ -354,6 +338,8 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
 def _bracket_root(bracket, T_start):
     """Root of a monotone decreasing bracket (to 1e-9 relative), or None
     if it stays positive."""
+    from scipy.optimize import brentq
+
     b0 = bracket(T_start)
     if b0 <= 0.0:
         return float(T_start)
@@ -377,12 +363,9 @@ def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
     _check_bernoulli_args(kappa, beta, Y0)
     if kappa == 0.0:
         return None
-    if nu > 0.0 or alpha > 1.0:
-        tail, _ = quad(lambda s: math.exp(-nu * s) * (s + R) ** (-alpha),
-                       T6, math.inf, limit=200)
-        limit = Y0 ** (1.0 - beta) - kappa * (beta - 1.0) * tail
-        if limit > 0.0:
-            return None
+    if ((nu > 0.0 or alpha > 1.0)
+            and _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, math.inf) > 0.0):
+        return None
     return _bracket_root(lambda t: _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t),
                          T6)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .comparison import derive_params
 from .exponents import Exponents
 from .testfuncs import (
     TestFunctionKind,
@@ -215,7 +216,7 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
                         coupling=coupling)
 
 
-def step(state: CoupledState, dt: float | None = None,
+def step(state: CoupledState,
          blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> CoupledState:
     """Advance one leapfrog time level.
 
@@ -240,8 +241,7 @@ def step(state: CoupledState, dt: float | None = None,
     most one node further.  Once the radius passes the outer boundary
     the window is the whole mesh.  The input state is not modified.
     """
-    if dt is None:
-        dt = state.dt
+    dt = state.dt
     if dt <= 0.0 or dt > state.h:
         raise ValueError(f"time step {dt} violates the CFL bound (h = {state.h:g})")
     ex = state.exponents
@@ -467,9 +467,12 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
                        T0_fraction: float = 0.3) -> AuditReport:
     """Audit the five functional lower bounds on a recorded trace.
 
-    Constants: C0 and C1 come from the phi-weighted data integrals, C2
-    and C2tilde are fitted envelopes of the conjugate-power weights
-    recovered from J2 and J4, and C3 = C0^p C2^{-(p-1)} / (4(2+(2-p)(n-1))).
+    The five bounds are the inequality system of
+    :mod:`blowlab.comparison`, with its weights alpha1, alpha2, beta1,
+    beta2 and beta3 taken from ``derive_params``.  Constants: C0 and C1
+    come from the phi-weighted data integrals, C2 and C2tilde are fitted
+    envelopes of the conjugate-power weights recovered from J2 and J4,
+    and C3 = C0^p C2^{-(p-1)} / (8 alpha1).
     The two second-order inequalities use the Hoelder floor
     |B_1(0)|^{1-s} (unit-ball volume) as their constant, which is the
     sharp provable coefficient; the best constants the trace actually
@@ -504,8 +507,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
             * (t + R) ** (n - 1 - (n - 1) * q_conj / 2.0))
     C2 = float(np.max(W2 / env2))
     C2tilde = float(np.max(W4 / env4))
-    growth = 1.0 + (2.0 - p) / 2.0 * (n - 1)
-    C3 = C0**p * C2 ** (-(p - 1.0)) / (4.0 * (2.0 + (2.0 - p) * (n - 1)))
+    w = derive_params(exponents)
+    C3 = C0**p * C2 ** (-(p - 1.0)) / (8.0 * w.alpha1)
 
     mask = t >= T0
     mask[-3:] = False
@@ -525,22 +528,20 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
 
     holder_p = ball_volume(n) ** (1.0 - p)
     holder_q = ball_volume(n) ** (1.0 - q)
-    beta3 = (3.0 - math.sqrt(5.0)) / 2.0 * q
-
     lhs3 = d2F1 + dF1
-    rhs3_shape = (t + R) ** (-n * (p - 1.0)) * trace.F2**p
+    rhs3_shape = (t + R) ** -w.alpha2 * trace.F2**p
     lhs5 = d2F2
-    rhs5_shape = np.exp(-beta3 * t) * (t + R) ** (-n * (q - 1.0)) * trace.F1**q
+    rhs5_shape = np.exp(-w.beta3 * t) * (t + R) ** -w.beta2 * trace.F1**q
 
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted_k2 = float(np.min((lhs3 / rhs3_shape)[mask]))
         fitted_k4 = float(np.min((lhs5 / rhs5_shape)[mask]))
 
     specs = [
-        ("F1_lower", trace.F1, C3 * (t + R) ** growth, C3),
-        ("F1_first_order", dF1 + trace.F1, 4.0 * C3 * (t + R) ** growth, 4.0 * C3),
+        ("F1_lower", trace.F1, C3 * (t + R) ** w.alpha1, C3),
+        ("F1_first_order", dF1 + trace.F1, 4.0 * C3 * (t + R) ** w.alpha1, 4.0 * C3),
         ("F1_second_order", lhs3, holder_p * rhs3_shape, holder_p),
-        ("F2_lower", trace.F2, (t + R), 1.0),
+        ("F2_lower", trace.F2, (t + R) ** w.beta1, 1.0),
         ("F2_second_order", lhs5, holder_q * rhs5_shape, holder_q),
     ]
 

@@ -28,6 +28,35 @@ from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
 
+# conditions.txt of the default kato config, and of p = q = 1.5, n = 2
+# with C3 = 0.37, k2 = 0.81, k4 = 1.9.
+CONDITIONS_DEFAULT = """\
+cond1_lhs=3
+cond1_rhs=9
+cond1_holds=True
+cond1_boundary=False
+cond2_lhs=3
+cond2_rhs=9
+cond2_holds=True
+cond2_boundary=False
+k5=0.00012056327160493826
+k6=0.22226402294499964
+k7=0.095392853546111017
+"""
+CONDITIONS_N2 = """\
+cond1_lhs=2.5
+cond1_rhs=6.25
+cond1_holds=True
+cond1_boundary=False
+cond2_lhs=2.5
+cond2_rhs=6.5625
+cond2_holds=True
+cond2_boundary=False
+k5=0.0021405680607533136
+k6=0.29248648829375085
+k7=0.13864259278730284
+"""
+
 
 def steps_doc(steps):
     """A simulate config whose run takes about ``steps`` leapfrog steps:
@@ -230,10 +259,16 @@ class TestRunExperiment:
         cfg = parse_config("{}", mode="kato")
         summary = run_experiment(cfg, tmp_path)
         assert summary.outcome == "blowup"
-        text = (tmp_path / "conditions.txt").read_text()
-        assert "cond1_holds=True" in text and "cond2_holds=True" in text
+        # conditions.txt is pure float arithmetic, so its bytes are frozen.
+        assert (tmp_path / "conditions.txt").read_text() == CONDITIONS_DEFAULT
         header = (tmp_path / "ode_trace.csv").read_text().splitlines()[0]
         assert header == "t,F1,dF1,F2,dF2"
+
+    def test_kato_conditions_with_constants(self, tmp_path):
+        cfg = parse_config(json.dumps({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.37,
+                                       "k2": 0.81, "k4": 1.9}), mode="kato")
+        run_experiment(cfg, tmp_path)
+        assert (tmp_path / "conditions.txt").read_text() == CONDITIONS_N2
 
     def test_regions_artifacts(self, tmp_path):
         cfg = parse_config('{"resolution": 8, "svg": true}', mode="regions")

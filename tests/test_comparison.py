@@ -77,16 +77,16 @@ class TestConditions:
         # beta2 + alpha2 q = beta1 (pq - 1) + 2(q + 1) exactly:
         # with p = q = 2, rhs1 = 3 + 6 = 9; pick beta2 = 5, alpha2 = 2.
         params = default_params(alpha2=2.0, beta2=5.0)
-        rep = check_conditions(params)
-        assert rep.cond1_holds and rep.cond1_boundary
+        cond1, cond2 = check_conditions(params)
+        assert cond1.holds and cond1.boundary
         # cond2: lhs = 2 + 10 = 12, rhs = 3 + 6 = 9: fails.
-        assert not rep.cond2_holds
+        assert not cond2.holds
 
     def test_strict_slack(self):
-        rep = check_conditions(default_params())
-        assert rep.cond1_slack == pytest.approx(6.0, abs=1e-14)
-        assert rep.cond2_slack == pytest.approx(6.0, abs=1e-14)
-        assert rep.cond1_holds and not rep.cond1_boundary
+        cond1, cond2 = check_conditions(default_params())
+        assert cond1.slack == pytest.approx(6.0, abs=1e-14)
+        assert cond2.slack == pytest.approx(6.0, abs=1e-14)
+        assert cond1.holds and not cond1.boundary
 
 
 class TestDeriveParams:
@@ -100,14 +100,12 @@ class TestDeriveParams:
                                              rel=1e-15)
 
     def test_boundary_case_2_2_3(self):
-        rep = check_conditions(derive_params(Exponents(2.0, 2.0, 3)))
-        assert rep.cond1_holds and rep.cond1_boundary
-        assert rep.cond2_holds and rep.cond2_boundary
+        for cond in check_conditions(derive_params(Exponents(2.0, 2.0, 3))):
+            assert cond.holds and cond.boundary
 
     def test_strict_case_2_2_1(self):
-        rep = check_conditions(derive_params(Exponents(2.0, 2.0, 1)))
-        assert rep.cond1_holds and not rep.cond1_boundary
-        assert rep.cond2_holds and not rep.cond2_boundary
+        for cond in check_conditions(derive_params(Exponents(2.0, 2.0, 1))):
+            assert cond.holds and not cond.boundary
 
     def test_constants_wired_through(self):
         params = derive_params(Exponents(2.0, 2.0, 1),

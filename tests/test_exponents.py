@@ -2,9 +2,12 @@
 
 The domain rules (n in [1, 8], p, q > 1, the 2n/(n-1) cap) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
-scipy.  So the critical-curve layer loads neither the solver nor scipy,
-and the comparison layer does not load the solver.  Each import is
-checked in a fresh interpreter, since this process has loaded them all.
+scipy.  So the critical-curve layer loads neither the solver nor scipy.
+The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
+inside the functions that call them, so it loads no scipy, and the
+simulator and the CLI, which import it, load neither ``scipy.integrate``
+nor ``scipy.optimize``.  Each import is checked in a fresh interpreter,
+since this process has loaded them all.
 """
 
 import math
@@ -57,14 +60,20 @@ class TestImportGraph:
         assert scipy_modules(loaded) == []
 
     def test_cli_loads_no_ode_solver(self):
-        # Only the kato mode needs comparison, which loads these two.
+        # comparison imports its ODE solver, quad and brentq where it calls them.
         loaded = modules_after_import("blowlab.cli")
-        assert not loaded & {"blowlab.comparison", "scipy.integrate", "scipy.optimize"}
+        assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+    def test_pde_loads_no_ode_solver(self):
+        # The audit takes its weights from comparison, which loads no scipy.
+        loaded = modules_after_import("blowlab.pde")
+        assert "blowlab.comparison" in loaded
+        assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
     def test_comparison_loads_no_solver(self):
-        # scipy.integrate loads scipy.special itself, so scipy is not checked.
         loaded = modules_after_import("blowlab.comparison")
         assert not loaded & {"blowlab.pde", "blowlab.testfuncs"}
+        assert scipy_modules(loaded) == []
 
 
 class TestDomain:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowlab.comparison import derive_params
 from blowlab.exponents import Exponents
 from blowlab.pde import (
     AuditReport,
@@ -27,7 +28,12 @@ from blowlab.pde import (
     support_radius,
 )
 from blowlab.testfuncs import TestFunctionKind as Kind
-from blowlab.testfuncs import radial_laplacian, sphere_area, weighted_power_integral
+from blowlab.testfuncs import (
+    ball_volume,
+    radial_laplacian,
+    sphere_area,
+    weighted_power_integral,
+)
 
 FIELDS = ("u", "u_prev", "v", "v_prev")
 
@@ -137,7 +143,7 @@ class TestStep:
     def test_cfl_guard(self):
         state = init_state(Exponents(2.0, 2.0, 1), smooth_data(), 500, 5.0)
         with pytest.raises(ValueError, match="CFL"):
-            step(state, dt=2.0 * state.h)
+            step(replace(state, dt=2.0 * state.h))
 
     def test_blowup_detected(self):
         ex = Exponents(2.0, 2.0, 1)
@@ -171,14 +177,13 @@ class TestStep:
         assert np.dot(state.v, w) == pytest.approx(expected, rel=1e-10)
 
 
-def step_full_mesh(state, dt=None, blowup_threshold=1e12):
+def step_full_mesh(state, blowup_threshold=1e12):
     """Oracle: the leapfrog step computed over the whole mesh.
 
     This is the step as it was before it was confined to the causal
     window; the windowed step must reproduce it bit for bit.
     """
-    if dt is None:
-        dt = state.dt
+    dt = state.dt
     ex = state.exponents
     n = ex.n
     lap_u = radial_laplacian(state.u, state.r, state.h, n)
@@ -412,6 +417,13 @@ def reference():
     return ex, trace
 
 
+@pytest.fixture(scope="module")
+def reference_n2():
+    ex = Exponents(1.7, 2.5, 2)
+    trace = run(ex, smooth_data(), grid_points=400, horizon=5.0)
+    return ex, trace
+
+
 class TestAudit:
     def test_all_inequalities_hold(self, reference):
         ex, trace = reference
@@ -433,6 +445,36 @@ class TestAudit:
         growth = 4.0 * (2.0 + (2.0 - ex.p) * (ex.n - 1))
         assert c["C3"] == pytest.approx(
             c["C0"] ** ex.p * c["C2"] ** (-(ex.p - 1.0)) / growth, rel=1e-12)
+
+    @pytest.mark.parametrize("trace_fixture", ["reference", "reference_n2"])
+    def test_audits_the_kato_system(self, trace_fixture, request):
+        # The five audited bounds are the comparison system that kato
+        # integrates, with k0..k4 = C3, 4 C3, the two Hoelder floors and 1.
+        # The n = 2 trace tells the weights apart: at p = q = 2, n = 1
+        # alpha1, alpha2, beta1 and beta2 are all 1.
+        ex, trace = request.getfixturevalue(trace_fixture)
+        report = audit_inequalities(trace, ex)
+        kp = derive_params(ex, {"C3": report.C3,
+                                "k2": ball_volume(ex.n) ** (1.0 - ex.p),
+                                "k4": ball_volume(ex.n) ** (1.0 - ex.q)})
+        assert report.C3 == (report.C0**ex.p * report.C2 ** (-(ex.p - 1.0))
+                             / (8.0 * kp.alpha1))
+        assert [rec.constant for rec in report.records] == \
+            [kp.k0, kp.k1, kp.k2, kp.k3, kp.k4]
+        t, F1, F2 = trace.times, trace.F1, trace.F2
+        s = t + kp.R
+        dF1 = np.gradient(F1, t)
+        dF2 = np.gradient(F2, t)
+        lhs = [F1, dF1 + F1, np.gradient(dF1, t) + dF1, F2, np.gradient(dF2, t)]
+        rhs = [kp.k0 * s**kp.alpha1,
+               kp.k1 * s**kp.alpha1,
+               kp.k2 * (s**-kp.alpha2 * F2**kp.p),
+               kp.k3 * s**kp.beta1,
+               kp.k4 * (np.exp(-kp.beta3 * t) * s**-kp.beta2 * F1**kp.q)]
+        window = (t >= report.window[0]) & (t <= report.window[1])
+        assert window.sum() > 10
+        for rec, lower, upper in zip(report.records, lhs, rhs):
+            assert rec.margin_min == np.min((lower - upper)[window]), rec.name
 
     def test_min_passing_T0_reported(self, reference):
         ex, trace = reference
