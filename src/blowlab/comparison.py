@@ -165,7 +165,9 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
     and the k's follow the five functional lower bounds: k0 = C3,
     k1 = 4 C3, k3 = 1, with k2/k4 taken from audit-fitted constants when
     provided (keys ``k2``/``k4``, e.g. from an AuditReport), else 1
-    (normalized study mode).  ``constants`` may also carry ``C3``.
+    (normalized study mode).  ``constants`` may also carry ``C3``.  Each
+    of C3, k2 and k4 must be positive; a ValueError names the offending
+    key.
     """
     p, q, n = exponents.p, exponents.q, exponents.n
     alpha1 = 1.0 + (2.0 - p) / 2.0 * (n - 1)
@@ -173,9 +175,11 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
         raise ValueError(f"{exponents.at_cap('p')}: alpha1 <= 0 violates "
                          "the comparison hypotheses")
     constants = constants or {}
-    C3 = float(constants.get("C3", 1.0))
-    k2 = float(constants.get("k2", 1.0))
-    k4 = float(constants.get("k4", 1.0))
+    C3, k2, k4 = (float(constants.get(key, 1.0)) for key in ("C3", "k2", "k4"))
+    # Checked under the names the caller gave, not as k0..k4.
+    for key, value in (("C3", C3), ("k2", k2), ("k4", k4)):
+        if not value > 0.0:
+            raise ValueError(f"{key}={value} must be positive")
     return KatoParams(
         p=p, q=q,
         alpha1=alpha1, alpha2=n * (p - 1.0),

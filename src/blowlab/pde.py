@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,39 +239,58 @@ def step(state: CoupledState,
     previous level inside r < R + h, and the clip keeps every state
     returned here inside it.  The three-point stencil then reaches at
     most one node further.  Once the radius passes the outer boundary
-    the window is the whole mesh.  The input state is not modified.
+    the window is the whole mesh.  The only full-mesh arrays the step
+    makes are its two zeroed outputs; the update is written in place
+    into their windows.  The input state is not modified.
     """
     dt = state.dt
     if dt <= 0.0 or dt > state.h:
         raise ValueError(f"time step {dt} violates the CFL bound (h = {state.h:g})")
     ex = state.exponents
     n = ex.n
-    hi = min(state.r.size, int(np.searchsorted(
-        state.r, state.time + ex.R + 2.0 * state.h, side="right")) + 2)
+    hi = min(state.r.size, _causal_end(state, state.time) + 2)
     r = state.r[:hi]
     u, u_prev = state.u[:hi], state.u_prev[:hi]
     v, v_prev = state.v[:hi], state.v_prev[:hi]
     lap_u = radial_laplacian(u, r, state.h, n)
     lap_v = radial_laplacian(v, r, state.h, n)
-    u_next = np.zeros_like(state.u)
-    v_next = np.zeros_like(state.v)
+    u_next = np.zeros(state.r.size)
+    v_next = np.zeros(state.r.size)
+    # The update, written in place into the windows of the outputs:
+    #   u_next = (2 u - (1 - dt/2) u_prev + dt^2 (lap_u + |v|^p)) / (1 + dt/2),
+    #   v_next = 2 v - v_prev + dt^2 (lap_v + |u|^q),
+    # one operation at a time, in the order Python evaluates these.  The
+    # output windows serve as scratch for |v|^p, |u|^q and (1 - dt/2) u_prev
+    # before they receive their own values.
+    un, vn = u_next[:hi], v_next[:hi]
     with np.errstate(over="ignore", invalid="ignore"):
         if state.coupling:
-            f_u = np.abs(v) ** ex.p
-            f_v = np.abs(u) ** ex.q
+            f_u = np.abs(v, out=un)
+            f_u **= ex.p
+            f_v = np.abs(u, out=vn)
+            f_v **= ex.q
         else:
             f_u = 0.0
             f_v = 0.0
-        u_next[:hi] = (2.0 * u - (1.0 - 0.5 * dt) * u_prev
-                       + dt**2 * (lap_u + f_u)) / (1.0 + 0.5 * dt)
-        v_next[:hi] = 2.0 * v - v_prev + dt**2 * (lap_v + f_v)
+        lap_u += f_u
+        lap_v += f_v
+        lap_u *= dt**2
+        lap_v *= dt**2
+        np.multiply(u, 2.0, out=un)
+        np.multiply(u_prev, 1.0 - 0.5 * dt, out=vn)
+        un -= vn
+        un += lap_u
+        un /= 1.0 + 0.5 * dt
+        np.multiply(v, 2.0, out=vn)
+        vn -= v_prev
+        vn += lap_v
     u_next[-1] = 0.0
     v_next[-1] = 0.0
 
     t_next = state.time + dt
     # First node beyond the causal radius; the mesh is increasing, and
     # r[1] = h lies inside the radius, so the edge node is never the origin.
-    outside = np.searchsorted(state.r, t_next + ex.R + 2.0 * state.h, side="right")
+    outside = _causal_end(state, t_next)
     if outside < hi:
         edge = outside - 1
         w = r[edge:] ** (n - 1)
@@ -280,8 +299,9 @@ def step(state: CoupledState,
         u_next[outside:hi] = 0.0
         v_next[outside:hi] = 0.0
     # np.maximum and np.max propagate NaN, so one non-finite value anywhere
-    # makes the peak non-finite.
-    peak = np.maximum(np.max(np.abs(u_next[:hi])), np.max(np.abs(v_next[:hi])))
+    # makes the peak non-finite.  The Laplacians are spent, so they hold
+    # the magnitudes.
+    peak = np.max(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v), out=lap_u))
     if not np.isfinite(peak):
         peak_prev = np.maximum(np.max(np.abs(u)), np.max(np.abs(v)))
         if peak_prev > blowup_threshold:
@@ -290,8 +310,19 @@ def step(state: CoupledState,
     if peak > blowup_threshold:
         raise BlowUpDetected(t_next, peak)
 
-    return replace(state, time=t_next, u=u_next, u_prev=state.u,
-                   v=v_next, v_prev=state.v)
+    return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
+                        u=u_next, u_prev=state.u, v=v_next, v_prev=state.v,
+                        coupling=state.coupling)
+
+
+def _causal_end(state: CoupledState, time: float) -> int:
+    """Index of the first mesh node beyond the causal radius time + R + 2h.
+
+    A state that ``init_state`` or ``step`` returns vanishes from this
+    node on, at its own time.
+    """
+    return int(state.r.searchsorted(time + state.exponents.R + 2.0 * state.h,
+                                    side="right"))
 
 
 def support_radius(state: CoupledState) -> float:
@@ -309,22 +340,41 @@ def support_radius(state: CoupledState) -> float:
 
 
 def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict:
-    """All tracked functionals of one state, by radial quadrature."""
+    """All tracked functionals of one state, by radial quadrature.
+
+    Each quadrature is the trapezoid rule over the whole mesh, equal bit
+    for bit to ``np.trapezoid``.  Like :func:`step`, this relies on u
+    and v vanishing beyond the causal radius state.time + R + 2h, as
+    every state that ``init_state`` and ``step`` return does.  The
+    trapezoid terms h (y[i+1] + y[i]) / 2 are computed only on the nodes
+    inside that radius, into the prefix of a mesh-length buffer whose
+    tail holds the terms beyond it, +0.0.  The whole buffer is then
+    summed, so numpy's pairwise summation sees the same array as
+    ``np.trapezoid`` does.
+    """
     ex = state.exponents
     n = ex.n
     if phi_mesh is None:
         phi_mesh = phi(state.r, n)
-    w = state.r ** (n - 1)
+    # Terms 0 .. end-1 may be nonzero; they read nodes 0 .. end.
+    end = min(state.r.size - 1, _causal_end(state, state.time))
+    nodes = slice(0, end + 1)
+    w = state.r[nodes] ** (n - 1)
+    terms = np.zeros(state.r.size - 1)
     surf = sphere_area(n)
 
-    def quad(f):
-        return surf * float(np.trapezoid(f * w, dx=state.h))
+    def quad(y):
+        window = np.add(y[1:], y[:-1], out=terms[:end])
+        window *= state.h
+        window /= 2.0
+        return surf * float(terms.sum())
 
+    u, v, phi_w = state.u[nodes], state.v[nodes], phi_mesh[nodes]
     t = state.time
-    F1 = quad(state.u)
-    F2 = quad(state.v)
-    F3 = math.exp(-t) * quad(state.v * phi_mesh)
-    F4 = math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(state.u * phi_mesh)
+    F1 = quad(u * w)
+    F2 = quad(v * w)
+    F3 = math.exp(-t) * quad(v * phi_w * w)
+    F4 = math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)
     p_conj = ex.p / (ex.p - 1.0)
     q_conj = ex.q / (ex.q - 1.0)
     W2 = weighted_power_integral(TestFunctionKind.PSI2, p_conj, t, ex.R, n)

@@ -18,7 +18,8 @@ Every dimension uses the one identity phi(r) = |S^{n-1}| 0F1(; n/2; r^2/4),
 the power series of the spherical mean of exp(x . w); it reduces to
 2 cosh r for n = 1 and 4 pi sinh(r)/r for n = 3.  Adaptive
 Gauss-Legendre quadrature over the polar angle (``phi_quadrature``) is
-kept as an independent oracle.
+kept as an independent oracle.  ``phi`` imports ``scipy.special`` when
+it is first called, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import hyp0f1
 
 from .exponents import DomainError, check_dimension
 
@@ -155,6 +155,9 @@ def phi(r, n: int):
     the origin (phi(0) = |S^{n-1}|) in every dimension.  Accepts a
     scalar or an ndarray of radii.
     """
+    # Imported here, so that importing this module loads no scipy.
+    from scipy.special import hyp0f1
+
     check_dimension(n)
     arr = _check_radius(r)
     out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
@@ -186,13 +189,26 @@ def psi(kind: TestFunctionKind, t: float, r, n: int):
 
 
 def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Second-order radial Laplacian f'' + (n-1)/r f' with symmetric origin."""
-    lap = np.zeros_like(f)
+    """Second-order radial Laplacian f'' + (n-1)/r f' with symmetric origin.
+
+    The interior is written in place into one output array, with the
+    operations of (f[i+1] - 2 f[i] + f[i-1]) / h^2
+    + (n-1)/r[i] (f[i+1] - f[i-1]) / (2h) in that order.
+    """
+    lap = np.empty_like(f)
     lap[0] = 2.0 * n * (f[1] - f[0]) / h**2
-    lap[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-    if n > 1:
-        lap[1:-1] += (n - 1) / r[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
     # The outer node has no right neighbour; its value is never used.
+    lap[-1] = 0.0
+    inner = lap[1:-1]
+    np.multiply(f[1:-1], 2.0, out=inner)
+    np.subtract(f[2:], inner, out=inner)
+    inner += f[:-2]
+    inner /= h**2
+    if n > 1:
+        drift = np.subtract(f[2:], f[:-2])
+        drift *= (n - 1) / r[1:-1]
+        drift /= 2.0 * h
+        inner += drift
     return lap
 
 

@@ -205,6 +205,18 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="must be a finite number"):
                 parse_config(f'{{"horizon": {value}}}', mode="kato")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"C3": 0.0}, "C3=0.0 must be positive"),
+        ({"k2": -0.5}, "k2=-0.5 must be positive"),
+        ({"k4": -2.0}, "k4=-2.0 must be positive"),
+        # The constants an uncoupled audit with amplitude_v0 = 0 reports.
+        ({"C3": 0.0, "k2": -1.0, "k4": -1.0}, "C3=0.0 must be positive"),
+    ])
+    def test_kato_constants_named_in_their_own_terms(self, doc, message):
+        # Not as k0, k2 or k4 of the comparison system.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(json.dumps(doc), mode="kato")
+
     def test_work_bounds_admit_their_value(self):
         # One past each bound is rejected (REJECTED); the bound itself parses.
         parse_config(json.dumps({"grid_points": MAX_GRID_POINTS}), mode="simulate")

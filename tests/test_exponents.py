@@ -4,10 +4,11 @@ The domain rules (n in [1, 8], p, q > 1, the 2n/(n-1) cap) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
 The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
-inside the functions that call them, so it loads no scipy, and the
-simulator and the CLI, which import it, load neither ``scipy.integrate``
-nor ``scipy.optimize``.  Each import is checked in a fresh interpreter,
-since this process has loaded them all.
+inside the functions that call them, and ``testfuncs.phi`` imports
+``scipy.special`` when it is first called.  So the test functions, the
+simulator and the CLI load no scipy module at all until a run needs
+one.  Each import is checked in a fresh interpreter, since this process
+has loaded them all.
 """
 
 import math
@@ -69,6 +70,13 @@ class TestImportGraph:
         loaded = modules_after_import("blowlab.pde")
         assert "blowlab.comparison" in loaded
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+    @pytest.mark.parametrize("module", ["blowlab.cli", "blowlab.pde", "blowlab.testfuncs"])
+    def test_loads_no_scipy(self, module):
+        # phi imports scipy.special where it calls it.
+        loaded = modules_after_import(module)
+        assert "blowlab.testfuncs" in loaded
+        assert scipy_modules(loaded) == []
 
     def test_comparison_loads_no_solver(self):
         loaded = modules_after_import("blowlab.comparison")

@@ -30,6 +30,7 @@ from blowlab.pde import (
 from blowlab.testfuncs import TestFunctionKind as Kind
 from blowlab.testfuncs import (
     ball_volume,
+    phi,
     radial_laplacian,
     sphere_area,
     weighted_power_integral,
@@ -177,17 +178,58 @@ class TestStep:
         assert np.dot(state.v, w) == pytest.approx(expected, rel=1e-10)
 
 
+def radial_laplacian_oracle(f, r, h, n):
+    """Oracle: the radial Laplacian as it was before it was written in
+    place, one temporary per sub-expression."""
+    lap = np.zeros_like(f)
+    lap[0] = 2.0 * n * (f[1] - f[0]) / h**2
+    lap[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+    if n > 1:
+        lap[1:-1] += (n - 1) / r[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
+    return lap
+
+
+def functionals_full_mesh(state, phi_mesh):
+    """Oracle: the functionals as they were before the quadratures were
+    confined to the causal window, ``np.trapezoid`` over the whole mesh."""
+    ex = state.exponents
+    n = ex.n
+    w = state.r ** (n - 1)
+    surf = sphere_area(n)
+
+    def quad(f):
+        return surf * float(np.trapezoid(f * w, dx=state.h))
+
+    t = state.time
+    F1 = quad(state.u)
+    F2 = quad(state.v)
+    F3 = math.exp(-t) * quad(state.v * phi_mesh)
+    F4 = math.exp(-Kind.PSI1.decay_rate * t) * quad(state.u * phi_mesh)
+    W2 = weighted_power_integral(Kind.PSI2, ex.p / (ex.p - 1.0), t, ex.R, n)
+    W4 = weighted_power_integral(Kind.PSI1, ex.q / (ex.q - 1.0), t, ex.R, n)
+    return {
+        "F1": F1, "F2": F2, "F3": F3, "F4": F4,
+        "J1": F3 ** ex.p, "J2": W2 ** (-(ex.p - 1.0)),
+        "J3": F4 ** ex.q, "J4": W4 ** (-(ex.q - 1.0)),
+    }
+
+
+def same_bits(a, b):
+    """Equal bit for bit: unlike ==, tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 def step_full_mesh(state, blowup_threshold=1e12):
     """Oracle: the leapfrog step computed over the whole mesh.
 
     This is the step as it was before it was confined to the causal
-    window; the windowed step must reproduce it bit for bit.
+    window and written in place; the step must reproduce it bit for bit.
     """
     dt = state.dt
     ex = state.exponents
     n = ex.n
-    lap_u = radial_laplacian(state.u, state.r, state.h, n)
-    lap_v = radial_laplacian(state.v, state.r, state.h, n)
+    lap_u = radial_laplacian_oracle(state.u, state.r, state.h, n)
+    lap_v = radial_laplacian_oracle(state.v, state.r, state.h, n)
     with np.errstate(over="ignore", invalid="ignore"):
         if state.coupling:
             f_u = np.abs(state.v) ** ex.p
@@ -225,8 +267,8 @@ def step_full_mesh(state, blowup_threshold=1e12):
 def step_beside_oracle(state, steps, blowup_threshold=1e12):
     """Advance ``step`` and the full-mesh oracle side by side.
 
-    Every step must agree bit for bit.  Returns the last state and the
-    failure both raised at the same step, or None.
+    Every step must agree bit for bit, signs of zeros included.  Returns
+    the last state and the failure both raised at the same step, or None.
     """
     oracle = state
     for _ in range(steps):
@@ -241,7 +283,7 @@ def step_beside_oracle(state, steps, blowup_threshold=1e12):
         state = step(state, blowup_threshold=blowup_threshold)
         assert state.time == oracle.time
         for name in FIELDS:
-            assert np.array_equal(getattr(state, name), getattr(oracle, name)), name
+            assert same_bits(getattr(state, name), getattr(oracle, name)), name
     return state, None
 
 
@@ -286,6 +328,77 @@ class TestCausalWindow:
             assert np.array_equal(getattr(state, name), before[name])
         assert out.u is not state.u and out.v is not state.v
         assert out.u.size == out.v.size == state.r.size
+
+
+class TestFullMeshOracles:
+    """The in-place Laplacian and the windowed quadratures against the
+    code they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("size", [3, 4, 17, 1000])
+    def test_radial_laplacian(self, n, size):
+        rng = np.random.default_rng(1000 * n + size)
+        r = np.linspace(0.0, 3.0, size)
+        h = float(r[1] - r[0])
+        f = rng.standard_normal(size) * rng.choice([1e-300, 1e-3, 1.0, 1e150], size)
+        f[::5] = 0.0
+        f[1::7] = -0.0
+        extreme = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308, 1.0], size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in (f, f[: max(3, size // 2)], np.zeros(size), -np.zeros(size), extreme):
+                m = g.size
+                assert same_bits(radial_laplacian(g, r[:m], h, n),
+                                 radial_laplacian_oracle(g, r[:m], h, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("profile", list(Profile))
+    def test_run_samples(self, n, coupling, profile):
+        # Every sample of a run, t = 0 included, against the full-mesh
+        # step and quadratures.
+        ex = Exponents(1.5, 2.5, n)
+        data = InitialData(profile=profile, amplitude_u0=1.5, amplitude_v1=0.5)
+        trace = run(ex, data, grid_points=250, horizon=1.0, sample_every=7,
+                    coupling=coupling)
+        state = init_state(ex, data, 250, 1.0, coupling=coupling)
+        phi_mesh = phi(state.r, n)
+        rows = [(0.0, *functionals_full_mesh(state, phi_mesh).values())]
+        n_steps = math.ceil(1.0 / state.dt)
+        for k in range(1, n_steps + 1):
+            state = step_full_mesh(state)
+            if k % 7 == 0 or k == n_steps:
+                rows.append((state.time, *functionals_full_mesh(state, phi_mesh).values()))
+        want = np.array(rows).T
+        got = (trace.times, trace.F1, trace.F2, trace.F3, trace.F4,
+               trace.J1, trace.J2, trace.J3, trace.J4)
+        assert trace.outcome == "completed"
+        assert len(rows) == trace.times.size > 20
+        for column, expected in zip(got, want):
+            assert same_bits(column, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("profile", list(Profile))
+    def test_as_the_window_reaches_the_last_node(self, n, coupling, profile):
+        ex = Exponents(1.5, 2.5, n)
+        horizon = 1.0
+        state = init_state(ex, InitialData(profile=profile), 250, horizon,
+                           coupling=coupling)
+        phi_mesh = phi(state.r, n)
+        last = state.r[-1]
+        reached = []
+        # From t = 0 to twenty steps past the horizon; the causal radius
+        # passes the last node three cells after the horizon.
+        for k in range(math.ceil(horizon / state.dt) + 21):
+            if k == 0 or k % 25 == 0 or state.time > horizon - 10.0 * state.h:
+                got = functionals(state, phi_mesh)
+                want = functionals_full_mesh(state, phi_mesh)
+                assert list(got) == list(want)
+                assert same_bits(list(got.values()), list(want.values())), state.time
+                reached.append(bool(state.time + ex.R + 2.0 * state.h > last))
+            state = step(state)
+        assert reached[0] is False and reached[-1] is True
+        assert reached.count(False) > 5 and reached.count(True) > 5
 
 
 class TestSupportRadius:
