@@ -34,6 +34,7 @@ from .exponents import Exponents
 from .testfuncs import (
     TestFunctionKind,
     ball_volume,
+    check_radius,
     phi,
     radial_laplacian,
     sphere_area,
@@ -190,10 +191,11 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     h = (exponents.R + horizon) / (grid_points - 6)
     r_max = exponents.R + horizon + 5.0 * h
     # Checked before the mesh is built: the run evaluates phi out to the
-    # last node, so that node must pass phi's overflow guard, and the step
-    # count ceil(horizon / dt) must not exceed MAX_STEPS (compared by a
-    # product, since cfl_factor * h may underflow to 0).
-    phi(r_max, n)
+    # last node, so that node must pass phi's radius guard (applied here
+    # without evaluating phi, which would load scipy), and the step count
+    # ceil(horizon / dt) must not exceed MAX_STEPS (compared by a product,
+    # since cfl_factor * h may underflow to 0).
+    check_radius(r_max)
     if horizon > MAX_STEPS * cfl_factor * h:
         raise ValueError(f"horizon={horizon}, cfl_factor={cfl_factor}: the run "
                          f"would take more than {MAX_STEPS} steps")
@@ -329,9 +331,12 @@ def support_radius(state: CoupledState) -> float:
     """Largest mesh radius where either field exceeds the support tolerance.
 
     The tolerance is 1e-12 relative to the current peak field value; a
-    zero state has support radius 0.
+    zero state has support radius 0.  Like :func:`functionals`, this
+    reads only the nodes inside the causal radius, beyond which every
+    state that ``init_state`` and ``step`` return vanishes.
     """
-    mag = np.maximum(np.abs(state.u), np.abs(state.v))
+    end = _causal_end(state, state.time)
+    mag = np.maximum(np.abs(state.u[:end]), np.abs(state.v[:end]))
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
@@ -451,9 +456,11 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     rows = []
 
     def record(s: CoupledState):
+        # The peaks read the causal window, as support_radius does.
+        end = _causal_end(s, s.time)
         rows.append((s.time, *functionals(s, phi_mesh).values(),
-                     float(np.max(np.abs(s.u))), float(np.max(np.abs(s.v))),
-                     support_radius(s)))
+                     float(np.max(np.abs(s.u[:end]))),
+                     float(np.max(np.abs(s.v[:end]))), support_radius(s)))
 
     record(state)
     n_steps = int(math.ceil(horizon / state.dt))

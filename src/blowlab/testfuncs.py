@@ -38,13 +38,13 @@ __all__ = [
     "phi",
     "phi_quadrature",
     "phi_asymptotic",
-    "psi",
     "radial_laplacian",
     "verify_wave_identity",
     "weighted_power_integral",
     "sphere_area",
     "ball_volume",
     "adaptive_gauss",
+    "check_radius",
 ]
 
 #: Largest admissible exponential argument before we refuse to evaluate.
@@ -90,7 +90,7 @@ def ball_volume(n: int) -> float:
     return sphere_area(n) / n
 
 
-def _check_radius(r, positive: bool = False) -> np.ndarray:
+def check_radius(r, positive: bool = False) -> np.ndarray:
     """The radius (scalar or array) as an array, checked against the
     domain r >= 0 (r > 0 if ``positive``) and the overflow guard."""
     arr = np.asarray(r, dtype=float)
@@ -137,7 +137,7 @@ def phi_quadrature(r: float, n: int) -> float:
     "quadrature" degenerates to the two-point sum e^r + e^{-r}.
     """
     check_dimension(n)
-    _check_radius(r)
+    check_radius(r)
     if n == 1:
         return math.exp(r) + math.exp(-r)
     ring = sphere_area(n - 1)
@@ -159,7 +159,7 @@ def phi(r, n: int):
     from scipy.special import hyp0f1
 
     check_dimension(n)
-    arr = _check_radius(r)
+    arr = check_radius(r)
     out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
     if np.ndim(r) == 0:
         return float(out)
@@ -173,19 +173,12 @@ def phi_asymptotic(r, n: int):
     integral (and reduces to the elementary expansions for n = 1, 3).
     """
     check_dimension(n)
-    arr = _check_radius(r, positive=True)
+    arr = check_radius(r, positive=True)
     c_n = (2.0 * math.pi) ** ((n - 1) / 2.0)
     out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)
     if np.ndim(r) == 0:
         return float(out)
     return out
-
-
-def psi(kind: TestFunctionKind, t: float, r, n: int):
-    """Damped test function psi_kind(t, r) = exp(-d t) phi(r)."""
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return math.exp(-kind.decay_rate * t) * phi(r, n)
 
 
 def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:

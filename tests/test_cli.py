@@ -4,6 +4,8 @@ contract (blow-up is a scientific outcome, exit 0; instability is 1;
 configuration errors are 2)."""
 
 import json
+import math
+import multiprocessing.pool
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blowlab import cli
 from blowlab.cli import (
     _DEFAULTS,
     _SVG_CATEGORIES,
@@ -122,6 +125,19 @@ def regions_csv_per_cell(p_range, q_range, n, resolution) -> str:
                 c.label_wave.value, c.label_damped.value,
             ]))
     return "\n".join(rows) + "\n"
+
+
+def spy_block_map(monkeypatch) -> list:
+    """Record the worker count of every ``cli._block_map`` call."""
+    calls = []
+    block_map = cli._block_map
+
+    def spy(workers):
+        calls.append(workers)
+        return block_map(workers)
+
+    monkeypatch.setattr(cli, "_block_map", spy)
+    return calls
 
 
 JSON_VALUES = st.one_of(st.integers(-10, 5000), st.floats(), st.booleans(),
@@ -301,15 +317,62 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("window", [((1.1, 10.0), (1.1, 10.0), 40),
                                         ((1.3, 4.1), (1.05, 3.7), 23),
-                                        ((1.5, 2.5), (1.5, 2.5), 1)])
-    def test_regions_csv_equals_per_cell_writer(self, tmp_path, n, window):
+                                        ((1.5, 2.5), (1.5, 2.5), 1),
+                                        # Ten blocks, the last of six rows.
+                                        ((1.3, 4.1), (1.05, 3.7), 150)])
+    def test_regions_csv_equals_per_cell_writer(self, tmp_path, monkeypatch,
+                                                n, window):
         (p_min, p_max), (q_min, q_max), resolution = window
         cfg = parse_config(json.dumps(
             {"n": n, "resolution": resolution, "p_min": p_min, "p_max": p_max,
-             "q_min": q_min, "q_max": q_max}), mode="regions")
-        run_experiment(cfg, tmp_path)
-        assert (tmp_path / "regions.csv").read_text() == \
-            regions_csv_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
+             "q_min": q_min, "q_max": q_max, "svg": True}), mode="regions")
+        want = regions_csv_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
+        # On a pool of two workers, whatever the grid size and the CPUs
+        # of this machine, then inline, as on one CPU.
+        workers = spy_block_map(monkeypatch)
+        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            run_experiment(cfg, tmp_path / str(cpus))
+            assert (tmp_path / str(cpus) / "regions.csv").read_text() == want
+        assert workers == [min(2, math.ceil(resolution / cli._CSV_BLOCK_ROWS)), 1]
+        assert (tmp_path / "2" / "regions.svg").read_bytes() == \
+            (tmp_path / "1" / "regions.svg").read_bytes()
+
+    @pytest.mark.parametrize("resolution, cpus, workers", [
+        (100, 2, 1), (200, 2, 2), (200, 1, 1), (200, 3, 3)])
+    def test_pool_only_for_large_grids(self, tmp_path, monkeypatch,
+                                       resolution, cpus, workers):
+        calls = spy_block_map(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        grid = scan((1.1, 10.0), (1.1, 10.0), 3, resolution)
+        cli._write_regions_csv(grid, tmp_path / "regions.csv")
+        assert calls == [workers]
+
+    def test_inline_in_a_daemonic_process(self, tmp_path, monkeypatch):
+        # A pool worker may not start a pool of its own.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
+        grid = scan((1.1, 10.0), (1.1, 10.0), 3, 40)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pool.apply(cli._write_regions_csv, (grid, tmp_path / "daemon.csv"))
+        cli._write_regions_csv(grid, tmp_path / "regions.csv")
+        assert (tmp_path / "daemon.csv").read_bytes() == \
+            (tmp_path / "regions.csv").read_bytes()
+
+    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
+        calls = spy_block_map(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
+        grid = scan((1.1, 10.0), (1.1, 10.0), 3, 40)
+        # The last block's last row holds only p and q.
+        grid[-1] = grid[-1][["p", "q"]]
+        with pytest.raises(ValueError, match="no field of name label_new") as raised:
+            cli._write_regions_csv(grid, tmp_path / "regions.csv")
+        assert calls == [2]
+        # Raised in a worker: the pool chains the worker's traceback.
+        assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
+        assert multiprocessing.active_children() == []
 
     def test_byte_identical_reproducibility(self, tmp_path):
         cfg = parse_config('{"resolution": 6, "svg": true}', mode="regions")
@@ -432,6 +495,15 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["missing.json", '{"svg": true}', "."])
+    def test_exit_two_on_unreadable_config(self, tmp_path, capsys, monkeypatch,
+                                           config):
+        monkeypatch.chdir(tmp_path)
+        code = main(["regions", "--config", config, "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {config!r}")
+        assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys):
         # The conjugate-power weight integral guards s'(t + R) > 700, which

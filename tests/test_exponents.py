@@ -7,8 +7,8 @@ The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
 inside the functions that call them, and ``testfuncs.phi`` imports
 ``scipy.special`` when it is first called.  So the test functions, the
 simulator and the CLI load no scipy module at all until a run needs
-one.  Each import is checked in a fresh interpreter, since this process
-has loaded them all.
+one; parsing a config does not need one.  Each import is checked in a
+fresh interpreter, since this process has loaded them all.
 """
 
 import math
@@ -33,8 +33,9 @@ from blowlab.exponents import (
 SRC = str(Path(blowlab.__file__).resolve().parent.parent)
 
 
-def modules_after_import(module: str) -> set:
-    code = f"import sys, {module}; print('\\n'.join(sys.modules))"
+def modules_after_import(module: str, then: str = "") -> set:
+    """The modules loaded after importing ``module`` and running ``then``."""
+    code = f"import sys, {module}\n{then}\nprint('\\n'.join(sys.modules))"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -76,6 +77,14 @@ class TestImportGraph:
         # phi imports scipy.special where it calls it.
         loaded = modules_after_import(module)
         assert "blowlab.testfuncs" in loaded
+        assert scipy_modules(loaded) == []
+
+    @pytest.mark.parametrize("mode", ["simulate", "audit", "regions"])
+    def test_parsing_loads_no_scipy(self, mode):
+        # init_state applies phi's radius guard without evaluating phi.
+        loaded = modules_after_import(
+            "blowlab.cli", f"blowlab.cli.parse_config('{{}}', {mode!r})")
+        assert "blowlab.pde" in loaded
         assert scipy_modules(loaded) == []
 
     def test_comparison_loads_no_solver(self):

@@ -214,6 +214,15 @@ def functionals_full_mesh(state, phi_mesh):
     }
 
 
+def peaks_full_mesh(state):
+    """Oracle: max |u|, max |v| and the support radius as a sample read
+    them before the reads were confined to the causal window."""
+    mag = np.maximum(np.abs(state.u), np.abs(state.v))
+    peak = float(np.max(mag))
+    support = float(state.r[np.nonzero(mag > 1e-12 * peak)[0][-1]]) if peak else 0.0
+    return float(np.max(np.abs(state.u))), float(np.max(np.abs(state.v))), support
+
+
 def same_bits(a, b):
     """Equal bit for bit: unlike ==, tells -0.0 from 0.0."""
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
@@ -331,8 +340,8 @@ class TestCausalWindow:
 
 
 class TestFullMeshOracles:
-    """The in-place Laplacian and the windowed quadratures against the
-    code they replaced, bit for bit."""
+    """The in-place Laplacian, the windowed quadratures and the windowed
+    sample reads against the code they replaced, bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("size", [3, 4, 17, 1000])
@@ -355,22 +364,28 @@ class TestFullMeshOracles:
     @pytest.mark.parametrize("profile", list(Profile))
     def test_run_samples(self, n, coupling, profile):
         # Every sample of a run, t = 0 included, against the full-mesh
-        # step and quadratures.
+        # step, quadratures and reads.
         ex = Exponents(1.5, 2.5, n)
         data = InitialData(profile=profile, amplitude_u0=1.5, amplitude_v1=0.5)
         trace = run(ex, data, grid_points=250, horizon=1.0, sample_every=7,
                     coupling=coupling)
         state = init_state(ex, data, 250, 1.0, coupling=coupling)
         phi_mesh = phi(state.r, n)
-        rows = [(0.0, *functionals_full_mesh(state, phi_mesh).values())]
+
+        def row(s):
+            return (s.time, *functionals_full_mesh(s, phi_mesh).values(),
+                    *peaks_full_mesh(s))
+
+        rows = [row(state)]
         n_steps = math.ceil(1.0 / state.dt)
         for k in range(1, n_steps + 1):
             state = step_full_mesh(state)
             if k % 7 == 0 or k == n_steps:
-                rows.append((state.time, *functionals_full_mesh(state, phi_mesh).values()))
+                rows.append(row(state))
         want = np.array(rows).T
         got = (trace.times, trace.F1, trace.F2, trace.F3, trace.F4,
-               trace.J1, trace.J2, trace.J3, trace.J4)
+               trace.J1, trace.J2, trace.J3, trace.J4,
+               trace.max_abs_u, trace.max_abs_v, trace.support_r)
         assert trace.outcome == "completed"
         assert len(rows) == trace.times.size > 20
         for column, expected in zip(got, want):
@@ -418,7 +433,12 @@ class TestSupportRadius:
         state = init_state(ex, smooth_data(), 600, 5.0)
         for _ in range(300):
             state = step(state)
-            assert support_radius(state) <= state.time + ex.R + 2.0 * state.h
+            # support_radius reads only the causal window, so the whole
+            # mesh is checked here.
+            outside = state.r > state.time + ex.R + 2.0 * state.h
+            assert outside.any()
+            assert not state.u[outside].any() and not state.v[outside].any()
+            assert support_radius(state) == peaks_full_mesh(state)[2]
 
 
 class TestFunctionals:

@@ -21,7 +21,6 @@ from blowlab.testfuncs import (
     phi,
     phi_asymptotic,
     phi_quadrature,
-    psi,
     sphere_area,
     verify_wave_identity,
     weighted_power_integral,
@@ -149,17 +148,6 @@ class TestPsi:
         d = Kind.PSI1.decay_rate
         assert abs(d * d + d - 1.0) <= 1e-15
         assert Kind.PSI2.decay_rate == 1.0
-
-    def test_separable_form(self):
-        for kind in Kind:
-            d = kind.decay_rate
-            got = psi(kind, 2.0, 1.5, 3)
-            assert got == pytest.approx(math.exp(-2.0 * d) * phi(1.5, 3),
-                                        rel=1e-15)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            psi(Kind.PSI1, -1.0, 0.0, 1)
 
 
 class TestWaveIdentity:
