@@ -97,8 +97,9 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     JSON integer; a bool is never a number) or a number that is not
     finite.  Defaults are filled for every missing key, so the resolved
     config round-trips through its own echo.  Parameter ranges are
-    checked by building the domain inputs the run starts from, so a
-    config that parses runs to a recorded outcome.
+    checked by the library code that owns them, on the arguments of the
+    run's library calls, so a config that parses runs to a recorded
+    outcome.
     """
     try:
         doc = json.loads(text)
@@ -135,58 +136,55 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         for key in AMPLITUDE_KEYS:
             doc.setdefault(key, a)
     settings = {**defaults, **doc}
-    _check_run_settings(doc_mode, settings)
     try:
+        inputs = _domain_inputs(doc_mode, settings)
         if doc_mode in ("simulate", "audit"):
-            ex, data, mesh = _domain_inputs(doc_mode, settings)
             # Overflow in the seed time level is left for the run to report.
             with np.errstate(all="ignore"):
-                pde.init_state(ex, data, **mesh)
-        elif doc_mode == "kato":
-            _domain_inputs(doc_mode, settings)
-        elif doc_mode == "regions":
-            criticality.check_window((settings["p_min"], settings["p_max"]),
-                                     (settings["q_min"], settings["q_max"]),
-                                     settings["resolution"])
-            check_dimension(settings["n"])
-        else:
-            phi_asymptotic(settings["r_max"], settings["n"])
+                pde.init_state(inputs["exponents"], inputs["data"], **inputs["mesh"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return ExperimentConfig(mode=doc_mode, settings=settings)
 
 
-def _check_run_settings(mode: str, s: dict) -> None:
-    """Ranges of the settings that no domain input checks before a run."""
-    positive = {"simulate": ("blowup_threshold",), "audit": ("blowup_threshold",),
-                "kato": ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon", "ode_threshold")}
-    for key in positive.get(mode, ()):
-        if not s[key] > 0:
-            raise ConfigError(f"{key}={s[key]} must be positive")
-    if mode in ("simulate", "audit") and s["sample_every"] < 1:
-        raise ConfigError(f"sample_every={s['sample_every']} must be >= 1")
-    if mode == "audit" and not 0.0 < s["T0_fraction"] < 1.0:
-        raise ConfigError(f"T0_fraction={s['T0_fraction']} must lie in (0, 1)")
-    if mode == "phi" and not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
-        raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
+def _domain_inputs(mode: str, s: dict) -> dict:
+    """The arguments of a run's library calls, by name, from its settings.
 
-
-def _domain_inputs(mode: str, s: dict):
-    """The domain objects a simulate, audit or kato run starts from.
-
-    Their constructors own the parameter ranges and raise ValueError on
-    a setting outside them.  For simulate and audit this returns the
-    exponents, the initial data and the mesh keywords of
-    ``pde.init_state``; for kato, the comparison-system parameters.
+    Each range is checked by the library code that owns it (a domain
+    constructor or an entry point's check function), on the very values
+    the run passes on, and raises ValueError.  The CLI checks one bound
+    of its own: the ``phi`` table length.
     """
+    if mode == "regions":
+        window = ((s["p_min"], s["p_max"]), (s["q_min"], s["q_max"]))
+        criticality.check_window(*window, s["resolution"])
+        check_dimension(s["n"])
+        return {"scan": (*window, s["n"], s["resolution"])}
+    if mode == "phi":
+        if not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
+            raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
+        # Checks n, and r_max against phi's overflow guard, without
+        # evaluating phi, which would load scipy.
+        phi_asymptotic(s["r_max"], s["n"])
+        return {"n": s["n"], "linspace": (0.0, s["r_max"], s["samples"])}
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
-        return comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
+        params = comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
+        ode = {k: s[k] for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon",
+                                 "ode_threshold")}
+        comparison.check_comparison_args(params, **ode)
+        return {"params": params, "ode": ode}
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
     mesh = {"grid_points": s["grid_points"], "horizon": float(s["horizon"]),
             "cfl_factor": float(s["cfl_factor"]), "coupling": s["coupling"]}
-    return ex, data, mesh
+    inputs = {"exponents": ex, "data": data, "mesh": mesh,
+              "run": {k: s[k] for k in ("sample_every", "blowup_threshold")}}
+    pde.check_run_args(**inputs["run"])
+    if mode == "audit":
+        inputs["audit"] = {"T0_fraction": s["T0_fraction"]}
+        pde.check_audit_args(**inputs["audit"])
+    return inputs
 
 
 @dataclass
@@ -202,25 +200,6 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _summary_doc(config: ExperimentConfig, outcome: str,
-                 blowup_time: float | None, extra: dict | None = None) -> dict:
-    s = config.settings
-    doc = {
-        "mode": config.mode,
-        "outcome": outcome,
-        "blowup_time": blowup_time,
-        "grid_points": s.get("grid_points"),
-        "dt": None,
-        "p": s.get("p"),
-        "q": s.get("q"),
-        "n": s.get("n"),
-        "R": s.get("R"),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     """Dispatch to the owning module and write all artifacts."""
     out = Path(out_dir)
@@ -229,19 +208,17 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     s = config.settings
     files = [_write(out / "config_echo.json", config.echo_text())]
     outcome = "completed"
-    blowup_time = None
+    blowup_time = dt = None
+    inputs = _domain_inputs(config.mode, s)
 
     if config.mode in ("simulate", "audit"):
-        ex, data, mesh = _domain_inputs(config.mode, s)
-        trace = pde.run(ex, data, **mesh, sample_every=s["sample_every"],
-                        blowup_threshold=float(s["blowup_threshold"]))
-        outcome = trace.outcome
-        blowup_time = trace.blowup_time
+        ex = inputs["exponents"]
+        trace = pde.run(ex, inputs["data"], **inputs["mesh"], **inputs["run"])
+        outcome, blowup_time, dt = trace.outcome, trace.blowup_time, trace.dt
         files.append(_write(out / "trace.csv", "\n".join(trace.csv_rows()) + "\n"))
         # An unstable run has no trustworthy functionals to audit.
         if config.mode == "audit" and outcome != "instability":
-            report = pde.audit_inequalities(trace, ex,
-                                            T0_fraction=float(s["T0_fraction"]))
+            report = pde.audit_inequalities(trace, ex, **inputs["audit"])
             doc = {
                 "constants": report.constants(),
                 "window": list(report.window),
@@ -252,39 +229,30 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
             }
             files.append(_write(out / "audit.json",
                                 json.dumps(doc, sort_keys=True, indent=2) + "\n"))
-        summary = _summary_doc(config, outcome, blowup_time, {"dt": trace.dt})
 
     elif config.mode == "kato":
-        params = _domain_inputs(config.mode, s)
+        params = inputs["params"]
         lines = []
         for i, cond in enumerate(comparison.check_conditions(params), start=1):
             lines += [f"cond{i}_lhs={cond.lhs:.17g}", f"cond{i}_rhs={cond.rhs:.17g}",
                       f"cond{i}_holds={cond.holds}", f"cond{i}_boundary={cond.boundary}"]
         lines += [f"{key}={getattr(params, key):.17g}" for key in ("k5", "k6", "k7")]
         files.append(_write(out / "conditions.txt", "\n".join(lines) + "\n"))
-        trace = comparison.integrate_comparison(
-            params, float(s["F1_0"]), float(s["dF1_0"]),
-            float(s["F2_0"]), float(s["dF2_0"]),
-            horizon=float(s["horizon"]), threshold=float(s["ode_threshold"]))
-        outcome = trace.terminal_reason.value
-        if outcome == "blowup":
-            blowup_time = trace.blowup_time
+        trace = comparison.integrate_comparison(params, **inputs["ode"])
+        # blowup_time is None unless the outcome is blowup.
+        outcome, blowup_time = trace.terminal_reason.value, trace.blowup_time
         files.append(_write(out / "ode_trace.csv", "\n".join(trace.csv_rows()) + "\n"))
-        summary = _summary_doc(config, outcome, blowup_time)
 
     elif config.mode == "regions":
-        p_range = (float(s["p_min"]), float(s["p_max"]))
-        q_range = (float(s["q_min"]), float(s["q_max"]))
-        n = int(s["n"])
-        grid = criticality.scan(p_range, q_range, n, int(s["resolution"]))
+        p_range, q_range, n, resolution = inputs["scan"]
+        grid = criticality.scan(p_range, q_range, n, resolution)
         files.append(_write_regions_csv(grid, out / "regions.csv"))
-        if bool(s["svg"]):
+        if s["svg"]:
             files.append(emit_region_svg(grid, p_range, q_range, n, out / "regions.svg"))
-        summary = _summary_doc(config, outcome, None)
 
     elif config.mode == "phi":
-        n = int(s["n"])
-        r = np.linspace(0.0, float(s["r_max"]), int(s["samples"]))
+        n = inputs["n"]
+        r = np.linspace(*inputs["linspace"])
         vals = phi(r, n)
         asym = np.empty_like(vals)
         asym[0] = math.nan
@@ -292,13 +260,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
         rows = ["r,phi,phi_asymptotic"]
         rows += [",".join(f"{x:.17g}" for x in row) for row in zip(r, vals, asym)]
         files.append(_write(out / "phi.csv", "\n".join(rows) + "\n"))
-        summary = _summary_doc(config, outcome, None)
 
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigError(f"unknown mode {config.mode!r}")
 
     wall = time.perf_counter() - t_start
-    summary["wall_time"] = round(wall, 3)
+    summary = {"mode": config.mode, "outcome": outcome, "blowup_time": blowup_time,
+               "dt": dt, "wall_time": round(wall, 3),
+               **{key: s.get(key) for key in ("grid_points", "p", "q", "n", "R")}}
     files.append(_write(out / "summary.json",
                         json.dumps(summary, sort_keys=True, indent=2) + "\n"))
     return RunSummary(wall_time=wall, outcome=outcome,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import Exponents, check_powers
+from .exponents import Exponents, check_positive, check_powers
 
 __all__ = [
     "KatoParams",
@@ -48,6 +48,7 @@ __all__ = [
     "check_conditions",
     "derive_params",
     "reduction_equiv_check",
+    "check_comparison_args",
     "integrate_comparison",
     "y_closed_form",
     "y_blowup_time",
@@ -80,15 +81,12 @@ class KatoParams:
 
     def __post_init__(self):
         check_powers(self.p, self.q)
-        if self.alpha1 <= 0.0 or self.beta1 <= 0.0:
-            raise ValueError("alpha1 and beta1 must be positive")
+        check_positive(**{key: getattr(self, key) for key in
+                          ("alpha1", "beta1", "k0", "k1", "k2", "k3", "k4", "R")})
         if min(self.alpha2, self.beta2, self.beta3) < 0.0:
             raise ValueError("alpha2, beta2, beta3 must be nonnegative")
-        for key in ("k0", "k1", "k2", "k3", "k4"):
-            if getattr(self, key) <= 0.0:
-                raise ValueError(f"{key}={getattr(self, key)} must be positive")
-        if self.R <= 0.0 or self.T0 < 0.0:
-            raise ValueError("need R > 0 and T0 >= 0")
+        if self.T0 < 0.0:
+            raise ValueError(f"T0={self.T0} must be nonnegative")
 
     @property
     def k5(self) -> float:
@@ -177,9 +175,7 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
     constants = constants or {}
     C3, k2, k4 = (float(constants.get(key, 1.0)) for key in ("C3", "k2", "k4"))
     # Checked under the names the caller gave, not as k0..k4.
-    for key, value in (("C3", C3), ("k2", k2), ("k4", k4)):
-        if not value > 0.0:
-            raise ValueError(f"{key}={value} must be positive")
+    check_positive(C3=C3, k2=k2, k4=k4)
     return KatoParams(
         p=p, q=q,
         alpha1=alpha1, alpha2=n * (p - 1.0),
@@ -231,26 +227,32 @@ class OdeTrace:
             yield ",".join(f"{x:.17g}" for x in row)
 
 
+def check_comparison_args(params: KatoParams, F1_0: float, dF1_0: float,
+                          F2_0: float, dF2_0: float, horizon: float,
+                          ode_threshold: float) -> None:
+    """Raise ValueError unless ``integrate_comparison`` accepts these
+    arguments: positive data and threshold, and a horizon after T0."""
+    check_positive(F1_0=F1_0, dF1_0=dF1_0, F2_0=F2_0, dF2_0=dF2_0)
+    if not horizon > params.T0:
+        raise ValueError(f"horizon={horizon} must exceed T0={params.T0}")
+    check_positive(ode_threshold=ode_threshold)
+
+
 def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                          F2_0: float, dF2_0: float, horizon: float,
-                         threshold: float = DEFAULT_ODE_THRESHOLD) -> OdeTrace:
+                         ode_threshold: float = DEFAULT_ODE_THRESHOLD) -> OdeTrace:
     """Integrate the sharp (equality) comparison system from T0.
 
     Any solution of the inequality system majorizes the equality system,
     so blow-up here certifies blow-up there.  Adaptive embedded
     Runge-Kutta (rtol 1e-8, atol 1e-10) with terminal events at
-    max(F1, F2) = threshold; the event time is refined by the solver's
-    root finder.  Initial data at or above the threshold, or a
+    max(F1, F2) = ode_threshold; the event time is refined by the
+    solver's root finder.  Initial data at or above the threshold, or a
     right-hand side that is already beyond the float range at T0 (for
     example F2_0^p = inf), is blow-up at T0: the trace then holds the
     initial row alone and the solver is not called.
     """
-    if min(F1_0, dF1_0, F2_0, dF2_0) <= 0.0:
-        raise ValueError("initial data must be positive")
-    if horizon <= params.T0:
-        raise ValueError("horizon must exceed T0")
-    if not threshold > 0.0:
-        raise ValueError(f"threshold={threshold} must be positive")
+    check_comparison_args(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold)
     p, q, R = params.p, params.q, params.R
     k2, k4, b3 = params.k2, params.k4, params.beta3
     a2, b2 = params.alpha2, params.beta2
@@ -266,16 +268,16 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
         return [dF1, g1, dF2, g2]
 
     def hit_f1(t, y):
-        return y[0] - threshold
+        return y[0] - ode_threshold
 
     def hit_f2(t, y):
-        return y[2] - threshold
+        return y[2] - ode_threshold
 
     hit_f1.terminal = True
     hit_f2.terminal = True
 
-    y0 = np.array([F1_0, dF1_0, F2_0, dF2_0])
-    if (max(F1_0, F2_0) >= threshold
+    y0 = np.array([F1_0, dF1_0, F2_0, dF2_0], dtype=float)
+    if (max(F1_0, F2_0) >= ode_threshold
             or not np.all(np.isfinite(rhs(params.T0, y0)))):
         rows = y0[:, np.newaxis]
         return OdeTrace(times=np.array([params.T0]), F1=rows[0], dF1=rows[1],
@@ -303,13 +305,12 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                     blowup_time=blowup_time, terminal_reason=reason)
 
 
-def _check_bernoulli_args(kappa, beta, Y0):
+def _check_bernoulli_args(kappa, beta, **initial_value):
     if beta <= 1.0:
         raise ValueError(f"superlinear power required: beta > 1, got {beta}")
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    if Y0 <= 0.0:
-        raise ValueError("initial value must be positive")
+    check_positive(**initial_value)
 
 
 def _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t):
@@ -330,7 +331,7 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
     :class:`OverflowError` carrying the blow-up signal when B(t) <= 0
     (the solution has already escaped to infinity at or before t).
     """
-    _check_bernoulli_args(kappa, beta, Y0)
+    _check_bernoulli_args(kappa, beta, Y0=Y0)
     if nu < 0.0 or R <= 0.0 or t < T6:
         raise ValueError("need nu >= 0, R > 0 and t >= T6")
     B = _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t)
@@ -364,7 +365,7 @@ def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
     When the weight integral converges (nu > 0 or alpha > 1) the bracket
     has a finite limit; a positive limit means no blow-up for this datum.
     """
-    _check_bernoulli_args(kappa, beta, Y0)
+    _check_bernoulli_args(kappa, beta, Y0=Y0)
     if kappa == 0.0:
         return None
     if ((nu > 0.0 or alpha > 1.0)
@@ -382,7 +383,7 @@ def z_closed_form(kappa: float, gamma: float, alpha: float, beta: float,
     W' = kappa e^{-gamma T9} e^{-(gamma+beta-1) s} (s+R+T9)^{-alpha} W^beta,
     W(0) = Z0.  Raises :class:`OverflowError` when the bracket has hit zero.
     """
-    _check_bernoulli_args(kappa, beta, Z0)
+    _check_bernoulli_args(kappa, beta, Z0=Z0)
     if gamma < 0.0 or R <= 0.0 or t < T9:
         raise ValueError("need gamma >= 0, R > 0 and t >= T9")
     try:
@@ -400,7 +401,7 @@ def z_blowup_time(kappa: float, gamma: float, alpha: float, beta: float,
     The shifted Y problem has nu = gamma + beta - 1 > 0, so its weight
     integral always converges and the large-data threshold is explicit:
     blow-up happens iff Z0^{1-beta} < kappa (beta-1) * (full integral)."""
-    _check_bernoulli_args(kappa, beta, Z0)
+    _check_bernoulli_args(kappa, beta, Z0=Z0)
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     root = y_blowup_time(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,

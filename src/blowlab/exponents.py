@@ -1,6 +1,7 @@
 """The parameter domain of the coupled system: the powers p, q > 1, the
 dimension 1 <= n <= 8 and the data-support radius R > 0, with the
-exponent ranges of the radial simulator and of the blow-up theorem.
+exponent range of the blow-up theorem and the one positivity rule that
+every module's entry checks share.
 
 Every other module takes these rules from here.  This module imports
 nothing from blowlab, numpy or scipy, so the comparison and criticality
@@ -18,6 +19,7 @@ __all__ = [
     "MAX_DIMENSION",
     "Exponents",
     "check_dimension",
+    "check_positive",
     "check_powers",
     "theorem_range",
 ]
@@ -45,6 +47,14 @@ def check_powers(p: float, q: float) -> None:
     if p <= 1.0 or q <= 1.0:
         key, value = ("p", p) if p <= 1.0 else ("q", q)
         raise DomainError(f"{key}={value} must exceed 1")
+
+
+def check_positive(**named) -> None:
+    """Each named value must be positive.  NaN is not: the comparison is
+    ``not value > 0``.  The message names the first value that fails."""
+    for key, value in named.items():
+        if not value > 0:
+            raise DomainError(f"{key}={value} must be positive")
 
 
 def _cap(n: int) -> float:
@@ -76,8 +86,7 @@ class Exponents:
     def __post_init__(self):
         check_powers(self.p, self.q)
         check_dimension(self.n)
-        if self.R <= 0.0:
-            raise DomainError(f"R={self.R} must be positive")
+        check_positive(R=self.R)
 
     @property
     def cap(self) -> float:
@@ -89,10 +98,6 @@ class Exponents:
     def at_cap(self, key: str) -> str:
         """Why the power ``key`` ("p" or "q") fails the cap, for messages."""
         return f"{key}={getattr(self, key):g} >= 2n/(n-1)={self.cap:g} for n={self.n}"
-
-    def simulator_range_ok(self) -> bool:
-        """Admissible range for the radial simulator: n <= 3, p, q < cap."""
-        return self.n <= 3 and self.theorem_range_ok()
 
     def theorem_range_ok(self) -> bool:
         """Exponent hypotheses of the blow-up theorem for this dimension."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import derive_params
-from .exponents import Exponents
+from .exponents import Exponents, check_positive
 from .testfuncs import (
     TestFunctionKind,
     ball_volume,
@@ -53,9 +53,11 @@ __all__ = [
     "NumericalInstability",
     "init_state",
     "step",
+    "check_run_args",
     "run",
     "functionals",
     "support_radius",
+    "check_audit_args",
     "audit_inequalities",
 ]
 
@@ -115,7 +117,7 @@ class InitialData:
 
     def __post_init__(self):
         for key in AMPLITUDE_KEYS:
-            if getattr(self, key) < 0.0:
+            if not getattr(self, key) >= 0.0:
                 raise ValueError(f"{key}={getattr(self, key)} must be nonnegative")
 
     def shape(self, r: np.ndarray, R: float) -> np.ndarray:
@@ -168,13 +170,12 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
         raise ValueError(f"grid_points={grid_points}: need at least 200 grid points")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points={grid_points} exceeds the bound {MAX_GRID_POINTS}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon={horizon} must be positive")
+    check_positive(horizon=horizon)
     if not 0.0 < cfl_factor <= 1.0:
         raise ValueError(f"cfl_factor={cfl_factor}: CFL factor must lie in (0, 1]")
     if n > 3:
         raise ValueError(f"n={n}: the radial simulator supports n <= 3")
-    if not exponents.simulator_range_ok():
+    if not exponents.theorem_range_ok():
         key = "p" if exponents.p >= exponents.cap else "q"
         raise ValueError(f"exponents out of range: {exponents.at_cap(key)}")
     zero = [key for key in AMPLITUDE_KEYS if getattr(data, key) == 0.0]
@@ -428,19 +429,25 @@ class FunctionalTrace:
             yield ",".join(f"{x:.17g}" for x in row)
 
 
+def check_run_args(sample_every: int, blowup_threshold: float) -> None:
+    """Raise ValueError unless ``run`` accepts these two arguments."""
+    if not sample_every >= 1:
+        raise ValueError(f"sample_every={sample_every} must be >= 1")
+    check_positive(blowup_threshold=blowup_threshold)
+
+
 def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         horizon: float = 10.0, sample_every: int = 10,
         cfl_factor: float = 0.5, coupling: bool = True,
         blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> FunctionalTrace:
     """Integrate to the horizon or to blow-up, sampling the functionals.
 
-    Blow-up is recorded as an outcome, not raised; a NaN/inf before the
-    threshold is recorded as ``instability``.
+    Blow-up is recorded as an outcome, not raised.  A NaN/inf before the
+    threshold, or a sample with one of F1-F4 below 0 (which nonnegative
+    data make only on an under-resolved mesh), is recorded as
+    ``instability``; the trace keeps the samples before it.
     """
-    if sample_every < 1:
-        raise ValueError("sample_every must be a positive integer")
-    if not blowup_threshold > 0.0:
-        raise ValueError(f"blowup_threshold={blowup_threshold} must be positive")
+    check_run_args(sample_every, blowup_threshold)
     state = init_state(exponents, data, grid_points, horizon,
                        cfl_factor=cfl_factor, coupling=coupling)
     n = exponents.n
@@ -455,12 +462,17 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
 
     rows = []
 
-    def record(s: CoupledState):
+    def record(s: CoupledState) -> bool:
+        # False, recording nothing, if one of F1-F4 is negative.
+        f = functionals(s, phi_mesh)
+        if min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0:
+            return False
         # The peaks read the causal window, as support_radius does.
         end = _causal_end(s, s.time)
-        rows.append((s.time, *functionals(s, phi_mesh).values(),
+        rows.append((s.time, *f.values(),
                      float(np.max(np.abs(s.u[:end]))),
                      float(np.max(np.abs(s.v[:end]))), support_radius(s)))
+        return True
 
     record(state)
     n_steps = int(math.ceil(horizon / state.dt))
@@ -476,8 +488,9 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         except NumericalInstability:
             outcome = "instability"
             break
-        if k % sample_every == 0 or k == n_steps:
-            record(state)
+        if (k % sample_every == 0 or k == n_steps) and not record(state):
+            outcome = "instability"
+            break
 
     return FunctionalTrace(*np.array(rows).T, outcome=outcome,
                            blowup_time=blowup_time, h=state.h, dt=state.dt,
@@ -520,6 +533,12 @@ class AuditReport:
                 "k2": self.fitted_k2, "k4": self.fitted_k4}
 
 
+def check_audit_args(T0_fraction: float) -> None:
+    """Raise ValueError unless ``audit_inequalities`` accepts T0_fraction."""
+    if not 0.0 < T0_fraction < 1.0:
+        raise ValueError(f"T0_fraction={T0_fraction} must lie in (0, 1)")
+
+
 def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
                        T0_fraction: float = 0.3) -> AuditReport:
     """Audit the five functional lower bounds on a recorded trace.
@@ -541,10 +560,9 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     on a possibly exploding signal), so a trace of at most three samples
     is inconclusive.  A margin passes down to -1e-9 times max |lhs|.
     """
+    check_audit_args(T0_fraction)
     if trace.outcome == "instability":
         raise ValueError("cannot audit an unstable run")
-    if not 0.0 < T0_fraction < 1.0:
-        raise ValueError("T0_fraction must lie in (0, 1)")
     p, q, n, R = exponents.p, exponents.q, exponents.n, exponents.R
     t = trace.times
     T0 = T0_fraction * t[-1]

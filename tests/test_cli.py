@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowlab import cli
+from blowlab import cli, comparison, pde
 from blowlab.cli import (
     _DEFAULTS,
     _SVG_CATEGORIES,
@@ -27,9 +27,15 @@ from blowlab.cli import (
     run_experiment,
 )
 from blowlab.criticality import Label, classify, scan
+from blowlab.exponents import Exponents
 from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
+
+# An under-resolved mesh (h = 0.47 against R = 0.5) on which F1-F4 go
+# negative: the run ends as an instability.
+SIGN_LOSS = {"p": 3.843, "q": 2.19, "n": 2, "amplitudes": 0.00165,
+             "horizon": 90.5, "grid_points": 200, "cfl_factor": 1.0, "R": 0.5}
 
 # conditions.txt of the default kato config, and of p = q = 1.5, n = 2
 # with C3 = 0.37, k2 = 0.81, k4 = 1.9.
@@ -232,6 +238,44 @@ class TestParseConfig:
         # Not as k0, k2 or k4 of the comparison system.
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(json.dumps(doc), mode="kato")
+
+    @pytest.mark.parametrize("mode, key, value", [
+        ("simulate", "sample_every", 0),
+        ("audit", "sample_every", -3),
+        ("simulate", "blowup_threshold", 0),
+        ("simulate", "blowup_threshold", -1.0),
+        ("audit", "T0_fraction", 1.0),
+        ("audit", "T0_fraction", 0),
+        ("kato", "F1_0", 0),
+        ("kato", "dF1_0", -1.0),
+        ("kato", "F2_0", 0.0),
+        ("kato", "dF2_0", -2.5),
+        ("kato", "horizon", 0.0),
+        ("kato", "horizon", -4),
+        ("kato", "ode_threshold", -1.0),
+    ])
+    def test_one_message_per_rule(self, mode, key, value):
+        # A setting only the run uses is checked by the library entry
+        # point that uses it, with the message that entry point raises.
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(json.dumps({key: value}), mode=mode)
+        ex = Exponents(2.0, 2.0, 1)
+
+        def entry_point():
+            if mode == "kato":
+                args = {k: _DEFAULTS["kato"][k] for k in
+                        ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon", "ode_threshold")}
+                return comparison.integrate_comparison(
+                    comparison.derive_params(ex), **{**args, key: value})
+            if key == "T0_fraction":
+                trace = pde.run(ex, pde.InitialData(), grid_points=200, horizon=0.5)
+                return pde.audit_inequalities(trace, ex, T0_fraction=value)
+            return pde.run(ex, pde.InitialData(), **{key: value})
+
+        with pytest.raises(ValueError) as direct:
+            entry_point()
+        assert str(parsed.value) == str(direct.value)
+        assert str(parsed.value).startswith(f"{key}={value} ")
 
     def test_work_bounds_admit_their_value(self):
         # One past each bound is rejected (REJECTED); the bound itself parses.
@@ -487,6 +531,30 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "outcome=instability" in capsys.readouterr().out
+
+    def test_sign_loss_is_instability(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SIGN_LOSS))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "outcome=instability" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert len(rows) >= 2
+        # Every cell is a finite real number: no sample after the sign
+        # loss reaches the trace, so no F3 ** p is complex.
+        for row in rows[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+    def test_audit_of_sign_loss(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SIGN_LOSS))
+        code = main(["audit", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["outcome"] == "instability"
+        assert not (tmp_path / "out" / "audit.json").exists()
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -151,14 +151,14 @@ class TestIntegrateComparison:
         # cross it; the solver would run on to a step underflow.
         params = replace(derive_params(Exponents(2.0, 2.0, 1)), T0=T0)
         trace = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
-                                     threshold=threshold)
+                                     ode_threshold=threshold)
         assert trace.terminal_reason is TerminalReason.BLOWUP
         assert trace.blowup_time == T0
         assert list(trace.csv_rows())[1:] == [
             f"{T0:.17g},{F1_0:.17g},100,{F2_0:.17g},100"]
         # Just above the initial data, the threshold is crossed later.
         later = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
-                                     threshold=np.nextafter(max(F1_0, F2_0), math.inf))
+                                     ode_threshold=np.nextafter(max(F1_0, F2_0), math.inf))
         assert later.terminal_reason is TerminalReason.BLOWUP
         assert later.blowup_time > T0 and later.times.size > 1
 
@@ -171,18 +171,18 @@ class TestIntegrateComparison:
 
     def test_validation(self):
         params = derive_params(Exponents(2.0, 2.0, 1))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^F1_0=0.0 must be positive$"):
             integrate_comparison(params, 0.0, 1.0, 1.0, 1.0, horizon=1.0)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match=r"^horizon=0.0 must exceed T0=0.0$"):
             integrate_comparison(params, 1.0, 1.0, 1.0, 1.0, horizon=0.0)
 
     @pytest.mark.parametrize("threshold", [-5.0, 0.0, math.nan])
     def test_threshold_validation(self, threshold):
         # The data are positive, so the threshold event could never fire.
         params = derive_params(Exponents(2.0, 2.0, 1))
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(ValueError, match="ode_threshold"):
             integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=1.0,
-                                 threshold=threshold)
+                                 ode_threshold=threshold)
 
     def test_closed_form_y_lower_bounds_f2(self):
         # Fit the largest kappa_eff for which Y' = kappa_eff w(t) Y^beta
@@ -196,7 +196,7 @@ class TestIntegrateComparison:
         ]
         for params, beta in sets:
             trace = integrate_comparison(params, 50.0, 5.0, 50.0, 5.0,
-                                         horizon=5.0, threshold=1e10)
+                                         horizon=5.0, ode_threshold=1e10)
             t, F2, dF2 = trace.times, trace.F2, trace.dF2
             weight = np.exp(-params.beta3 * t) * (t + params.R) ** (-params.beta2)
             kappa_eff = float(np.min(dF2 / (weight * F2**beta)))

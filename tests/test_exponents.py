@@ -15,22 +15,59 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blowlab
+from blowlab.comparison import KatoParams, derive_params, integrate_comparison
 from blowlab.exponents import (
     MAX_DIMENSION,
     DomainError,
     Exponents,
     check_dimension,
+    check_positive,
     check_powers,
     theorem_range,
 )
+from blowlab.pde import AMPLITUDE_KEYS, InitialData, init_state, run
 
 SRC = str(Path(blowlab.__file__).resolve().parent.parent)
+
+UNIT = Exponents(2.0, 2.0, 1)
+
+
+def kato_params(key, x):
+    return KatoParams(p=2.0, q=2.0, alpha1=1.0, alpha2=1.0, beta1=1.0,
+                      beta2=1.0, beta3=1.0, **{key: x})
+
+
+def derived(key, x):
+    return derive_params(UNIT, {key: x})
+
+
+def comparison_run(key, x):
+    args = dict(F1_0=1.0, dF1_0=1.0, F2_0=1.0, dF2_0=1.0, horizon=1.0,
+                ode_threshold=1e12)
+    return integrate_comparison(derive_params(UNIT), **{**args, key: x})
+
+
+# Every positivity check of the library entry points: the key it names
+# and the call that checks it, as a function of the value.
+POSITIVE = {
+    "Exponents.R": ("R", lambda x: Exponents(2.0, 2.0, 1, R=x)),
+    **{f"KatoParams.{k}": (k, partial(kato_params, k))
+       for k in ("k0", "k1", "k2", "k3", "k4", "R")},
+    **{f"derive_params.{k}": (k, partial(derived, k)) for k in ("C3", "k2", "k4")},
+    "init_state.horizon": ("horizon", lambda x: init_state(UNIT, InitialData(), 200,
+                                                           horizon=x)),
+    "run.blowup_threshold": ("blowup_threshold",
+                             lambda x: run(UNIT, InitialData(), blowup_threshold=x)),
+    **{f"integrate_comparison.{k}": (k, partial(comparison_run, k))
+       for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "ode_threshold")},
+}
 
 
 def modules_after_import(module: str, then: str = "") -> set:
@@ -116,9 +153,6 @@ class TestDomain:
         assert Exponents(2.0, 2.0, 2).cap == 4.0
         assert Exponents(2.0, 2.0, 3).cap == 3.0
         assert Exponents(3.0, 2.0, 3).at_cap("p") == "p=3 >= 2n/(n-1)=3 for n=3"
-        # The cap is exclusive for the simulator.
-        assert not Exponents(2.0, 3.0, 3).simulator_range_ok()
-        assert Exponents(2.0, np.nextafter(3.0, 0.0), 3).simulator_range_ok()
 
     @pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
     def test_theorem_range_on_arrays(self, n):
@@ -144,3 +178,24 @@ class TestDomain:
                 ok = theorem_range(p, q, n)
                 assert type(ok) is bool and ok == mask[j, i] == rule(p, q)
                 assert ok == Exponents(p, q, n).theorem_range_ok()
+
+
+class TestPositivity:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("check", sorted(POSITIVE))
+    def test_entry_checks_reject_nonpositive_and_nan(self, check, value):
+        key, call = POSITIVE[check]
+        with pytest.raises(DomainError, match=rf"^{key}={value} must be positive$"):
+            call(value)
+
+    @pytest.mark.parametrize("key", AMPLITUDE_KEYS)
+    def test_amplitudes_reject_negative_and_nan(self, key):
+        InitialData(**{key: 0.0})
+        for value in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^{key}={value} must be nonnegative$"):
+                InitialData(**{key: value})
+
+    def test_first_failure_named(self):
+        check_positive(a=1, b=1e-300)
+        with pytest.raises(DomainError, match=r"^b=0 must be positive$"):
+            check_positive(a=1, b=0, c=-1)

@@ -55,9 +55,17 @@ class TestExponents:
             Exponents(2.0, 2.0, 1, R=0.0)
 
     def test_simulator_range(self):
-        assert Exponents(7.0, 9.0, 1).simulator_range_ok()
-        assert Exponents(2.0, 2.0, 3).simulator_range_ok()
-        assert not Exponents(3.0, 2.0, 3).simulator_range_ok()
+        # init_state owns the simulator's range: n <= 3, and p, q below
+        # the cap 2n/(n-1), which is exclusive.
+        for ex in (Exponents(7.0, 9.0, 1), Exponents(2.0, 2.0, 3),
+                   Exponents(2.0, np.nextafter(3.0, 0.0), 3)):
+            init_state(ex, smooth_data(), 200, horizon=1.0)
+        for ex, message in (
+                (Exponents(3.0, 2.0, 3), r"^exponents out of range: p=3 >= 2n/\(n-1\)=3"),
+                (Exponents(2.0, 3.0, 3), r"^exponents out of range: q=3 >= 2n/\(n-1\)=3"),
+                (Exponents(1.5, 1.5, 4), r"^n=4: the radial simulator supports n <= 3$")):
+            with pytest.raises(ValueError, match=message):
+                init_state(ex, smooth_data(), 200, horizon=1.0)
 
     def test_theorem_range(self):
         assert Exponents(2.0, 2.0, 1).theorem_range_ok()
@@ -510,9 +518,30 @@ class TestRun:
         assert t_star[1] < t_star[0]
 
     def test_sample_every_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sample_every=0 must be >= 1$"):
             run(Exponents(2.0, 2.0, 1), smooth_data(), grid_points=400,
                 horizon=1.0, sample_every=0)
+
+    def test_sign_loss_is_instability(self):
+        # h = 0.47 against R = 0.5: on this under-resolved mesh F1-F4 go
+        # negative, so F3 ** p would be complex.  The run ends at the
+        # first such sample and keeps only the samples before it.
+        ex = Exponents(3.843, 2.19, 2, R=0.5)
+        data = smooth_data(amplitude=0.00165)
+        trace = run(ex, data, grid_points=200, horizon=90.5, cfl_factor=1.0)
+        assert trace.outcome == "instability"
+        assert trace.blowup_time is None
+        assert trace.times.size >= 1
+        columns = np.array([trace.F1, trace.F2, trace.F3, trace.F4, trace.J1,
+                            trace.J2, trace.J3, trace.J4])
+        assert columns.dtype == np.float64
+        assert np.all(np.isfinite(columns)) and np.all(columns[:4] >= 0.0)
+        # The next sample, the one that ended the run, has a negative F.
+        state = init_state(ex, data, 200, horizon=90.5, cfl_factor=1.0)
+        for _ in range(10 * trace.times.size):
+            state = step(state)
+        f = functionals(state)
+        assert min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan])
     def test_blowup_threshold_validation(self, threshold):
@@ -645,5 +674,6 @@ class TestAudit:
 
     def test_t0_fraction_domain(self, reference):
         ex, trace = reference
-        with pytest.raises(ValueError):
-            audit_inequalities(trace, ex, T0_fraction=0.0)
+        for value in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^T0_fraction={value} must lie in \(0, 1\)$"):
+                audit_inequalities(trace, ex, T0_fraction=value)
