@@ -85,8 +85,14 @@ class ExperimentConfig:
     settings: dict = field(hash=False)
 
     def echo_text(self) -> str:
-        doc = {"mode": self.mode, **self.settings}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text({"mode": self.mode, **self.settings})
+
+
+def _json_text(doc: dict) -> str:
+    """The text of a JSON artifact.  RFC 8259 JSON has no NaN or
+    infinity, so a non-finite number raises ValueError instead of being
+    written as a bare literal."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
@@ -227,8 +233,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
                 "note": report.note,
                 "inequalities": [asdict(r) for r in report.records],
             }
-            files.append(_write(out / "audit.json",
-                                json.dumps(doc, sort_keys=True, indent=2) + "\n"))
+            files.append(_write(out / "audit.json", _json_text(doc)))
 
     elif config.mode == "kato":
         params = inputs["params"]
@@ -268,8 +273,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     summary = {"mode": config.mode, "outcome": outcome, "blowup_time": blowup_time,
                "dt": dt, "wall_time": round(wall, 3),
                **{key: s.get(key) for key in ("grid_points", "p", "q", "n", "R")}}
-    files.append(_write(out / "summary.json",
-                        json.dumps(summary, sort_keys=True, indent=2) + "\n"))
+    files.append(_write(out / "summary.json", _json_text(summary)))
     return RunSummary(wall_time=wall, outcome=outcome,
                       blowup_time=blowup_time, files=files)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import Exponents, check_positive, check_powers
+from .exponents import Exponents, check_nonnegative, check_positive, check_powers
 
 __all__ = [
     "KatoParams",
@@ -83,10 +83,8 @@ class KatoParams:
         check_powers(self.p, self.q)
         check_positive(**{key: getattr(self, key) for key in
                           ("alpha1", "beta1", "k0", "k1", "k2", "k3", "k4", "R")})
-        if min(self.alpha2, self.beta2, self.beta3) < 0.0:
-            raise ValueError("alpha2, beta2, beta3 must be nonnegative")
-        if self.T0 < 0.0:
-            raise ValueError(f"T0={self.T0} must be nonnegative")
+        check_nonnegative(**{key: getattr(self, key) for key in
+                             ("alpha2", "beta2", "beta3", "T0")})
 
     @property
     def k5(self) -> float:
@@ -208,7 +206,6 @@ def reduction_equiv_check(p: float, q: float, n: int, tol: float = 1e-9) -> bool
 class TerminalReason(enum.Enum):
     HORIZON = "horizon"
     BLOWUP = "blowup"
-    STEP_UNDERFLOW = "step_underflow"
 
 
 @dataclass
@@ -251,6 +248,12 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     right-hand side that is already beyond the float range at T0 (for
     example F2_0^p = inf), is blow-up at T0: the trace then holds the
     initial row alone and the solver is not called.
+
+    The run ends in one of two ways.  It is ``HORIZON`` when the solver
+    reaches the horizon, and ``BLOWUP`` otherwise, at the last time of
+    the trace: the event time, or the last accepted time when a step
+    fails.  With positive data F1 and F2 only grow, so a step fails only
+    where the solution leaves the float range within the resolution of t.
     """
     check_comparison_args(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold)
     p, q, R = params.p, params.q, params.R
@@ -290,26 +293,20 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                     method="RK45", rtol=1e-8, atol=1e-10,
                     events=(hit_f1, hit_f2), dense_output=False)
 
-    blowup_time = None
-    if sol.status == 1:
-        hits = [e[0] for e in sol.t_events if e.size]
-        blowup_time = float(min(hits))
-        reason = TerminalReason.BLOWUP
-    elif sol.status == 0:
-        reason = TerminalReason.HORIZON
-    else:
-        reason = TerminalReason.STEP_UNDERFLOW
-
+    # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
+    # failed step, after the last accepted time in sol.t.
+    horizon_reached = sol.status == 0
     return OdeTrace(times=sol.t, F1=sol.y[0], dF1=sol.y[1],
                     F2=sol.y[2], dF2=sol.y[3],
-                    blowup_time=blowup_time, terminal_reason=reason)
+                    blowup_time=None if horizon_reached else float(sol.t[-1]),
+                    terminal_reason=(TerminalReason.HORIZON if horizon_reached
+                                     else TerminalReason.BLOWUP))
 
 
 def _check_bernoulli_args(kappa, beta, **initial_value):
     if beta <= 1.0:
         raise ValueError(f"superlinear power required: beta > 1, got {beta}")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
+    check_nonnegative(kappa=kappa)
     check_positive(**initial_value)
 
 
@@ -332,8 +329,9 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
     (the solution has already escaped to infinity at or before t).
     """
     _check_bernoulli_args(kappa, beta, Y0=Y0)
-    if nu < 0.0 or R <= 0.0 or t < T6:
-        raise ValueError("need nu >= 0, R > 0 and t >= T6")
+    check_nonnegative(nu=nu)
+    if R <= 0.0 or t < T6:
+        raise ValueError("need R > 0 and t >= T6")
     B = _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t)
     if B <= 0.0:
         raise OverflowError(f"solution blew up at or before t = {t}")
@@ -366,6 +364,7 @@ def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
     has a finite limit; a positive limit means no blow-up for this datum.
     """
     _check_bernoulli_args(kappa, beta, Y0=Y0)
+    check_nonnegative(nu=nu)
     if kappa == 0.0:
         return None
     if ((nu > 0.0 or alpha > 1.0)
@@ -384,8 +383,9 @@ def z_closed_form(kappa: float, gamma: float, alpha: float, beta: float,
     W(0) = Z0.  Raises :class:`OverflowError` when the bracket has hit zero.
     """
     _check_bernoulli_args(kappa, beta, Z0=Z0)
-    if gamma < 0.0 or R <= 0.0 or t < T9:
-        raise ValueError("need gamma >= 0, R > 0 and t >= T9")
+    check_nonnegative(gamma=gamma)
+    if R <= 0.0 or t < T9:
+        raise ValueError("need R > 0 and t >= T9")
     try:
         W = y_closed_form(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
                           alpha, beta, R + T9, 0.0, Z0, t - T9)
@@ -402,8 +402,7 @@ def z_blowup_time(kappa: float, gamma: float, alpha: float, beta: float,
     integral always converges and the large-data threshold is explicit:
     blow-up happens iff Z0^{1-beta} < kappa (beta-1) * (full integral)."""
     _check_bernoulli_args(kappa, beta, Z0=Z0)
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    check_nonnegative(gamma=gamma)
     root = y_blowup_time(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
                          alpha, beta, R + T9, 0.0, Z0)
     return None if root is None else T9 + root

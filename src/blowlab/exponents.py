@@ -1,7 +1,7 @@
 """The parameter domain of the coupled system: the powers p, q > 1, the
 dimension 1 <= n <= 8 and the data-support radius R > 0, with the
-exponent range of the blow-up theorem and the one positivity rule that
-every module's entry checks share.
+exponent range of the blow-up theorem and the positivity and
+nonnegativity rules that every module's entry checks share.
 
 Every other module takes these rules from here.  This module imports
 nothing from blowlab, numpy or scipy, so the comparison and criticality
@@ -19,6 +19,7 @@ __all__ = [
     "MAX_DIMENSION",
     "Exponents",
     "check_dimension",
+    "check_nonnegative",
     "check_positive",
     "check_powers",
     "theorem_range",
@@ -55,6 +56,14 @@ def check_positive(**named) -> None:
     for key, value in named.items():
         if not value > 0:
             raise DomainError(f"{key}={value} must be positive")
+
+
+def check_nonnegative(**named) -> None:
+    """Each named value must be nonnegative.  NaN is not: the comparison
+    is ``not value >= 0``.  The message names the first value that fails."""
+    for key, value in named.items():
+        if not value >= 0:
+            raise DomainError(f"{key}={value} must be nonnegative")
 
 
 def _cap(n: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import derive_params
-from .exponents import Exponents, check_positive
+from .exponents import Exponents, check_nonnegative, check_positive
 from .testfuncs import (
     TestFunctionKind,
     ball_volume,
@@ -49,8 +49,7 @@ __all__ = [
     "FunctionalTrace",
     "InequalityRecord",
     "AuditReport",
-    "BlowUpDetected",
-    "NumericalInstability",
+    "CFL_LIMITS",
     "init_state",
     "step",
     "check_run_args",
@@ -71,22 +70,14 @@ MAX_STEPS = 1_000_000
 
 AMPLITUDE_KEYS = ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1")
 
-
-class BlowUpDetected(RuntimeError):
-    """A field crossed the blow-up threshold (the expected outcome)."""
-
-    def __init__(self, time: float, peak: float):
-        super().__init__(f"blow-up threshold crossed at t = {time:.6g} (peak {peak:.3g})")
-        self.time = time
-        self.peak = peak
-
-
-class NumericalInstability(RuntimeError):
-    """NaN/inf appeared before the threshold: a scheme pathology, not blow-up."""
-
-    def __init__(self, time: float):
-        super().__init__(f"non-finite field at t = {time:.6g} before threshold")
-        self.time = time
+# The largest CFL factor dt/h at which the leapfrog scheme is stable, for
+# each dimension the radial simulator supports.  Each is 2/sqrt(rho)
+# rounded down, with rho the spectral radius of h^2 times the discrete
+# radial Laplacian, whatever the number of nodes: 4 for n = 1, while the
+# origin row 2n (f[1] - f[0]) / h^2 raises it to 4.8419 for n = 2 and 6
+# for n = 3.  Above the limit the discrete solution grows without bound,
+# even in a linear run.
+CFL_LIMITS = {1: 1.0, 2: 0.9089, 3: 0.8164}
 
 
 class Profile(enum.Enum):
@@ -116,9 +107,7 @@ class InitialData:
     amplitude_v1: float = 1.0
 
     def __post_init__(self):
-        for key in AMPLITUDE_KEYS:
-            if not getattr(self, key) >= 0.0:
-                raise ValueError(f"{key}={getattr(self, key)} must be nonnegative")
+        check_nonnegative(**{key: getattr(self, key) for key in AMPLITUDE_KEYS})
 
     def shape(self, r: np.ndarray, R: float) -> np.ndarray:
         """Unit-amplitude profile of support radius R evaluated on the mesh."""
@@ -141,7 +130,11 @@ class InitialData:
 
 @dataclass
 class CoupledState:
-    """Two time levels of the discretized radial fields."""
+    """Two time levels of the discretized radial fields.
+
+    ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if either
+    field holds a NaN.
+    """
 
     exponents: Exponents
     time: float
@@ -152,6 +145,7 @@ class CoupledState:
     u_prev: np.ndarray
     v: np.ndarray
     v_prev: np.ndarray
+    peak: float
     coupling: bool = True
 
 
@@ -171,10 +165,12 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points={grid_points} exceeds the bound {MAX_GRID_POINTS}")
     check_positive(horizon=horizon)
-    if not 0.0 < cfl_factor <= 1.0:
-        raise ValueError(f"cfl_factor={cfl_factor}: CFL factor must lie in (0, 1]")
-    if n > 3:
+    if n not in CFL_LIMITS:
         raise ValueError(f"n={n}: the radial simulator supports n <= 3")
+    limit = CFL_LIMITS[n]
+    if not 0.0 < cfl_factor <= limit:
+        raise ValueError(f"cfl_factor={cfl_factor}: CFL factor must lie in "
+                         f"(0, {limit}], the leapfrog stability limit for n={n}")
     if not exponents.theorem_range_ok():
         key = "p" if exponents.p >= exponents.cap else "q"
         raise ValueError(f"exponents out of range: {exponents.at_cap(key)}")
@@ -216,16 +212,16 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
 
     return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r,
                         u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
+                        peak=float(np.max(np.maximum(np.abs(u0), np.abs(v0)))),
                         coupling=coupling)
 
 
-def step(state: CoupledState,
-         blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> CoupledState:
+def step(state: CoupledState) -> CoupledState:
     """Advance one leapfrog time level.
 
-    Raises :class:`BlowUpDetected` when a field crosses the blow-up
-    threshold and :class:`NumericalInstability` when a non-finite value
-    appears before the threshold.
+    The new state carries its peak, which may be non-finite: ``run``
+    decides what a peak means.  The only error raised is for a time
+    step beyond the CFL limit of the dimension.
 
     Fields are zeroed beyond the causal radius time + R + 2h: the exact
     solution vanishes there by finite speed of propagation, while the
@@ -247,10 +243,11 @@ def step(state: CoupledState,
     into their windows.  The input state is not modified.
     """
     dt = state.dt
-    if dt <= 0.0 or dt > state.h:
-        raise ValueError(f"time step {dt} violates the CFL bound (h = {state.h:g})")
     ex = state.exponents
     n = ex.n
+    if not 0.0 < dt <= CFL_LIMITS[n] * state.h:
+        raise ValueError(f"time step {dt} violates the CFL bound "
+                         f"{CFL_LIMITS[n]} h (h = {state.h:g})")
     hi = min(state.r.size, _causal_end(state, state.time) + 2)
     r = state.r[:hi]
     u, u_prev = state.u[:hi], state.u_prev[:hi]
@@ -305,17 +302,10 @@ def step(state: CoupledState,
     # makes the peak non-finite.  The Laplacians are spent, so they hold
     # the magnitudes.
     peak = np.max(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v), out=lap_u))
-    if not np.isfinite(peak):
-        peak_prev = np.maximum(np.max(np.abs(u)), np.max(np.abs(v)))
-        if peak_prev > blowup_threshold:
-            raise BlowUpDetected(state.time, peak_prev)
-        raise NumericalInstability(t_next)
-    if peak > blowup_threshold:
-        raise BlowUpDetected(t_next, peak)
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
                         u=u_next, u_prev=state.u, v=v_next, v_prev=state.v,
-                        coupling=state.coupling)
+                        peak=float(peak), coupling=state.coupling)
 
 
 def _causal_end(state: CoupledState, time: float) -> int:
@@ -389,6 +379,7 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
         "F1": F1, "F2": F2, "F3": F3, "F4": F4,
         "J1": F3 ** ex.p, "J2": W2 ** (-(ex.p - 1.0)),
         "J3": F4 ** ex.q, "J4": W4 ** (-(ex.q - 1.0)),
+        "W2": W2, "W4": W4,
     }
 
 
@@ -396,8 +387,10 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
 class FunctionalTrace:
     """Time series of the tracked functionals plus solver diagnostics.
 
-    The array fields, ``times`` through ``support_r``, are the columns of
-    ``trace.csv`` in order; ``run`` builds them from one row per sample.
+    ``run`` builds the array fields, in order, from one row per sample.
+    All but the weights ``W2`` and ``W4`` (the integrals that J2 and J4
+    are powers of, which the audit reads) are the columns of
+    ``trace.csv``, in order.
     """
 
     times: np.ndarray
@@ -409,6 +402,8 @@ class FunctionalTrace:
     J2: np.ndarray
     J3: np.ndarray
     J4: np.ndarray
+    W2: np.ndarray
+    W4: np.ndarray
     max_abs_u: np.ndarray
     max_abs_v: np.ndarray
     support_r: np.ndarray
@@ -442,10 +437,18 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> FunctionalTrace:
     """Integrate to the horizon or to blow-up, sampling the functionals.
 
-    Blow-up is recorded as an outcome, not raised.  A NaN/inf before the
-    threshold, or a sample with one of F1-F4 below 0 (which nonnegative
-    data make only on an under-resolved mesh), is recorded as
-    ``instability``; the trace keeps the samples before it.
+    This loop alone decides how a run ends, by these rules in order:
+
+    1. data whose peak max(|u|, |v|) lies above ``blowup_threshold`` are
+       ``blowup`` at t = 0, with the initial sample as the whole trace;
+    2. a step whose peak is not finite is ``instability``;
+    3. a step whose peak lies above the threshold is ``blowup`` at that
+       step's time;
+    4. a sample with one of F1-F4 below 0 (which nonnegative data make
+       only through a scheme pathology) is ``instability``.
+
+    The trace keeps the samples before the one that ends the run; a run
+    that reaches the horizon is ``completed``.
     """
     check_run_args(sample_every, blowup_threshold)
     state = init_state(exponents, data, grid_points, horizon,
@@ -475,26 +478,23 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         return True
 
     record(state)
-    n_steps = int(math.ceil(horizon / state.dt))
-    outcome = "completed"
-    blowup_time = None
+    outcome = "blowup" if state.peak > blowup_threshold else "completed"
+    n_steps = int(math.ceil(horizon / state.dt)) if outcome == "completed" else 0
     for k in range(1, n_steps + 1):
-        try:
-            state = step(state, blowup_threshold=blowup_threshold)
-        except BlowUpDetected as e:
+        state = step(state)
+        if not math.isfinite(state.peak):
+            outcome = "instability"
+        elif state.peak > blowup_threshold:
             outcome = "blowup"
-            blowup_time = e.time
-            break
-        except NumericalInstability:
+        elif (k % sample_every == 0 or k == n_steps) and not record(state):
             outcome = "instability"
-            break
-        if (k % sample_every == 0 or k == n_steps) and not record(state):
-            outcome = "instability"
-            break
+        else:
+            continue
+        break
 
     return FunctionalTrace(*np.array(rows).T, outcome=outcome,
-                           blowup_time=blowup_time, h=state.h, dt=state.dt,
-                           data_integrals=data_integrals)
+                           blowup_time=state.time if outcome == "blowup" else None,
+                           h=state.h, dt=state.dt, data_integrals=data_integrals)
 
 
 @dataclass
@@ -515,8 +515,8 @@ class AuditReport:
     C2: float
     C2tilde: float
     C3: float
-    fitted_k2: float
-    fitted_k4: float
+    fitted_k2: float | None           # None when the audit window is empty
+    fitted_k4: float | None
     records: list
     window: tuple
     min_passing_T0: float | None
@@ -547,7 +547,7 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     :mod:`blowlab.comparison`, with its weights alpha1, alpha2, beta1,
     beta2 and beta3 taken from ``derive_params``.  Constants: C0 and C1
     come from the phi-weighted data integrals, C2 and C2tilde are fitted
-    envelopes of the conjugate-power weights recovered from J2 and J4,
+    envelopes of the trace's conjugate-power weights W2 and W4,
     and C3 = C0^p C2^{-(p-1)} / (8 alpha1).
     The two second-order inequalities use the Hoelder floor
     |B_1(0)|^{1-s} (unit-ball volume) as their constant, which is the
@@ -575,13 +575,11 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
 
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
-    W2 = trace.J2 ** (-1.0 / (p - 1.0))
-    W4 = trace.J4 ** (-1.0 / (q - 1.0))
     env2 = (t + R) ** (n - 1 - (n - 1) * p_conj / 2.0)
     env4 = (np.exp((3.0 - math.sqrt(5.0)) / 2.0 * q_conj * t)
             * (t + R) ** (n - 1 - (n - 1) * q_conj / 2.0))
-    C2 = float(np.max(W2 / env2))
-    C2tilde = float(np.max(W4 / env4))
+    C2 = float(np.max(trace.W2 / env2))
+    C2tilde = float(np.max(trace.W4 / env4))
     w = derive_params(exponents)
     C3 = C0**p * C2 ** (-(p - 1.0)) / (8.0 * w.alpha1)
 
@@ -589,7 +587,7 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     mask[-3:] = False
     if not np.any(mask):
         return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
-                           fitted_k2=math.nan, fitted_k4=math.nan,
+                           fitted_k2=None, fitted_k4=None,
                            records=[], window=(T0, float(t[-1])),
                            min_passing_T0=None, inconclusive=True,
                            note=f"audit window empty: every sample at or after "

@@ -6,11 +6,12 @@ configuration errors are 2)."""
 import json
 import math
 import multiprocessing.pool
+import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blowlab import cli, comparison, pde
@@ -32,10 +33,10 @@ from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
 
-# An under-resolved mesh (h = 0.47 against R = 0.5) on which F1-F4 go
-# negative: the run ends as an instability.
-SIGN_LOSS = {"p": 3.843, "q": 2.19, "n": 2, "amplitudes": 0.00165,
-             "horizon": 90.5, "grid_points": 200, "cfl_factor": 1.0, "R": 0.5}
+# A mesh coarser than the data (h = 0.99 against R = 0.5) on which F1-F4
+# go negative: the run ends as an instability.
+SIGN_LOSS = {"p": 2.75, "q": 2.65, "n": 3, "amplitudes": 0.008,
+             "horizon": 192, "grid_points": 200, "R": 0.5}
 
 # conditions.txt of the default kato config, and of p = q = 1.5, n = 2
 # with C3 = 0.37, k2 = 0.81, k4 = 1.9.
@@ -94,6 +95,11 @@ REJECTED = [
     ("simulate", '{"horizon": 1e200}', ()),
     ("simulate", json.dumps({"grid_points": MAX_GRID_POINTS + 1}), ()),
     ("simulate", steps_doc(MAX_STEPS + 0.5), ()),
+    # cfl_factor 1.0 lies above the n = 2 stability limit 0.9089.  This
+    # config once ran into the scheme's unbounded growth and a sign loss.
+    ("simulate", json.dumps({"p": 3.843, "q": 2.19, "n": 2, "amplitudes": 0.00165,
+                             "horizon": 90.5, "grid_points": 200,
+                             "cfl_factor": 1.0, "R": 0.5}), ()),
     ("phi", json.dumps({"samples": MAX_PHI_SAMPLES + 1}), ()),
     ("simulate", '{"grid_points": 250, "horizon": 2.0}',
      ("--sweep", "grid_points=250,10")),
@@ -144,6 +150,31 @@ def spy_block_map(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "_block_map", spy)
     return calls
+
+
+def reject_constant(name):
+    """A json.loads parse_constant that fails on NaN and +-Infinity."""
+    raise AssertionError(f"{name} is not JSON")
+
+
+@st.composite
+def kato_docs(draw):
+    """kato configs over wide ranges: data, constants, thresholds and
+    horizons over many orders of magnitude, powers up to 12 or the cap."""
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    n = draw(st.sampled_from([1, 2, 3]))
+    top = min(Exponents(2.0, 2.0, n).cap, 12.0)
+    doc = {"n": n, "R": draw(st.sampled_from([0.5, 1.0, 3.0])),
+           "ode_threshold": log_uniform(0, 40), "horizon": log_uniform(-1, 3)}
+    for key in ("p", "q"):
+        doc[key] = draw(st.floats(1.01, top, exclude_max=True))
+    for key in ("F1_0", "dF1_0", "F2_0", "dF2_0"):
+        doc[key] = log_uniform(-3, 4)
+    for key in ("C3", "k2", "k4"):
+        doc[key] = log_uniform(-4, 3)
+    return doc
 
 
 JSON_VALUES = st.one_of(st.integers(-10, 5000), st.floats(), st.booleans(),
@@ -624,22 +655,42 @@ class TestMain:
 
     def test_audit_of_first_step_blowup(self, tmp_path, capsys):
         # The initial peak is above the threshold, so the run blows up at
-        # its first step and the trace holds one sample.
+        # t = 0 and the trace holds one sample.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"amplitudes": 1e13, "grid_points": 250, "horizon": 2.0}))
         code = main(["audit", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "outcome=blowup" in capsys.readouterr().out
-        doc = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
+        # Valid JSON: no NaN or Infinity literal, which parse_constant sees.
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
         assert doc["inconclusive"] is True
-        # T0 = 0.3 t[-1] = 0, and blow-up comes after it; the window is
-        # empty because the last three samples are excluded.
+        assert doc["constants"]["k2"] is None and doc["constants"]["k4"] is None
+        # T0 = 0.3 t[-1] = 0; the window is empty because the last three
+        # samples are excluded.
         assert doc["note"] == ("audit window empty: every sample at or after "
                                "T0 = 0 is among the last three, which are "
                                "excluded")
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_audit_with_underflowed_weight(self, tmp_path, capsys):
+        # J4 = W4^{-(q-1)} underflows to 0 late in this run; the audit
+        # reads W4 itself, so C2tilde stays finite and no divide-by-zero
+        # warning is raised (the warning filter makes it an error).
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"p": 5.022, "q": 5.806, "n": 1, "amplitudes": 0.0304,
+             "horizon": 355, "grid_points": 200, "cfl_factor": 0.9}))
+        code = main(["audit", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[8]) == 0.0
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["C2tilde"] == pytest.approx(5.6284, rel=1e-4)
 
     @pytest.mark.parametrize("doc", [
         pytest.param({"p": 200, "q": 200}, id="200"),
@@ -664,6 +715,24 @@ class TestMain:
         rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
         assert rows == ["t,F1,dF1,F2,dF2", "0,1000,100,1000,100"]
 
+    @pytest.mark.parametrize("power", [4, 10])
+    def test_kato_step_failure_is_blowup(self, tmp_path, capsys, power):
+        # The solution leaves the float range faster than RK45 can resolve
+        # in t: F1' reaches 5.9e29 (p = q = 4) or 5.8e32 (p = q = 10) before
+        # a step fails.  That is blow-up at the last accepted time.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p": power, "q": power}))
+        code = main(["kato", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "outcome=blowup " in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
+        last = [float(x) for x in rows[-1].split(",")]
+        assert doc["outcome"] == "blowup" and doc["blowup_time"] == last[0]
+        # F grew by many orders, yet stayed below the 1e12 threshold.
+        assert 1e6 < max(last[1], last[3]) < 1e12
+
     def test_kato_data_above_threshold_is_blowup_at_T0(self, tmp_path, capsys):
         # F1_0 = F2_0 = 1000 start above the threshold, so no event can fire.
         config = tmp_path / "cfg.json"
@@ -674,6 +743,33 @@ class TestMain:
         assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
         rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
         assert rows == ["t,F1,dF1,F2,dF2", "0,1000,100,1000,100"]
+
+    def test_every_accepted_kato_config_has_a_finite_outcome(self, capsys):
+        @settings(max_examples=60, deadline=None)
+        @given(kato_docs())
+        def finite_outcome(doc):
+            try:
+                parse_config(json.dumps(doc), mode="kato")
+            except ConfigError:
+                assume(False)
+            with tempfile.TemporaryDirectory() as tmp:
+                config = f"{tmp}/cfg.json"
+                with open(config, "w") as fh:
+                    json.dump(doc, fh)
+                assert main(["kato", "--config", config, "--out", f"{tmp}/out"]) == 0
+                with open(f"{tmp}/out/summary.json") as fh:
+                    summary = json.load(fh, parse_constant=reject_constant)
+                with open(f"{tmp}/out/ode_trace.csv") as fh:
+                    rows = fh.read().splitlines()[1:]
+            capsys.readouterr()
+            assert summary["outcome"] in ("horizon", "blowup")
+            blowup_time = summary["blowup_time"]
+            assert (blowup_time is not None) == (summary["outcome"] == "blowup")
+            assert blowup_time is None or math.isfinite(blowup_time)
+            assert rows and all(math.isfinite(float(cell))
+                                for row in rows for cell in row.split(","))
+
+        finite_outcome()
 
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])

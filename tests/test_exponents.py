@@ -22,12 +22,21 @@ import numpy as np
 import pytest
 
 import blowlab
-from blowlab.comparison import KatoParams, derive_params, integrate_comparison
+from blowlab.comparison import (
+    KatoParams,
+    derive_params,
+    integrate_comparison,
+    y_blowup_time,
+    y_closed_form,
+    z_blowup_time,
+    z_closed_form,
+)
 from blowlab.exponents import (
     MAX_DIMENSION,
     DomainError,
     Exponents,
     check_dimension,
+    check_nonnegative,
     check_positive,
     check_powers,
     theorem_range,
@@ -40,8 +49,8 @@ UNIT = Exponents(2.0, 2.0, 1)
 
 
 def kato_params(key, x):
-    return KatoParams(p=2.0, q=2.0, alpha1=1.0, alpha2=1.0, beta1=1.0,
-                      beta2=1.0, beta3=1.0, **{key: x})
+    weights = dict(alpha1=1.0, alpha2=1.0, beta1=1.0, beta2=1.0, beta3=1.0)
+    return KatoParams(p=2.0, q=2.0, **{**weights, key: x})
 
 
 def derived(key, x):
@@ -67,6 +76,29 @@ POSITIVE = {
                              lambda x: run(UNIT, InitialData(), blowup_threshold=x)),
     **{f"integrate_comparison.{k}": (k, partial(comparison_run, k))
        for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "ode_threshold")},
+}
+
+
+def bernoulli(function, key, x):
+    """``function`` at kappa = 1, rate (nu or gamma) 0, alpha = 0,
+    beta = 2, R = 1, start 0 and initial value 1/2 (and t = 1/2 for a
+    closed form), with ``key`` ("kappa" or "rate") set to x."""
+    kappa, rate = (x, 0.0) if key == "kappa" else (1.0, x)
+    tail = (0.5,) if function in (y_closed_form, z_closed_form) else ()
+    return function(kappa, rate, 0.0, 2.0, 1.0, 0.0, 0.5, *tail)
+
+
+# Every nonnegativity check, as POSITIVE; the rate is nu for the Y
+# problem and gamma for the Z problem.
+NONNEGATIVE = {
+    **{f"KatoParams.{k}": (k, partial(kato_params, k))
+       for k in ("alpha2", "beta2", "beta3", "T0")},
+    **{f"InitialData.{k}": (k, lambda x, k=k: InitialData(**{k: x}))
+       for k in AMPLITUDE_KEYS},
+    **{f"{f.__name__}.{name}": (name, partial(bernoulli, f, key))
+       for f, rate in ((y_closed_form, "nu"), (y_blowup_time, "nu"),
+                       (z_closed_form, "gamma"), (z_blowup_time, "gamma"))
+       for key, name in (("kappa", "kappa"), ("rate", rate))},
 }
 
 
@@ -188,14 +220,21 @@ class TestPositivity:
         with pytest.raises(DomainError, match=rf"^{key}={value} must be positive$"):
             call(value)
 
-    @pytest.mark.parametrize("key", AMPLITUDE_KEYS)
-    def test_amplitudes_reject_negative_and_nan(self, key):
-        InitialData(**{key: 0.0})
-        for value in (-1.0, math.nan):
-            with pytest.raises(ValueError, match=rf"^{key}={value} must be nonnegative$"):
-                InitialData(**{key: value})
+    @pytest.mark.parametrize("check", sorted(NONNEGATIVE))
+    def test_nonnegative_checks_admit_zero(self, check):
+        NONNEGATIVE[check][1](0.0)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    @pytest.mark.parametrize("check", sorted(NONNEGATIVE))
+    def test_nonnegative_checks_reject_negative_and_nan(self, check, value):
+        key, call = NONNEGATIVE[check]
+        with pytest.raises(DomainError, match=rf"^{key}={value} must be nonnegative$"):
+            call(value)
 
     def test_first_failure_named(self):
         check_positive(a=1, b=1e-300)
         with pytest.raises(DomainError, match=r"^b=0 must be positive$"):
             check_positive(a=1, b=0, c=-1)
+        check_nonnegative(a=1, b=0.0)
+        with pytest.raises(DomainError, match=r"^b=-1 must be nonnegative$"):
+            check_nonnegative(a=0, b=-1, c=math.nan)
