@@ -143,11 +143,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
             doc.setdefault(key, a)
     settings = {**defaults, **doc}
     try:
-        inputs = _domain_inputs(doc_mode, settings)
-        if doc_mode in ("simulate", "audit"):
-            # Overflow in the seed time level is left for the run to report.
-            with np.errstate(all="ignore"):
-                pde.init_state(inputs["exponents"], inputs["data"], **inputs["mesh"])
+        _domain_inputs(doc_mode, settings)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return ExperimentConfig(mode=doc_mode, settings=settings)
@@ -186,6 +182,7 @@ def _domain_inputs(mode: str, s: dict) -> dict:
             "cfl_factor": float(s["cfl_factor"]), "coupling": s["coupling"]}
     inputs = {"exponents": ex, "data": data, "mesh": mesh,
               "run": {k: s[k] for k in ("sample_every", "blowup_threshold")}}
+    pde.check_init_args(ex, data, **mesh)
     pde.check_run_args(**inputs["run"])
     if mode == "audit":
         inputs["audit"] = {"T0_fraction": s["T0_fraction"]}

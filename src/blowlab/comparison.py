@@ -242,7 +242,7 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
 
     Any solution of the inequality system majorizes the equality system,
     so blow-up here certifies blow-up there.  Adaptive embedded
-    Runge-Kutta (rtol 1e-8, atol 1e-10) with terminal events at
+    Runge-Kutta (rtol 1e-8, atol 1e-10) with a terminal event at
     max(F1, F2) = ode_threshold; the event time is refined by the
     solver's root finder.  Initial data at or above the threshold, or a
     right-hand side that is already beyond the float range at T0 (for
@@ -270,14 +270,10 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
             g2 = k4 * math.exp(-b3 * t) * s ** (-b2) * max(F1, 0.0) ** q
         return [dF1, g1, dF2, g2]
 
-    def hit_f1(t, y):
-        return y[0] - ode_threshold
+    def hit_threshold(t, y):
+        return max(y[0], y[2]) - ode_threshold
 
-    def hit_f2(t, y):
-        return y[2] - ode_threshold
-
-    hit_f1.terminal = True
-    hit_f2.terminal = True
+    hit_threshold.terminal = True
 
     y0 = np.array([F1_0, dF1_0, F2_0, dF2_0], dtype=float)
     if (max(F1_0, F2_0) >= ode_threshold
@@ -291,7 +287,7 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
 
     sol = solve_ivp(rhs, (params.T0, horizon), y0,
                     method="RK45", rtol=1e-8, atol=1e-10,
-                    events=(hit_f1, hit_f2), dense_output=False)
+                    events=hit_threshold, dense_output=False)
 
     # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
     # failed step, after the last accepted time in sol.t.

@@ -12,13 +12,12 @@ closed form.  Wave speed is exactly 1, so the CFL factor defaults to
 0.5 and the outer Dirichlet boundary is never reached by the support
 before the horizon (finite speed of propagation).
 
-Tracked functionals (radial quadrature, trapezoid on the mesh):
+Tracked functionals (F1-F4 by the trapezoid rule on the mesh, the rest once per run):
 
     F1 = int u dx,  F2 = int v dx,
     F3 = int v psi2 dx,  F4 = int u psi1 dx,
-    J1 = F3^p,  J3 = F4^q,
-    J2 = (int_{|x|<=t+R} psi2^{p'} dx)^{-(p-1)},
-    J4 = (int_{|x|<=t+R} psi1^{q'} dx)^{-(q-1)}.
+    J1 = F3^p,  J3 = F4^q,  J2 = W2^{-(p-1)},  J4 = W4^{-(q-1)},
+    W2 = int_{|x|<=t+R} psi2^{p'} dx,  W4 = int_{|x|<=t+R} psi1^{q'} dx.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ __all__ = [
     "InequalityRecord",
     "AuditReport",
     "CFL_LIMITS",
+    "check_init_args",
     "init_state",
     "step",
     "check_run_args",
@@ -114,11 +114,10 @@ class InitialData:
         s = np.asarray(r, dtype=float) / R
         inside = s < 1.0
         out = np.zeros_like(s)
+        si = s[inside]
         if self.profile is Profile.SMOOTH_BUMP:
-            si = s[inside]
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - si**2))
         else:
-            si = s[inside]
             out[inside] = (1.0 - si**2) ** 3
         return out
 
@@ -149,16 +148,9 @@ class CoupledState:
     coupling: bool = True
 
 
-def init_state(exponents: Exponents, data: InitialData, grid_points: int,
-               horizon: float, cfl_factor: float = 0.5,
-               coupling: bool = True) -> CoupledState:
-    """Sample the data on the mesh and seed the previous time level.
-
-    The backward level at -dt comes from a second-order Taylor expansion
-    using u_t(0) = u1 and u_tt(0) = Laplace(u0) - u1 + |v0|^p (and the
-    undamped analogue for v), so the first leapfrog step is second-order
-    accurate.
-    """
+def check_init_args(exponents: Exponents, data: InitialData, grid_points: int,
+                    horizon: float, cfl_factor: float, coupling: bool) -> float:
+    """Raise ValueError unless ``init_state`` accepts these; return its r_max."""
     n = exponents.n
     if grid_points < 200:
         raise ValueError(f"grid_points={grid_points}: need at least 200 grid points")
@@ -187,26 +179,42 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     # r_max = R + horizon + margin, with the margin fixed at five cells.
     h = (exponents.R + horizon) / (grid_points - 6)
     r_max = exponents.R + horizon + 5.0 * h
-    # Checked before the mesh is built: the run evaluates phi out to the
-    # last node, so that node must pass phi's radius guard (applied here
-    # without evaluating phi, which would load scipy), and the step count
-    # ceil(horizon / dt) must not exceed MAX_STEPS (compared by a product,
-    # since cfl_factor * h may underflow to 0).
+    # The run evaluates phi out to the last node, so that node must pass
+    # phi's radius guard (applied here without evaluating phi, which
+    # would load scipy), and the step count ceil(horizon / dt) must not
+    # exceed MAX_STEPS (compared by a product, since cfl_factor * h may
+    # underflow to 0).
     check_radius(r_max)
     if horizon > MAX_STEPS * cfl_factor * h:
         raise ValueError(f"horizon={horizon}, cfl_factor={cfl_factor}: the run "
                          f"would take more than {MAX_STEPS} steps")
-    r = np.linspace(0.0, r_max, grid_points)
+    return r_max
+
+
+def init_state(exponents: Exponents, data: InitialData, grid_points: int,
+               horizon: float, cfl_factor: float = 0.5,
+               coupling: bool = True) -> CoupledState:
+    """Sample the data on the mesh and seed the previous time level.
+
+    The backward level at -dt comes from a second-order Taylor expansion
+    using u_t(0) = u1 and u_tt(0) = Laplace(u0) - u1 + |v0|^p (and the
+    undamped analogue for v), so the first leapfrog step is second-order
+    accurate.  As in :func:`step`, a seed level beyond the float range
+    is left for ``run`` to report.
+    """
+    r = np.linspace(0.0, check_init_args(exponents, data, grid_points, horizon,
+                                         cfl_factor, coupling), grid_points)
     h = float(r[1] - r[0])
     dt = cfl_factor * h
 
     u0, u1, v0, v1 = data.sample(r, exponents.R)
-    f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
-    f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
-    utt0 = radial_laplacian(u0, r, h, n) - u1 + f_u
-    vtt0 = radial_laplacian(v0, r, h, n) + f_v
-    u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
-    v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
+        f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
+        utt0 = radial_laplacian(u0, r, h, exponents.n) - u1 + f_u
+        vtt0 = radial_laplacian(v0, r, h, exponents.n) + f_v
+        u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
+        v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
     u_prev[-1] = 0.0
     v_prev[-1] = 0.0
 
@@ -335,8 +343,8 @@ def support_radius(state: CoupledState) -> float:
     return float(state.r[idx[-1]])
 
 
-def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict:
-    """All tracked functionals of one state, by radial quadrature.
+def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
+    """F1-F4 of one state by radial quadrature, given phi on the mesh.
 
     Each quadrature is the trapezoid rule over the whole mesh, equal bit
     for bit to ``np.trapezoid``.  Like :func:`step`, this relies on u
@@ -348,10 +356,7 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
     summed, so numpy's pairwise summation sees the same array as
     ``np.trapezoid`` does.
     """
-    ex = state.exponents
-    n = ex.n
-    if phi_mesh is None:
-        phi_mesh = phi(state.r, n)
+    n = state.exponents.n
     # Terms 0 .. end-1 may be nonzero; they read nodes 0 .. end.
     end = min(state.r.size - 1, _causal_end(state, state.time))
     nodes = slice(0, end + 1)
@@ -367,30 +372,18 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray | None = None) -> dict
 
     u, v, phi_w = state.u[nodes], state.v[nodes], phi_mesh[nodes]
     t = state.time
-    F1 = quad(u * w)
-    F2 = quad(v * w)
-    F3 = math.exp(-t) * quad(v * phi_w * w)
-    F4 = math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)
-    p_conj = ex.p / (ex.p - 1.0)
-    q_conj = ex.q / (ex.q - 1.0)
-    W2 = weighted_power_integral(TestFunctionKind.PSI2, p_conj, t, ex.R, n)
-    W4 = weighted_power_integral(TestFunctionKind.PSI1, q_conj, t, ex.R, n)
-    return {
-        "F1": F1, "F2": F2, "F3": F3, "F4": F4,
-        "J1": F3 ** ex.p, "J2": W2 ** (-(ex.p - 1.0)),
-        "J3": F4 ** ex.q, "J4": W4 ** (-(ex.q - 1.0)),
-        "W2": W2, "W4": W4,
-    }
+    return {"F1": quad(u * w), "F2": quad(v * w),
+            "F3": math.exp(-t) * quad(v * phi_w * w),
+            "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)}
 
 
 @dataclass
 class FunctionalTrace:
     """Time series of the tracked functionals plus solver diagnostics.
 
-    ``run`` builds the array fields, in order, from one row per sample.
-    All but the weights ``W2`` and ``W4`` (the integrals that J2 and J4
-    are powers of, which the audit reads) are the columns of
-    ``trace.csv``, in order.
+    All array fields but the weights ``W2`` and ``W4`` (the integrals
+    that J2 and J4 are powers of, which the audit reads) are the columns
+    of ``trace.csv``, in order.  A power beyond the float range is inf.
     """
 
     times: np.ndarray
@@ -415,12 +408,9 @@ class FunctionalTrace:
     data_integrals: dict = field(default_factory=dict)
 
     def csv_rows(self):
-        header = "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
-        yield header
-        cols = (self.times, self.F1, self.F2, self.F3, self.F4, self.J1,
-                self.J2, self.J3, self.J4, self.max_abs_u, self.max_abs_v,
-                self.support_r)
-        for row in zip(*cols):
+        yield "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
+        for row in zip(self.times, self.F1, self.F2, self.F3, self.F4, self.J1, self.J2,
+                       self.J3, self.J4, self.max_abs_u, self.max_abs_v, self.support_r):
             yield ",".join(f"{x:.17g}" for x in row)
 
 
@@ -468,13 +458,13 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     def record(s: CoupledState) -> bool:
         # False, recording nothing, if one of F1-F4 is negative.
         f = functionals(s, phi_mesh)
-        if min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0:
+        if min(f.values()) < 0.0:
             return False
         # The peaks read the causal window, as support_radius does.
         end = _causal_end(s, s.time)
-        rows.append((s.time, *f.values(),
-                     float(np.max(np.abs(s.u[:end]))),
-                     float(np.max(np.abs(s.v[:end]))), support_radius(s)))
+        rows.append({"times": s.time, **f, "support_r": support_radius(s),
+                     "max_abs_u": float(np.max(np.abs(s.u[:end]))),
+                     "max_abs_v": float(np.max(np.abs(s.v[:end])))})
         return True
 
     record(state)
@@ -492,7 +482,21 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
             continue
         break
 
-    return FunctionalTrace(*np.array(rows).T, outcome=outcome,
+    # Derived once from the recorded columns: the weights, W2 then W4 at
+    # each time (the order in which a per-sample pass meets their guards),
+    # and J1-J4 as float64 scalar powers, equal to Python's float ** bit
+    # for bit but inf where that raises OverflowError.
+    cols = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    p, q = exponents.p, exponents.q
+    cols["W2"], cols["W4"] = np.array([[
+        weighted_power_integral(kind, s / (s - 1.0), t, exponents.R, n)
+        for kind, s in ((TestFunctionKind.PSI2, p), (TestFunctionKind.PSI1, q))]
+        for t in cols["times"].tolist()]).T
+    with np.errstate(over="ignore"):
+        for name, base, power in (("J1", "F3", p), ("J2", "W2", -(p - 1.0)),
+                                  ("J3", "F4", q), ("J4", "W4", -(q - 1.0))):
+            cols[name] = np.array([x ** power for x in cols[base]])
+    return FunctionalTrace(**cols, outcome=outcome,
                            blowup_time=state.time if outcome == "blowup" else None,
                            h=state.h, dt=state.dt, data_integrals=data_integrals)
 
@@ -595,20 +599,20 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
                                 "are excluded")
 
     dF1 = np.gradient(trace.F1, t)
-    d2F1 = np.gradient(dF1, t)
     dF2 = np.gradient(trace.F2, t)
-    d2F2 = np.gradient(dF2, t)
 
     holder_p = ball_volume(n) ** (1.0 - p)
     holder_q = ball_volume(n) ** (1.0 - q)
-    lhs3 = d2F1 + dF1
+    lhs3 = np.gradient(dF1, t) + dF1
     rhs3_shape = (t + R) ** -w.alpha2 * trace.F2**p
-    lhs5 = d2F2
+    lhs5 = np.gradient(dF2, t)
     rhs5_shape = np.exp(-w.beta3 * t) * (t + R) ** -w.beta2 * trace.F1**q
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fitted_k2 = float(np.min((lhs3 / rhs3_shape)[mask]))
-        fitted_k4 = float(np.min((lhs5 / rhs5_shape)[mask]))
+    # Least ratios over the window samples whose shape did not underflow to 0.
+    fitted_k2, fitted_k4 = (
+        float(np.min(lhs[keep] / shape[keep])) if keep.any() else None
+        for lhs, shape in ((lhs3, rhs3_shape), (lhs5, rhs5_shape))
+        for keep in [mask & (shape > 0.0)])
 
     specs = [
         ("F1_lower", trace.F1, C3 * (t + R) ** w.alpha1, C3),

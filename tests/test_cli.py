@@ -68,6 +68,13 @@ k7=0.13864259278730284
 """
 
 
+# A run whose F4 grows past 1e308^(1/q), so that J3 = F4^q leaves the
+# float range in its last samples.
+J3_OVERFLOW = {"n": 1, "p": 3.931475598811457, "q": 5.8539456536594585,
+               "amplitudes": 0.0018512996093755724, "horizon": 397.11609638511845,
+               "grid_points": 200, "cfl_factor": 0.8, "R": 1.0, "coupling": True}
+
+
 def steps_doc(steps):
     """A simulate config whose run takes about ``steps`` leapfrog steps:
     horizon 10 on R + horizon = 11 over 2006 nodes, so h = 11/2000."""
@@ -307,6 +314,19 @@ class TestParseConfig:
             entry_point()
         assert str(parsed.value) == str(direct.value)
         assert str(parsed.value).startswith(f"{key}={value} ")
+
+    def test_builds_no_mesh(self, monkeypatch):
+        # The simulator's ranges are checked by pde.check_init_args alone;
+        # parsing samples no data and seeds no time level.
+        def no_init_state(*args, **kwargs):
+            raise AssertionError("parse_config called init_state")
+
+        monkeypatch.setattr(pde, "init_state", no_init_state)
+        for mode in ("simulate", "audit"):
+            for doc in ({}, J3_OVERFLOW, {"amplitudes": 1e200}):
+                parse_config(json.dumps(doc), mode=mode)
+            with pytest.raises(ConfigError, match="cfl_factor"):
+                parse_config('{"n": 3, "cfl_factor": 0.9}', mode=mode)
 
     def test_work_bounds_admit_their_value(self):
         # One past each bound is rejected (REJECTED); the bound itself parses.
@@ -691,6 +711,49 @@ class TestMain:
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
         assert doc["constants"]["C2tilde"] == pytest.approx(5.6284, rel=1e-4)
+
+    @pytest.mark.parametrize("mode", ["simulate", "audit"])
+    def test_powers_beyond_float_range_are_inf(self, tmp_path, capsys, mode):
+        # J3 = F4^q leaves the float range late in this run.  The run
+        # completes, and J1 and J3 read inf exactly where Python's float
+        # power raises OverflowError; every other cell is finite.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(J3_OVERFLOW))
+        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "outcome=completed " in out and err == ""
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        infinite = Counter()
+        for row in rows[1:]:
+            cells = dict(zip(header, map(float, row.split(","))))
+            for J, base, power in (("J1", "F3", J3_OVERFLOW["p"]),
+                                   ("J3", "F4", J3_OVERFLOW["q"])):
+                try:
+                    want = cells[base] ** power
+                except OverflowError:
+                    want = math.inf
+                assert cells[J] == want
+            infinite.update(key for key, x in cells.items() if not math.isfinite(x))
+        assert infinite == {"J3": 2}
+        if mode == "audit":
+            doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                             parse_constant=reject_constant)
+            assert math.isfinite(doc["constants"]["k4"])
+
+    def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
+        # |v0|^p = 1e400 leaves the float range in the seed level: no
+        # warning, and the data, above the threshold, blow up at t = 0.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"amplitudes": 1e200, "grid_points": 400, "horizon": 2.0}')
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("outcome=blowup blowup_time=0.0 ") and err == ""
+        header, row = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert [key for key, x in cells.items() if not math.isfinite(x)] == ["J1", "J3"]
 
     @pytest.mark.parametrize("doc", [
         pytest.param({"p": 200, "q": 200}, id="200"),

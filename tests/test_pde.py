@@ -20,6 +20,7 @@ from blowlab.pde import (
     InitialData,
     Profile,
     audit_inequalities,
+    check_init_args,
     functionals,
     init_state,
     run,
@@ -97,8 +98,10 @@ class TestInitState:
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 500, horizon=5.0)
         assert state.r[0] == 0.0
-        # The mesh covers R + horizon plus a five-cell margin.
+        # The mesh covers R + horizon plus a five-cell margin, out to the
+        # radius that the argument check returns.
         assert state.r[-1] == pytest.approx(ex.R + 5.0 + 5.0 * state.h, rel=1e-12)
+        assert state.r[-1] == check_init_args(ex, smooth_data(), 500, 5.0, 0.5, True)
         assert state.dt == pytest.approx(0.5 * state.h, rel=1e-15)
 
     def test_backward_seed_is_second_order(self):
@@ -422,6 +425,7 @@ class TestFullMeshOracles:
     @pytest.mark.parametrize("coupling", [True, False])
     @pytest.mark.parametrize("profile", list(Profile))
     def test_as_the_window_reaches_the_last_node(self, n, coupling, profile):
+        # F1-F4, the functionals that a sample measures of the fields.
         ex = Exponents(1.5, 2.5, n)
         horizon = 1.0
         state = init_state(ex, InitialData(profile=profile), 250, horizon,
@@ -435,8 +439,8 @@ class TestFullMeshOracles:
             if k == 0 or k % 25 == 0 or state.time > horizon - 10.0 * state.h:
                 got = functionals(state, phi_mesh)
                 want = functionals_full_mesh(state, phi_mesh)
-                assert list(got) == list(want)
-                assert same_bits(list(got.values()), list(want.values())), state.time
+                assert list(got) == ["F1", "F2", "F3", "F4"]
+                assert same_bits(list(got.values()), [want[k] for k in got]), state.time
                 reached.append(bool(state.time + ex.R + 2.0 * state.h > last))
             state = step(state)
         assert reached[0] is False and reached[-1] is True
@@ -473,7 +477,7 @@ class TestFunctionals:
         ex = Exponents(2.0, 2.0, 1)
         data = InitialData(profile=Profile.POLYNOMIAL_BUMP)
         state = init_state(ex, data, 4000, 5.0)
-        vals = functionals(state)
+        vals = functionals(state, phi(state.r, ex.n))
         assert vals["F1"] == pytest.approx(32.0 / 35.0, rel=1e-5)
         assert vals["F2"] == pytest.approx(32.0 / 35.0, rel=1e-5)
 
@@ -485,17 +489,24 @@ class TestFunctionals:
         state = init_state(ex, data, 4000, 5.0)
         oracle, _ = quad(lambda x: (1.0 - x * x) ** 3 * 2.0 * math.cosh(x), 0.0, 1.0)
         oracle *= sphere_area(1)
-        assert functionals(state)["F3"] == pytest.approx(oracle, rel=1e-5)
+        assert functionals(state, phi(state.r, 1))["F3"] == pytest.approx(oracle, rel=1e-5)
 
     def test_j_columns_are_powers(self):
+        # A run derives W2 and W4 at each recorded time, and J1-J4 as the
+        # float64 powers of its F3, W2, F4 and W4 columns.
         ex = Exponents(2.0, 3.0, 1)
-        state = init_state(ex, smooth_data(), 800, 5.0)
-        vals = functionals(state)
-        assert vals["J1"] == pytest.approx(vals["F3"] ** ex.p, rel=1e-12)
-        assert vals["J3"] == pytest.approx(vals["F4"] ** ex.q, rel=1e-12)
-        W2 = weighted_power_integral(Kind.PSI2, ex.p / (ex.p - 1.0),
-                                     0.0, ex.R, ex.n)
-        assert vals["J2"] == pytest.approx(W2 ** (-(ex.p - 1.0)), rel=1e-10)
+        trace = run(ex, smooth_data(), grid_points=400, horizon=2.0, sample_every=5)
+        assert trace.times.size > 20
+        for t, W2, W4 in zip(trace.times.tolist(), trace.W2, trace.W4):
+            assert W2 == weighted_power_integral(Kind.PSI2, ex.p / (ex.p - 1.0),
+                                                 t, ex.R, ex.n)
+            assert W4 == weighted_power_integral(Kind.PSI1, ex.q / (ex.q - 1.0),
+                                                 t, ex.R, ex.n)
+        for J, base, power in ((trace.J1, trace.F3, ex.p),
+                               (trace.J2, trace.W2, -(ex.p - 1.0)),
+                               (trace.J3, trace.F4, ex.q),
+                               (trace.J4, trace.W4, -(ex.q - 1.0))):
+            assert same_bits(J, [np.float64(x) ** power for x in base])
 
 
 class TestRun:
@@ -560,8 +571,7 @@ class TestRun:
         state = init_state(ex, data, 200, horizon=192.0)
         for _ in range(10 * trace.times.size):
             state = step(state)
-        f = functionals(state)
-        assert min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0
+        assert min(functionals(state, phi(state.r, ex.n)).values()) < 0.0
 
     @pytest.mark.parametrize("amplitude, threshold", [(1e13, 1e12), (1.0, 0.5)])
     def test_data_above_threshold_blow_up_at_t0(self, amplitude, threshold):
@@ -572,6 +582,19 @@ class TestRun:
         assert trace.blowup_time == 0.0
         assert trace.times.tolist() == [0.0]
         assert trace.max_abs_u.tolist() == [amplitude]
+
+    def test_powers_beyond_the_float_range_are_inf(self):
+        # |v0|^p = 1e400 in the seed level and F3^p, F4^q in J1, J3 leave
+        # the float range.  Each saturates to inf without a RuntimeWarning
+        # (which the test configuration makes an error), and the data,
+        # above the threshold, blow up at t = 0.
+        trace = run(Exponents(2.0, 2.0, 1), smooth_data(amplitude=1e200),
+                    grid_points=400, horizon=2.0)
+        assert trace.outcome == "blowup" and trace.blowup_time == 0.0
+        assert trace.J1.tolist() == trace.J3.tolist() == [math.inf]
+        for column in (trace.F1, trace.F2, trace.F3, trace.F4, trace.J2,
+                       trace.J4, trace.W2, trace.W4, trace.max_abs_u):
+            assert np.all(np.isfinite(column))
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan])
     def test_blowup_threshold_validation(self, threshold):
@@ -589,7 +612,13 @@ class TestRun:
                            amplitude_v0=3.0, amplitude_v1=4.0)
         trace = run(ex, data, grid_points=300, horizon=0.5, sample_every=5)
         state0 = init_state(ex, data, 300, 0.5)
-        want = {"times": 0.0, **functionals(state0),
+        f = functionals(state0, phi(state0.r, ex.n))
+        W2 = weighted_power_integral(Kind.PSI2, ex.p / (ex.p - 1.0), 0.0, ex.R, ex.n)
+        W4 = weighted_power_integral(Kind.PSI1, ex.q / (ex.q - 1.0), 0.0, ex.R, ex.n)
+        want = {"times": 0.0, **f,
+                "J1": f["F3"] ** ex.p, "J2": W2 ** (-(ex.p - 1.0)),
+                "J3": f["F4"] ** ex.q, "J4": W4 ** (-(ex.q - 1.0)),
+                "W2": W2, "W4": W4,
                 "max_abs_u": float(np.max(np.abs(state0.u))),
                 "max_abs_v": float(np.max(np.abs(state0.v))),
                 "support_r": support_radius(state0)}
@@ -700,6 +729,30 @@ class TestAudit:
         assert window.sum() > 10
         for rec, lower, upper in zip(report.records, lhs, rhs):
             assert rec.margin_min == np.min((lower - upper)[window]), rec.name
+
+    def test_fitted_constants_skip_underflowed_shapes(self, reference):
+        # Where F1 = 1e-200, F1^q and with it the F2 second-order shape
+        # underflow to 0.  k4 is the least ratio over the other window
+        # samples, and None when no window sample is left.
+        ex, trace = reference
+        t = trace.times
+        start, end = audit_inequalities(trace, ex).window
+        window = (t >= start) & (t <= end)
+        late = t > np.median(t[window])
+        w = derive_params(ex)
+        lhs5 = np.gradient(np.gradient(trace.F2, t), t)
+        for kept in (late, np.zeros_like(late)):
+            F1 = np.where(kept, trace.F1, 1e-200)
+            report = audit_inequalities(replace(trace, F1=F1), ex)
+            assert report.window == (start, end)
+            shape = np.exp(-w.beta3 * t) * (t + ex.R) ** -w.beta2 * F1**ex.q
+            assert np.all(shape[window & ~kept] == 0.0)
+            if kept.any():
+                keep = window & kept
+                assert report.fitted_k4 == np.min(lhs5[keep] / shape[keep])
+            else:
+                assert report.fitted_k4 is None
+            assert report.fitted_k2 is not None
 
     def test_min_passing_T0_reported(self, reference):
         ex, trace = reference
