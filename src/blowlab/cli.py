@@ -143,51 +143,98 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
             doc.setdefault(key, a)
     settings = {**defaults, **doc}
     try:
-        _domain_inputs(doc_mode, settings)
+        _plan(doc_mode, settings)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return ExperimentConfig(mode=doc_mode, settings=settings)
 
 
-def _domain_inputs(mode: str, s: dict) -> dict:
-    """The arguments of a run's library calls, by name, from its settings.
+def _plan(mode: str, s: dict):
+    """The run of a mode: a function of the output directory that writes
+    the mode's artifacts and returns ``(outcome, blowup_time, dt, files)``.
 
-    Each range is checked by the library code that owns it (a domain
-    constructor or an entry point's check function), on the very values
-    the run passes on, and raises ValueError.  The CLI checks one bound
-    of its own: the ``phi`` table length.
+    Each range is checked first, by the library code that owns it (a
+    domain constructor or an entry point's check function), on the very
+    values the run passes on, and raises ValueError.  The CLI checks one
+    bound of its own: the ``phi`` table length.
     """
     if mode == "regions":
         window = ((s["p_min"], s["p_max"]), (s["q_min"], s["q_max"]))
         criticality.check_window(*window, s["resolution"])
         check_dimension(s["n"])
-        return {"scan": (*window, s["n"], s["resolution"])}
+
+        def run_regions(out: Path):
+            grid = criticality.scan(*window, s["n"], s["resolution"])
+            files = [_write_regions_csv(grid, out / "regions.csv")]
+            if s["svg"]:
+                files.append(emit_region_svg(grid, *window, s["n"], out / "regions.svg"))
+            return "completed", None, None, files
+        return run_regions
     if mode == "phi":
         if not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
             raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
         # Checks n, and r_max against phi's overflow guard, without
         # evaluating phi, which would load scipy.
         phi_asymptotic(s["r_max"], s["n"])
-        return {"n": s["n"], "linspace": (0.0, s["r_max"], s["samples"])}
+
+        def run_phi(out: Path):
+            r = np.linspace(0.0, s["r_max"], s["samples"])
+            asym = np.empty_like(r)
+            asym[0] = math.nan
+            asym[1:] = phi_asymptotic(r[1:], s["n"])
+            return "completed", None, None, [_write_table(
+                out / "phi.csv", r=r, phi=phi(r, s["n"]), phi_asymptotic=asym)]
+        return run_phi
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
         params = comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
         ode = {k: s[k] for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon",
                                  "ode_threshold")}
         comparison.check_comparison_args(params, **ode)
-        return {"params": params, "ode": ode}
+
+        def run_kato(out: Path):
+            lines = []
+            for i, cond in enumerate(comparison.check_conditions(params), start=1):
+                lines += [f"cond{i}_lhs={cond.lhs:.17g}", f"cond{i}_rhs={cond.rhs:.17g}",
+                          f"cond{i}_holds={cond.holds}", f"cond{i}_boundary={cond.boundary}"]
+            lines += [f"{key}={getattr(params, key):.17g}" for key in ("k5", "k6", "k7")]
+            files = [_write(out / "conditions.txt", "\n".join(lines) + "\n")]
+            trace = comparison.integrate_comparison(params, **ode)
+            files.append(_write_table(out / "ode_trace.csv", t=trace.times, F1=trace.F1,
+                                      dF1=trace.dF1, F2=trace.F2, dF2=trace.dF2))
+            # blowup_time is None unless the outcome is blowup.
+            return trace.terminal_reason.value, trace.blowup_time, None, files
+        return run_kato
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
     mesh = {"grid_points": s["grid_points"], "horizon": float(s["horizon"]),
             "cfl_factor": float(s["cfl_factor"]), "coupling": s["coupling"]}
-    inputs = {"exponents": ex, "data": data, "mesh": mesh,
-              "run": {k: s[k] for k in ("sample_every", "blowup_threshold")}}
+    sampling = {k: s[k] for k in ("sample_every", "blowup_threshold")}
     pde.check_init_args(ex, data, **mesh)
-    pde.check_run_args(**inputs["run"])
+    pde.check_run_args(**sampling)
     if mode == "audit":
-        inputs["audit"] = {"T0_fraction": s["T0_fraction"]}
-        pde.check_audit_args(**inputs["audit"])
-    return inputs
+        pde.check_audit_args(T0_fraction=s["T0_fraction"])
+
+    def run_pde(out: Path):
+        trace = pde.run(ex, data, **mesh, **sampling)
+        files = [_write_table(
+            out / "trace.csv", t=trace.times, F1=trace.F1, F2=trace.F2, F3=trace.F3,
+            F4=trace.F4, J1=trace.J1, J2=trace.J2, J3=trace.J3, J4=trace.J4,
+            max_u=trace.max_abs_u, max_v=trace.max_abs_v, support_r=trace.support_r)]
+        # An unstable run has no trustworthy functionals to audit.
+        if mode == "audit" and trace.outcome != "instability":
+            report = pde.audit_inequalities(trace, ex, T0_fraction=s["T0_fraction"])
+            doc = {
+                "constants": report.constants(),
+                "window": list(report.window),
+                "min_passing_T0": report.min_passing_T0,
+                "inconclusive": report.inconclusive,
+                "note": report.note,
+                "inequalities": [asdict(r) for r in report.records],
+            }
+            files.append(_write(out / "audit.json", _json_text(doc)))
+        return trace.outcome, trace.blowup_time, trace.dt, files
+    return run_pde
 
 
 @dataclass
@@ -203,74 +250,27 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _write_table(path: Path, **columns) -> Path:
+    """A CSV float table: a header of the column names, then one row per
+    sample with each number to 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return _write(path, ",".join(columns) + "\n" + "".join(map(row.__mod__, rows)))
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
-    """Dispatch to the owning module and write all artifacts."""
+    """Run the config's plan and write all artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     s = config.settings
-    files = [_write(out / "config_echo.json", config.echo_text())]
-    outcome = "completed"
-    blowup_time = dt = None
-    inputs = _domain_inputs(config.mode, s)
-
-    if config.mode in ("simulate", "audit"):
-        ex = inputs["exponents"]
-        trace = pde.run(ex, inputs["data"], **inputs["mesh"], **inputs["run"])
-        outcome, blowup_time, dt = trace.outcome, trace.blowup_time, trace.dt
-        files.append(_write(out / "trace.csv", "\n".join(trace.csv_rows()) + "\n"))
-        # An unstable run has no trustworthy functionals to audit.
-        if config.mode == "audit" and outcome != "instability":
-            report = pde.audit_inequalities(trace, ex, **inputs["audit"])
-            doc = {
-                "constants": report.constants(),
-                "window": list(report.window),
-                "min_passing_T0": report.min_passing_T0,
-                "inconclusive": report.inconclusive,
-                "note": report.note,
-                "inequalities": [asdict(r) for r in report.records],
-            }
-            files.append(_write(out / "audit.json", _json_text(doc)))
-
-    elif config.mode == "kato":
-        params = inputs["params"]
-        lines = []
-        for i, cond in enumerate(comparison.check_conditions(params), start=1):
-            lines += [f"cond{i}_lhs={cond.lhs:.17g}", f"cond{i}_rhs={cond.rhs:.17g}",
-                      f"cond{i}_holds={cond.holds}", f"cond{i}_boundary={cond.boundary}"]
-        lines += [f"{key}={getattr(params, key):.17g}" for key in ("k5", "k6", "k7")]
-        files.append(_write(out / "conditions.txt", "\n".join(lines) + "\n"))
-        trace = comparison.integrate_comparison(params, **inputs["ode"])
-        # blowup_time is None unless the outcome is blowup.
-        outcome, blowup_time = trace.terminal_reason.value, trace.blowup_time
-        files.append(_write(out / "ode_trace.csv", "\n".join(trace.csv_rows()) + "\n"))
-
-    elif config.mode == "regions":
-        p_range, q_range, n, resolution = inputs["scan"]
-        grid = criticality.scan(p_range, q_range, n, resolution)
-        files.append(_write_regions_csv(grid, out / "regions.csv"))
-        if s["svg"]:
-            files.append(emit_region_svg(grid, p_range, q_range, n, out / "regions.svg"))
-
-    elif config.mode == "phi":
-        n = inputs["n"]
-        r = np.linspace(*inputs["linspace"])
-        vals = phi(r, n)
-        asym = np.empty_like(vals)
-        asym[0] = math.nan
-        asym[1:] = phi_asymptotic(r[1:], n)
-        rows = ["r,phi,phi_asymptotic"]
-        rows += [",".join(f"{x:.17g}" for x in row) for row in zip(r, vals, asym)]
-        files.append(_write(out / "phi.csv", "\n".join(rows) + "\n"))
-
-    else:  # pragma: no cover - parse_config rejects unknown modes
-        raise ConfigError(f"unknown mode {config.mode!r}")
-
+    echo = _write(out / "config_echo.json", config.echo_text())
+    outcome, blowup_time, dt, files = _plan(config.mode, s)(out)
     wall = time.perf_counter() - t_start
     summary = {"mode": config.mode, "outcome": outcome, "blowup_time": blowup_time,
                "dt": dt, "wall_time": round(wall, 3),
                **{key: s.get(key) for key in ("grid_points", "p", "q", "n", "R")}}
-    files.append(_write(out / "summary.json", _json_text(summary)))
+    files = [echo, *files, _write(out / "summary.json", _json_text(summary))]
     return RunSummary(wall_time=wall, outcome=outcome,
                       blowup_time=blowup_time, files=files)
 

@@ -184,15 +184,16 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
     )
 
 
-def reduction_equiv_check(p: float, q: float, n: int, tol: float = 1e-9) -> bool:
+def reduction_equiv_check(p: float, q: float, n: int) -> bool:
     """Verify the algebraic reduction of the two blow-up conditions.
 
     With the weights alpha1 = 1 + (2-p)(n-1)/2, alpha2 = n(p-1),
     beta1 = 1, beta2 = n(q-1), condition 1 is equivalent to
     (q+1)/(pq-1) >= (n-1)/2 and condition 2 to (2+2/p)/(pq-1) >= (n-1)/2
     (the two arguments of alpha_new).  Returns True iff the condition
-    checker agrees with the closed forms, to ``tol`` per condition.
+    checker agrees with the closed forms, to 1e-9 per condition.
     """
+    tol = 1e-9
     d = p * q - 1.0
     # The raw slacks are exact positive multiples of the closed forms.
     closed = (((q + 1.0) / d - (n - 1) / 2.0) * (2.0 * d),
@@ -217,11 +218,6 @@ class OdeTrace:
     dF2: np.ndarray
     blowup_time: float | None
     terminal_reason: TerminalReason
-
-    def csv_rows(self):
-        yield "t,F1,dF1,F2,dF2"
-        for row in zip(self.times, self.F1, self.dF1, self.F2, self.dF2):
-            yield ",".join(f"{x:.17g}" for x in row)
 
 
 def check_comparison_args(params: KatoParams, F1_0: float, dF1_0: float,

@@ -183,6 +183,9 @@ def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
     grid = np.recarray((resolution, resolution), dtype=CELL_DTYPE)
     grid["p"] = p
     grid["q"] = q
-    for key, value in _evaluate(p, q, n).items():
-        grid[key] = value
+    # Sixteen rows at a time, so the curves' temporaries are bounded by
+    # a block, not by the grid.
+    for j in range(0, resolution, 16):
+        for key, value in _evaluate(p, q[j:j + 16], n).items():
+            grid[key][j:j + 16] = value
     return list(grid)

@@ -381,9 +381,9 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
 class FunctionalTrace:
     """Time series of the tracked functionals plus solver diagnostics.
 
-    All array fields but the weights ``W2`` and ``W4`` (the integrals
-    that J2 and J4 are powers of, which the audit reads) are the columns
-    of ``trace.csv``, in order.  A power beyond the float range is inf.
+    ``W2`` and ``W4`` are the weights, the integrals that J2 and J4 are
+    powers of, which the audit reads.  A power beyond the float range is
+    inf.
     """
 
     times: np.ndarray
@@ -406,12 +406,6 @@ class FunctionalTrace:
     dt: float
     # Data-weighted integrals int u_j phi dx, int v_j phi dx (audit constants).
     data_integrals: dict = field(default_factory=dict)
-
-    def csv_rows(self):
-        yield "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
-        for row in zip(self.times, self.F1, self.F2, self.F3, self.F4, self.J1, self.J2,
-                       self.J3, self.J4, self.max_abs_u, self.max_abs_v, self.support_r):
-            yield ",".join(f"{x:.17g}" for x in row)
 
 
 def check_run_args(sample_every: int, blowup_threshold: float) -> None:
@@ -518,7 +512,7 @@ class AuditReport:
     C1: float
     C2: float
     C2tilde: float
-    C3: float
+    C3: float | None                  # None when it leaves the float range
     fitted_k2: float | None           # None when the audit window is empty
     fitted_k4: float | None
     records: list
@@ -562,7 +556,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     last three samples are excluded from the audit window because the
     end-of-trace derivative estimates are unreliable (one-sided stencils
     on a possibly exploding signal), so a trace of at most three samples
-    is inconclusive.  A margin passes down to -1e-9 times max |lhs|.
+    is inconclusive.  So is an audit whose C3 leaves the float range,
+    with C3 None.  A margin passes down to -1e-9 times max |lhs|.
     """
     check_audit_args(T0_fraction)
     if trace.outcome == "instability":
@@ -585,16 +580,21 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     C2 = float(np.max(trace.W2 / env2))
     C2tilde = float(np.max(trace.W4 / env4))
     w = derive_params(exponents)
-    C3 = C0**p * C2 ** (-(p - 1.0)) / (8.0 * w.alpha1)
+    # Float64 powers, equal to Python's float ** bit for bit where finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        C3 = float(np.float64(C0) ** p * np.float64(C2) ** (-(p - 1.0)) / (8.0 * w.alpha1))
+    C3 = C3 if math.isfinite(C3) else None
 
     mask = t >= T0
     mask[-3:] = False
-    if not np.any(mask):
+    if C3 is None or not np.any(mask):
         return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
                            fitted_k2=None, fitted_k4=None,
                            records=[], window=(T0, float(t[-1])),
                            min_passing_T0=None, inconclusive=True,
-                           note=f"audit window empty: every sample at or after "
+                           note="C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the "
+                                "float range" if C3 is None else
+                                f"audit window empty: every sample at or after "
                                 f"T0 = {T0:.6g} is among the last three, which "
                                 "are excluded")
 

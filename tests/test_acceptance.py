@@ -100,7 +100,7 @@ def test_criterion_01_reduction_identity_suite(report):
         n = int(RNG.integers(1, 9))
         if 1.0 + (2.0 - p) / 2.0 * (n - 1) <= 0.0:
             continue
-        if not reduction_equiv_check(p, q, n, tol=1e-9):
+        if not reduction_equiv_check(p, q, n):
             ok = False
             break
         checked += 1

@@ -387,6 +387,24 @@ class TestRunExperiment:
         header = (tmp_path / "ode_trace.csv").read_text().splitlines()[0]
         assert header == "t,F1,dF1,F2,dF2"
 
+    def test_trace_csv_columns_are_the_trace_in_order(self, tmp_path):
+        # Distinct amplitudes and p != q make every column of the first
+        # row distinct, so a swap of two columns cannot go unseen.
+        amplitudes = {"amplitude_u0": 1.0, "amplitude_u1": 2.0,
+                      "amplitude_v0": 3.0, "amplitude_v1": 4.0}
+        doc = {"p": 2.0, "q": 3.0, "n": 1, **amplitudes, "grid_points": 300,
+               "horizon": 0.5, "sample_every": 5}
+        run_experiment(parse_config(json.dumps(doc), mode="simulate"), tmp_path)
+        trace = pde.run(Exponents(2.0, 3.0, 1), pde.InitialData(**amplitudes),
+                        grid_points=300, horizon=0.5, sample_every=5)
+        first = [float(column[0]) for column in (
+            trace.times, trace.F1, trace.F2, trace.F3, trace.F4, trace.J1, trace.J2,
+            trace.J3, trace.J4, trace.max_abs_u, trace.max_abs_v, trace.support_r)]
+        assert len(set(first)) == 12
+        header, line = (tmp_path / "trace.csv").read_text().splitlines()[:2]
+        assert header == "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
+        assert line == ",".join(f"{x:.17g}" for x in first)
+
     def test_kato_conditions_with_constants(self, tmp_path):
         cfg = parse_config(json.dumps({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.37,
                                        "k2": 0.81, "k4": 1.9}), mode="kato")
@@ -754,6 +772,20 @@ class TestMain:
         header, row = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), map(float, row.split(","))))
         assert [key for key, x in cells.items() if not math.isfinite(x)] == ["J1", "J3"]
+
+    def test_audit_of_C3_beyond_float_range(self, tmp_path, capsys):
+        # C0 = 2.6e200, so C3 = C0^p C2^{-(p-1)} / (8 alpha1) has no JSON
+        # number: the audit writes it as null and is inconclusive.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"amplitudes": 1e200, "grid_points": 400, "horizon": 2.0}')
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "out" / "audit.json").read_text()
+        assert '"C3": null' in text
+        doc = json.loads(text, parse_constant=reject_constant)
+        assert doc["inconclusive"] is True and doc["inequalities"] == []
+        assert (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("doc", [
         pytest.param({"p": 200, "q": 200}, id="200"),

@@ -7,6 +7,7 @@ at t = 1; with weight 2 e^{-t} the bracket 1 - 2(1 - e^{-t}) vanishes
 at ln 2; the damped Z case with kappa = 10 vanishes at ln(10/9)).
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from blowlab.cli import parse_config, run_experiment
 from blowlab.comparison import (
     KatoParams,
     TerminalReason,
@@ -140,7 +142,8 @@ class TestIntegrateComparison:
         trace = integrate_comparison(params, 1e3, 1e2, 1e3, 1e2, horizon=50.0)
         assert trace.terminal_reason is TerminalReason.BLOWUP
         assert trace.blowup_time == T0
-        assert list(trace.csv_rows())[1:] == [f"{T0:.17g},1000,100,1000,100"]
+        assert [trace.times.tolist(), trace.F1.tolist(), trace.dF1.tolist(),
+                trace.F2.tolist(), trace.dF2.tolist()] == [[T0], [1e3], [1e2], [1e3], [1e2]]
 
     @pytest.mark.parametrize("T0", [0.0, 2.0])
     @pytest.mark.parametrize("threshold,F1_0,F2_0", [
@@ -154,18 +157,20 @@ class TestIntegrateComparison:
                                      ode_threshold=threshold)
         assert trace.terminal_reason is TerminalReason.BLOWUP
         assert trace.blowup_time == T0
-        assert list(trace.csv_rows())[1:] == [
-            f"{T0:.17g},{F1_0:.17g},100,{F2_0:.17g},100"]
+        assert [trace.times.tolist(), trace.F1.tolist(), trace.dF1.tolist(),
+                trace.F2.tolist(), trace.dF2.tolist()] == [[T0], [F1_0], [1e2], [F2_0], [1e2]]
         # Just above the initial data, the threshold is crossed later.
         later = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
                                      ode_threshold=np.nextafter(max(F1_0, F2_0), math.inf))
         assert later.terminal_reason is TerminalReason.BLOWUP
         assert later.blowup_time > T0 and later.times.size > 1
 
-    def test_csv_schema(self):
+    def test_csv_schema(self, tmp_path):
         params = derive_params(Exponents(2.0, 2.0, 1))
         trace = integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=1.0)
-        rows = list(trace.csv_rows())
+        doc = {"F1_0": 1.0, "dF1_0": 0.1, "F2_0": 1.0, "dF2_0": 0.1, "horizon": 1.0}
+        run_experiment(parse_config(json.dumps(doc), mode="kato"), tmp_path)
+        rows = (tmp_path / "ode_trace.csv").read_text().splitlines()
         assert rows[0] == "t,F1,dF1,F2,dF2"
         assert len(rows) == trace.times.size + 1
 

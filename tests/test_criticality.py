@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from blowlab import criticality
 from blowlab.comparison import reduction_equiv_check
 from blowlab.criticality import (
     CELL_DTYPE,
@@ -142,6 +143,20 @@ class TestScan:
     def test_resolution_one_is_midpoint(self):
         grid = scan((1.5, 2.5), (1.5, 2.5), 1, 1)
         assert grid[0][0].p == pytest.approx(2.0, abs=1e-15)
+
+    def test_evaluates_sixteen_rows_at_a_time(self, monkeypatch):
+        # Bounds the curves' temporaries by a block; TestScanOracle's
+        # resolutions 25 and 30 end on a partial block.
+        rows = []
+        evaluate = criticality._evaluate
+
+        def spy(p, q, n):
+            rows.append(len(q))
+            return evaluate(p, q, n)
+
+        monkeypatch.setattr(criticality, "_evaluate", spy)
+        assert len(scan((1.1, 10.0), (1.1, 10.0), 3, 40)) == 40
+        assert rows == [16, 16, 8]
 
     def test_validation(self):
         with pytest.raises(ValueError):

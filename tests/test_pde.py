@@ -5,6 +5,7 @@ and the closed-form mass ODEs of the uncoupled system (the damped mass
 relaxes as F1(0) + (1 - e^{-t}) F1'(0); the undamped mass is affine).
 """
 
+import json
 import math
 from dataclasses import fields, replace
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowlab.cli import parse_config, run_experiment
 from blowlab.comparison import derive_params
 from blowlab.exponents import Exponents
 from blowlab.pde import (
@@ -510,7 +512,7 @@ class TestFunctionals:
 
 
 class TestRun:
-    def test_trace_shapes_and_csv(self):
+    def test_trace_shapes_and_csv(self, tmp_path):
         ex = Exponents(2.0, 2.0, 1)
         trace = run(ex, smooth_data(), grid_points=400, horizon=2.0,
                     sample_every=5)
@@ -520,7 +522,10 @@ class TestRun:
                     trace.max_abs_v, trace.support_r):
             assert col.shape == (m,)
         assert np.all(np.diff(trace.times) > 0.0)
-        rows = list(trace.csv_rows())
+        doc = {"p": 2.0, "q": 2.0, "n": 1, "grid_points": 400, "horizon": 2.0,
+               "sample_every": 5}
+        run_experiment(parse_config(json.dumps(doc), mode="simulate"), tmp_path)
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert rows[0] == "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
         assert len(rows) == m + 1
         assert trace.outcome == "completed"
@@ -604,9 +609,9 @@ class TestRun:
             run(Exponents(2.0, 2.0, 1), smooth_data(), grid_points=400,
                 horizon=1.0, blowup_threshold=threshold)
 
-    def test_array_fields_are_csv_columns_in_order(self):
-        # Distinct amplitudes and p != q make every column of the first
-        # row distinct, so a swap of two array fields cannot go unseen.
+    def test_array_fields_hold_the_first_sample_in_order(self):
+        # Distinct amplitudes and p != q make every field of the first
+        # sample distinct, so a swap of two array fields cannot go unseen.
         ex = Exponents(2.0, 3.0, 1)
         data = InitialData(amplitude_u0=1.0, amplitude_u1=2.0,
                            amplitude_v0=3.0, amplitude_v1=4.0)
@@ -627,12 +632,7 @@ class TestRun:
         assert arrays == list(want)
         assert tuple(getattr(trace, name)[0] for name in arrays) == \
             tuple(want.values())
-        # The weights are array fields but not CSV columns.
-        csv = [x for name, x in want.items() if name not in ("W2", "W4")]
-        assert len(set(csv)) == len(csv) == 12
-        header, first = list(trace.csv_rows())[:2]
-        assert header == "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
-        assert first == ",".join(f"{x:.17g}" for x in csv)
+        assert len(set(want.values())) == len(want) == 14
 
 
 class TestCflLimits:
@@ -781,6 +781,17 @@ class TestAudit:
         assert report.min_passing_T0 is None
         assert report.note.startswith("audit window empty: every sample at or "
                                       f"after T0 = {0.3 * short.times[-1]:.6g}")
+
+    def test_C3_beyond_float_range_is_inconclusive(self):
+        # C0 = 2.6e200, so C0^p leaves the float range: the audit says so
+        # in its note, with C3 None, instead of raising OverflowError.
+        ex = Exponents(2.0, 2.0, 1)
+        trace = run(ex, smooth_data(1e200), grid_points=400, horizon=2.0)
+        report = audit_inequalities(trace, ex)
+        assert report.C3 is None and math.isfinite(report.C0)
+        assert report.inconclusive and report.records == []
+        assert report.note == ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the "
+                               "float range")
 
     def test_instability_rejected(self, reference):
         ex, trace = reference
