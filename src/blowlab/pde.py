@@ -476,16 +476,14 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
             continue
         break
 
-    # Derived once from the recorded columns: the weights, W2 then W4 at
-    # each time (the order in which a per-sample pass meets their guards),
-    # and J1-J4 as float64 scalar powers, equal to Python's float ** bit
-    # for bit but inf where that raises OverflowError.
+    # Derived once from the recorded columns: the weights, one pass over
+    # the times each, and J1-J4 as float64 scalar powers, equal to
+    # Python's float ** bit for bit but inf where that raises OverflowError.
     cols = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     p, q = exponents.p, exponents.q
-    cols["W2"], cols["W4"] = np.array([[
-        weighted_power_integral(kind, s / (s - 1.0), t, exponents.R, n)
-        for kind, s in ((TestFunctionKind.PSI2, p), (TestFunctionKind.PSI1, q))]
-        for t in cols["times"].tolist()]).T
+    cols["W2"], cols["W4"] = (
+        weighted_power_integral(kind, s / (s - 1.0), cols["times"], exponents.R, n)
+        for kind, s in ((TestFunctionKind.PSI2, p), (TestFunctionKind.PSI1, q)))
     with np.errstate(over="ignore"):
         for name, base, power in (("J1", "F3", p), ("J2", "W2", -(p - 1.0)),
                                   ("J3", "F4", q), ("J4", "W4", -(q - 1.0))):
@@ -513,7 +511,7 @@ class AuditReport:
     C2: float
     C2tilde: float
     C3: float | None                  # None when it leaves the float range
-    fitted_k2: float | None           # None when the audit window is empty
+    fitted_k2: float | None           # None when empty or beyond the float range
     fitted_k4: float | None
     records: list
     window: tuple
@@ -608,11 +606,15 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     lhs5 = np.gradient(dF2, t)
     rhs5_shape = np.exp(-w.beta3 * t) * (t + R) ** -w.beta2 * trace.F1**q
 
-    # Least ratios over the window samples whose shape did not underflow to 0.
-    fitted_k2, fitted_k4 = (
-        float(np.min(lhs[keep] / shape[keep])) if keep.any() else None
-        for lhs, shape in ((lhs3, rhs3_shape), (lhs5, rhs5_shape))
-        for keep in [mask & (shape > 0.0)])
+    # Least ratios over the window samples whose shape did not underflow
+    # to 0.  A ratio beyond the float range is inf; a least ratio that is
+    # not finite, or has no sample, is None, as C3 is.
+    with np.errstate(over="ignore"):
+        fitted_k2, fitted_k4 = (
+            k if math.isfinite(k) else None
+            for lhs, shape in ((lhs3, rhs3_shape), (lhs5, rhs5_shape))
+            for keep in [mask & (shape > 0.0)]
+            for k in [float(np.min(lhs[keep] / shape[keep], initial=math.inf))])
 
     specs = [
         ("F1_lower", trace.F1, C3 * (t + R) ** w.alpha1, C3),

@@ -16,9 +16,9 @@ positive number d with (-d)^2 - (-d) - 1 = 0, i.e. d = (sqrt(5)-1)/2.
 
 Every dimension uses the one identity phi(r) = |S^{n-1}| 0F1(; n/2; r^2/4),
 the power series of the spherical mean of exp(x . w); it reduces to
-2 cosh r for n = 1 and 4 pi sinh(r)/r for n = 3.  Adaptive
-Gauss-Legendre quadrature over the polar angle (``phi_quadrature``) is
-kept as an independent oracle.  ``phi`` imports ``scipy.special`` when
+2 cosh r for n = 1 and 4 pi sinh(r)/r for n = 3.  Gauss-Legendre
+quadrature over the polar angle (``phi_quadrature``) is kept as an
+independent oracle.  ``phi`` imports ``scipy.special`` when
 it is first called, so importing this module loads no scipy.
 """
 
@@ -43,7 +43,7 @@ __all__ = [
     "weighted_power_integral",
     "sphere_area",
     "ball_volume",
-    "adaptive_gauss",
+    "gauss_panels",
     "check_radius",
 ]
 
@@ -104,29 +104,22 @@ def check_radius(r, positive: bool = False) -> np.ndarray:
     return arr
 
 
-def adaptive_gauss(f, a: float, b: float) -> float:
-    """Panel-doubled Gauss-Legendre quadrature of a vectorized integrand.
-
-    Doubles the number of equal panels (each carrying a 16-node rule),
-    at most 16 times, until two successive estimates agree to 1e-12
-    relative.  Intended for smooth, possibly exponentially growing
-    integrands.
-    """
-    previous = None
-    panels = 1
-    for _ in range(16):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-        wts = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
-        estimate = float(np.dot(wts, f(pts)))
-        if previous is not None:
-            if abs(estimate - previous) <= 1e-12 * max(abs(estimate), 1e-300):
-                return estimate
-        previous = estimate
-        panels *= 2
-    return previous
+def gauss_panels(f, edges, width: float) -> np.ndarray:
+    """The integrals of a vectorized ``f`` over each [edges[k], edges[k+1]]
+    of a nondecreasing sequence, each cut into the fewest equal panels at
+    most ``width`` wide, with the 16-node rule on every panel and ``f``
+    called once on all nodes."""
+    edges = np.asarray(edges, dtype=float)
+    lengths = np.diff(edges)
+    counts = np.maximum(np.ceil(lengths / width), 1.0).astype(int)
+    owner = np.repeat(np.arange(counts.size), counts)
+    # The index of each panel within its interval.
+    index = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    half = lengths[owner] / (2.0 * counts[owner])
+    mid = edges[owner] + (2.0 * index + 1.0) * half
+    values = f((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel())
+    panels = values.reshape(-1, _GAUSS_NODES.size) @ _GAUSS_WEIGHTS * half
+    return np.bincount(owner, weights=panels, minlength=counts.size)
 
 
 def phi_quadrature(r: float, n: int) -> float:
@@ -145,7 +138,8 @@ def phi_quadrature(r: float, n: int) -> float:
     def integrand(theta):
         return np.exp(r * np.cos(theta)) * np.sin(theta) ** (n - 2)
 
-    return ring * adaptive_gauss(integrand, 0.0, math.pi)
+    # Panels at most min(0.5, 20/r) wide: r cos(theta) moves by at most 20 on one.
+    return ring * float(gauss_panels(integrand, [0.0, math.pi], 20.0 / max(r, 40.0))[0])
 
 
 def phi(r, n: int):
@@ -248,32 +242,33 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
 
 
 def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
-                            t: float, R: float, n: int) -> float:
-    """Integral of psi_kind(t, .)^{s'} over the ball of radius t + R.
+                            times, R: float, n: int) -> np.ndarray:
+    """The integrals of psi_kind(t, .)^{s'} over the balls |x| <= t + R for
+    each t of the nondecreasing ``times``, with s' = ``conj_exponent``.
 
-    ``conj_exponent`` is the conjugate exponent s' = s / (s - 1) of the
-    relevant nonlinearity power s.  Computed by radial quadrature
-
-        |S^{n-1}| int_0^{t+R} psi(t, r)^{s'} r^{n-1} dr.
+    Since psi^{s'} = e^{-d s' t} phi^{s'}, each is e^{-d s' t} times one
+    cumulative integral |S^{n-1}| int_0^{t+R} phi^{s'} r^{n-1} dr, summed
+    from :func:`gauss_panels` pieces between successive radii t + R on
+    panels at most min(0.5, 20/s') wide: s' r moves by at most 20 on one.
+    The integrand carries the last time's e^{-d s' t}, so no value of it
+    exceeds the last weight's own integrand.
 
     These are the denominators of the reverse-Hoelder weights; callers
     bound them by C2 (t+R)^{n-1-(n-1)p'/2} and
     C2t e^{((3-sqrt(5))/2) q' t} (t+R)^{n-1-(n-1)q'/2}.
     """
+    times = np.asarray(times, dtype=float)
     if conj_exponent <= 1.0:
         raise DomainError(f"conjugate exponent must exceed 1, got {conj_exponent}")
-    if t < 0.0 or R <= 0.0:
-        raise DomainError("need t >= 0 and R > 0")
-    top = t + R
-    if conj_exponent * top > OVERFLOW_LIMIT:
-        raise OverflowGuardError(
-            f"exponent argument {conj_exponent * top:.3g} exceeds the "
-            f"overflow guard {OVERFLOW_LIMIT:g}"
-        )
+    if not (R > 0.0 and times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
+        raise DomainError("need nondecreasing times t >= 0 and R > 0")
+    argument = conj_exponent * (times + R)
+    if argument[-1] > OVERFLOW_LIMIT:
+        raise OverflowGuardError(f"exponent argument {argument[argument > OVERFLOW_LIMIT][0]:.3g}"
+                                 f" exceeds the overflow guard {OVERFLOW_LIMIT:g}")
     check_dimension(n)
-    damp = math.exp(-kind.decay_rate * t)
-
-    def integrand(r):
-        return (damp * phi(r, n)) ** conj_exponent * r ** (n - 1)
-
-    return sphere_area(n) * adaptive_gauss(integrand, 0.0, top)
+    d = kind.decay_rate
+    last = math.exp(-d * times[-1])
+    pieces = gauss_panels(lambda r: (last * phi(r, n)) ** conj_exponent * r ** (n - 1),
+                          np.concatenate(([0.0], times + R)), 20.0 / max(conj_exponent, 40.0))
+    return sphere_area(n) * np.exp(d * conj_exponent * (times[-1] - times)) * np.cumsum(pieces)

@@ -74,6 +74,12 @@ J3_OVERFLOW = {"n": 1, "p": 3.931475598811457, "q": 5.8539456536594585,
                "amplitudes": 0.0018512996093755724, "horizon": 397.11609638511845,
                "grid_points": 200, "cfl_factor": 0.8, "R": 1.0, "coupling": True}
 
+# A run in which one audit-window sample's F1 second-order shape is about
+# 1e-300, so that its fitted-k4 ratio leaves the float range.
+K4_OVERFLOW = {"n": 1, "p": 2.206588509314799, "q": 5.772494008007659,
+               "amplitudes": 0.011414105206280556, "horizon": 359.58341677137173,
+               "grid_points": 200, "cfl_factor": 0.5, "R": 1.0, "coupling": True}
+
 
 def steps_doc(steps):
     """A simulate config whose run takes about ``steps`` leapfrog steps:
@@ -182,6 +188,22 @@ def kato_docs(draw):
     for key in ("C3", "k2", "k4"):
         doc[key] = log_uniform(-4, 3)
     return doc
+
+
+@st.composite
+def simulation_docs(draw):
+    """simulate and audit configs over the ranges of the audit fuzz: p, q
+    in the theorem range (below 12 for n = 1), data and horizons over
+    several orders of magnitude, coarse grids, coupled and uncoupled."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    top = min(Exponents(2.0, 2.0, n).cap, 12.0)
+    doc = {"n": n, "grid_points": draw(st.integers(200, 500)),
+           "amplitudes": 10.0 ** draw(st.floats(-3.0, 1.5)),
+           "horizon": 10.0 ** draw(st.floats(-1.0, 2.6)),
+           "coupling": draw(st.booleans())}
+    for key in ("p", "q"):
+        doc[key] = draw(st.floats(1.0, top, exclude_min=True, exclude_max=True))
+    return draw(st.sampled_from(["simulate", "audit"])), doc
 
 
 JSON_VALUES = st.one_of(st.integers(-10, 5000), st.floats(), st.booleans(),
@@ -644,7 +666,7 @@ class TestMain:
 
     def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys):
         # The conjugate-power weight integral guards s'(t + R) > 700, which
-        # this long uncoupled run reaches mid-run, after the echo is written.
+        # this long uncoupled run reaches, after the echo is written.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"p": 1.1, "q": 1.1, "amplitudes": 0.01, "coupling": False,
@@ -760,6 +782,18 @@ class TestMain:
                              parse_constant=reject_constant)
             assert math.isfinite(doc["constants"]["k4"])
 
+    def test_audit_with_fitted_k_beyond_float_range(self, tmp_path, capsys):
+        # One window sample's ratio lhs / shape leaves the float range; it
+        # is inf, with no warning, and the least ratio is still finite.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(K4_OVERFLOW))
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["k4"] == 2.6234117665289367e+106
+
     def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
         # |v0|^p = 1e400 leaves the float range in the seed level: no
         # warning, and the data, above the threshold, blow up at t = 0.
@@ -865,6 +899,36 @@ class TestMain:
                                 for row in rows for cell in row.split(","))
 
         finite_outcome()
+
+    def test_every_accepted_simulation_config_ends_cleanly(self, capsys):
+        # Exit 0 or 1, or 2 on the weight integral's overflow guard alone;
+        # the suite's filter makes a RuntimeWarning an error.
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(simulation_docs())
+        @example(("audit", K4_OVERFLOW))
+        def ends_cleanly(case):
+            mode, doc = case
+            try:
+                parse_config(json.dumps(doc), mode=mode)
+            except ConfigError:
+                assume(False)
+            with tempfile.TemporaryDirectory() as tmp:
+                config = f"{tmp}/cfg.json"
+                with open(config, "w") as fh:
+                    json.dump(doc, fh)
+                code = main([mode, "--config", config, "--out", f"{tmp}/out"])
+                err = capsys.readouterr().err
+                if code == 2:
+                    assert err.startswith("error:") and "overflow guard" in err
+                    return
+                assert code in (0, 1)
+                with open(f"{tmp}/out/trace.csv") as fh:
+                    rows = fh.read().splitlines()[1:]
+            # Every cell parses as a real float: finite, or inf in a J column.
+            assert rows and not any(math.isnan(float(cell))
+                                    for row in rows for cell in row.split(","))
+
+        ends_cleanly()
 
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])

@@ -16,8 +16,8 @@ from blowlab.testfuncs import TestFunctionKind as Kind
 from blowlab.testfuncs import (
     DomainError,
     OverflowGuardError,
-    adaptive_gauss,
     ball_volume,
+    gauss_panels,
     phi,
     phi_asymptotic,
     phi_quadrature,
@@ -44,19 +44,31 @@ class TestGeometry:
                 sphere_area(bad)
 
 
-class TestAdaptiveGauss:
+class TestGaussPanels:
     def test_polynomial(self):
-        assert adaptive_gauss(lambda x: x**2, 0.0, 1.0) == pytest.approx(
+        assert gauss_panels(lambda x: x**2, [0.0, 1.0], 0.5)[0] == pytest.approx(
             1.0 / 3.0, rel=1e-13)
 
     def test_exponential(self):
-        got = adaptive_gauss(np.exp, 0.0, 5.0)
+        got = gauss_panels(np.exp, [0.0, 5.0], 0.5)[0]
         assert got == pytest.approx(math.exp(5.0) - 1.0, rel=1e-12)
 
     def test_oscillatory_against_quad(self):
         f = lambda x: np.cos(7.0 * x) * np.exp(x)
         oracle, _ = quad(f, 0.0, 3.0)
-        assert adaptive_gauss(f, 0.0, 3.0) == pytest.approx(oracle, rel=1e-10)
+        assert gauss_panels(f, [0.0, 3.0], 0.5)[0] == pytest.approx(oracle, rel=1e-10)
+
+    def test_one_integral_per_interval(self):
+        # Each interval gets its own panels, the fewest at most 0.5 wide;
+        # an empty interval integrates to 0.
+        edges = [0.0, 0.3, 0.3, 2.0, 5.0]
+        got = gauss_panels(np.exp, edges, 0.5)
+        assert got.shape == (4,) and got[1] == 0.0
+        assert got == pytest.approx(np.diff(np.exp(edges)), rel=1e-14, abs=0.0)
+        calls = []
+        gauss_panels(lambda x: calls.append(x.size) or x, edges, 0.5)
+        # f is called once, on 16 nodes of each of 1 + 1 + 4 + 6 panels.
+        assert calls == [16 * 12]
 
 
 class TestPhi:
@@ -80,7 +92,9 @@ class TestPhi:
             assert phi(r, 2) == pytest.approx(2.0 * math.pi * i0(r), rel=1e-11)
 
     def test_quadrature_matches_closed_forms(self):
-        r = np.linspace(0.0, 20.0, 40)
+        # Over the whole guarded range, where the integrand's exponent
+        # r cos(theta) reaches 700.
+        r = np.linspace(0.0, 700.0, 141)
         for n in range(1, 9):
             closed = phi(r, n)
             by_quad = np.array([phi_quadrature(float(x), n) for x in r])
@@ -172,34 +186,43 @@ class TestWaveIdentity:
 class TestWeightedPowerIntegral:
     def test_frozen_value_n1(self):
         # int_{-1}^{1} (2 cosh x)^2 dx = 4 + 2 sinh 2.
-        got = weighted_power_integral(Kind.PSI2, 2.0, 0.0, 1.0, 1)
-        assert got == pytest.approx(4.0 + 2.0 * math.sinh(2.0), rel=1e-11)
+        got = weighted_power_integral(Kind.PSI2, 2.0, [0.0], 1.0, 1)
+        assert got.tolist() == pytest.approx([4.0 + 2.0 * math.sinh(2.0)], rel=1e-11)
 
     @pytest.mark.parametrize("kind", list(Kind))
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_against_quad_oracle(self, kind, n):
-        s_conj, t, R = 1.75, 2.0, 1.0
+        # One call per conjugate power, over the times inside the guard.
         d = kind.decay_rate
-
-        def integrand(r):
-            return (math.exp(-d * t) * phi(r, n)) ** s_conj * r ** (n - 1)
-
-        oracle, _ = quad(integrand, 0.0, t + R)
-        oracle *= sphere_area(n)
-        got = weighted_power_integral(kind, s_conj, t, R, n)
-        assert got == pytest.approx(oracle, rel=1e-9)
+        for s_conj in (1.05, 1.5, 2.0, 3.0, 11.0, 101.0):
+            times = [t for t in (0.0, 0.3, 2.0, 5.0) if s_conj * (t + 1.0) <= 700.0]
+            got = weighted_power_integral(kind, s_conj, times, 1.0, n)
+            for t, value in zip(times, got):
+                oracle, _ = quad(lambda r: (math.exp(-d * t) * phi(r, n)) ** s_conj
+                                 * r ** (n - 1), 0.0, t + 1.0,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+                oracle *= sphere_area(n)
+                assert value == pytest.approx(oracle, rel=1e-12), (s_conj, t)
 
     def test_decays_in_time_for_psi2_n1(self):
         # For n = 1 at conjugate power 2 the damping e^{-2t} beats the
         # growth of the ball, so the weight integral decreases.
-        vals = [weighted_power_integral(Kind.PSI2, 2.0, t, 1.0, 1)
-                for t in (0.0, 1.0, 2.0)]
+        vals = weighted_power_integral(Kind.PSI2, 2.0, [0.0, 1.0, 2.0], 1.0, 1)
         assert vals[0] > vals[1] > vals[2]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            weighted_power_integral(Kind.PSI1, 1.0, 0.0, 1.0, 1)
+            weighted_power_integral(Kind.PSI1, 1.0, [0.0], 1.0, 1)
         with pytest.raises(DomainError):
-            weighted_power_integral(Kind.PSI1, 2.0, -1.0, 1.0, 1)
-        with pytest.raises(OverflowGuardError):
-            weighted_power_integral(Kind.PSI1, 2.0, 400.0, 1.0, 1)
+            weighted_power_integral(Kind.PSI1, 2.0, [-1.0], 1.0, 1)
+        with pytest.raises(DomainError):
+            weighted_power_integral(Kind.PSI1, 2.0, [1.0, 0.5], 1.0, 1)
+        with pytest.raises(DomainError):
+            weighted_power_integral(Kind.PSI1, 2.0, [0.0], 0.0, 1)
+
+    def test_guard_names_the_first_time_beyond_it(self):
+        # s'(t + R) = 2 (t + 1) passes 700 first at t = 350, before any
+        # quadrature.
+        with pytest.raises(OverflowGuardError,
+                           match=r"^exponent argument 702 exceeds the overflow guard 700$"):
+            weighted_power_integral(Kind.PSI1, 2.0, [0.0, 300.0, 350.0, 400.0], 1.0, 1)
