@@ -168,8 +168,8 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
     p, q, n = exponents.p, exponents.q, exponents.n
     alpha1 = 1.0 + (2.0 - p) / 2.0 * (n - 1)
     if alpha1 <= 0.0:
-        raise ValueError(f"{exponents.at_cap('p')}: alpha1 <= 0 violates "
-                         "the comparison hypotheses")
+        raise ValueError(f"p={p:g} >= 2n/(n-1)={2.0 * n / (n - 1):g} for n={n}: "
+                         "alpha1 <= 0 violates the comparison hypotheses")
     constants = constants or {}
     C3, k2, k4 = (float(constants.get(key, 1.0)) for key in ("C3", "k2", "k4"))
     # Checked under the names the caller gave, not as k0..k4.

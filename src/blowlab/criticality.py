@@ -137,9 +137,8 @@ def classify(p: float, q: float, n: int) -> CriticalityReport:
 
     Every inequality is non-strict.  The alpha_new criterion labels
     BlowUp only when the exponent-range hypotheses of the blow-up
-    theorem also hold (n = 1 unrestricted; p, q < 2n/(n-1) for n = 2, 3;
-    p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4); the other three curves
-    are labeled from their inequality alone.  This is the scalar entry
+    theorem (``exponents.theorem_bounds``) also hold; the other three
+    curves are labeled from their inequality alone.  This is the scalar entry
     point: the alphas are Python floats and the labels ``Label``s.
     """
     check_dimension(n)

@@ -22,6 +22,8 @@ __all__ = [
     "check_nonnegative",
     "check_positive",
     "check_powers",
+    "check_theorem_range",
+    "theorem_bounds",
     "theorem_range",
 ]
 
@@ -66,21 +68,30 @@ def check_nonnegative(**named) -> None:
             raise DomainError(f"{key}={value} must be nonnegative")
 
 
-def _cap(n: int) -> float:
-    return math.inf if n == 1 else 2.0 * n / (n - 1)
+def theorem_bounds(n: int) -> list:
+    """The theorem's bounds on p and q in dimension n, as (wording, value, inclusive):
+    p, q < 2n/(n-1) for n <= 3 (infinite at n = 1); p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4."""
+    if n <= 3:
+        return [("2n/(n-1)", math.inf if n == 1 else 2.0 * n / (n - 1), False)] * 2
+    return [("(n+3)/(n-1)", (n + 3) / (n - 1), True), ("n/(n-2)", n / (n - 2), True)]
 
 
 def theorem_range(p, q, n: int):
-    """Exponent hypotheses of the blow-up theorem in dimension n: p, q
-    below 2n/(n-1) for n <= 3; p <= (n+3)/(n-1), q <= n/(n-2) for n >= 4.
+    """Exponent hypotheses of the blow-up theorem in dimension n, joined
+    with ``&``: a bool for floats p and q, an elementwise mask for arrays."""
+    (_, p_bound, inclusive), (_, q_bound, _) = theorem_bounds(n)
+    if inclusive:
+        return (p <= p_bound) & (q <= q_bound)
+    return (p < p_bound) & (q < q_bound)
 
-    The comparisons are joined with ``&``, so p and q may be floats (the
-    result is a bool) or numpy arrays (an elementwise mask).
-    """
-    if n <= 3:
-        cap = _cap(n)
-        return (p < cap) & (q < cap)
-    return (p <= (n + 3) / (n - 1)) & (q <= n / (n - 2))
+
+def check_theorem_range(p: float, q: float, n: int) -> None:
+    """p and q must lie in the theorem range (NaN does not).  The message
+    names the first power beyond its bound, and that bound."""
+    for key, value, (wording, bound, inclusive) in zip("pq", (p, q), theorem_bounds(n)):
+        if not (value <= bound if inclusive else value < bound):
+            raise DomainError(f"exponents out of range: {key}={value:g} "
+                              f"{'>' if inclusive else '>='} {wording}={bound:g} for n={n}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +107,3 @@ class Exponents:
         check_powers(self.p, self.q)
         check_dimension(self.n)
         check_positive(R=self.R)
-
-    @property
-    def cap(self) -> float:
-        """2n/(n-1), infinite for n = 1.  The radial simulator needs p and
-        q below it, and the comparison weight alpha1 = 1 + (2-p)(n-1)/2
-        is positive exactly when p is below it."""
-        return _cap(self.n)
-
-    def at_cap(self, key: str) -> str:
-        """Why the power ``key`` ("p" or "q") fails the cap, for messages."""
-        return f"{key}={getattr(self, key):g} >= 2n/(n-1)={self.cap:g} for n={self.n}"
-
-    def theorem_range_ok(self) -> bool:
-        """Exponent hypotheses of the blow-up theorem for this dimension."""
-        return theorem_range(self.p, self.q, self.n)

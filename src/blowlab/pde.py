@@ -6,11 +6,10 @@
 with compactly supported, nonnegative, radially symmetric data, plus a
 live audit of the functional inequalities that drive the blow-up
 argument.  The solver is an explicit leapfrog scheme: central
-differences in time and radial space, with the damping term split
-symmetrically as (u^{k+1} - u^{k-1}) / (2 dt) and solved for u^{k+1} in
-closed form.  Wave speed is exactly 1, so the CFL factor defaults to
-0.5 and the outer Dirichlet boundary is never reached by the support
-before the horizon (finite speed of propagation).
+differences in time, the finite-volume radial Laplacian in space, and
+the damping term split symmetrically as (u^{k+1} - u^{k-1}) / (2 dt)
+and solved for u^{k+1} in closed form.  Wave speed is exactly 1, so the
+support never reaches the outer Dirichlet boundary before the horizon.
 
 Tracked functionals (F1-F4 by the trapezoid rule on the mesh, the rest once per run):
 
@@ -29,13 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import derive_params
-from .exponents import Exponents, check_nonnegative, check_positive
+from .exponents import Exponents, check_nonnegative, check_positive, check_theorem_range
 from .testfuncs import (
     TestFunctionKind,
     ball_volume,
     check_radius,
     phi,
     radial_laplacian,
+    radial_stencil,
     sphere_area,
     weighted_power_integral,
 )
@@ -70,14 +70,12 @@ MAX_STEPS = 1_000_000
 
 AMPLITUDE_KEYS = ("amplitude_u0", "amplitude_u1", "amplitude_v0", "amplitude_v1")
 
-# The largest CFL factor dt/h at which the leapfrog scheme is stable, for
-# each dimension the radial simulator supports.  Each is 2/sqrt(rho)
-# rounded down, with rho the spectral radius of h^2 times the discrete
-# radial Laplacian, whatever the number of nodes: 4 for n = 1, while the
-# origin row 2n (f[1] - f[0]) / h^2 raises it to 4.8419 for n = 2 and 6
-# for n = 3.  Above the limit the discrete solution grows without bound,
-# even in a linear run.
-CFL_LIMITS = {1: 1.0, 2: 0.9089, 3: 0.8164}
+# The largest stable CFL factor dt/h of each dimension: 2/sqrt(rho) rounded
+# down, with rho the spectral radius of h^2 times the radial Laplacian, the
+# same at every number of nodes (4 for n = 1, 16.004 for n = 8).  Above it
+# even a linear run grows without bound.  An n = 8 run sets its own factor.
+CFL_LIMITS = {1: 1.0, 2: 0.9089, 3: 0.7926, 4: 0.7003, 5: 0.6304, 6: 0.5767,
+              7: 0.5343, 8: 0.4999}
 
 
 class Profile(enum.Enum):
@@ -131,6 +129,7 @@ class InitialData:
 class CoupledState:
     """Two time levels of the discretized radial fields.
 
+    ``stencil`` holds the mesh's :func:`radial_stencil` columns.
     ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if either
     field holds a NaN.
     """
@@ -140,6 +139,7 @@ class CoupledState:
     h: float
     dt: float
     r: np.ndarray
+    stencil: np.ndarray
     u: np.ndarray
     u_prev: np.ndarray
     v: np.ndarray
@@ -157,15 +157,11 @@ def check_init_args(exponents: Exponents, data: InitialData, grid_points: int,
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points={grid_points} exceeds the bound {MAX_GRID_POINTS}")
     check_positive(horizon=horizon)
-    if n not in CFL_LIMITS:
-        raise ValueError(f"n={n}: the radial simulator supports n <= 3")
     limit = CFL_LIMITS[n]
     if not 0.0 < cfl_factor <= limit:
         raise ValueError(f"cfl_factor={cfl_factor}: CFL factor must lie in "
                          f"(0, {limit}], the leapfrog stability limit for n={n}")
-    if not exponents.theorem_range_ok():
-        key = "p" if exponents.p >= exponents.cap else "q"
-        raise ValueError(f"exponents out of range: {exponents.at_cap(key)}")
+    check_theorem_range(exponents.p, exponents.q, n)
     zero = [key for key in AMPLITUDE_KEYS if getattr(data, key) == 0.0]
     if len(zero) == len(AMPLITUDE_KEYS):
         raise ValueError("initial data must not vanish identically")
@@ -206,20 +202,21 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
                                          cfl_factor, coupling), grid_points)
     h = float(r[1] - r[0])
     dt = cfl_factor * h
+    stencil = radial_stencil(grid_points, h, exponents.n)
 
     u0, u1, v0, v1 = data.sample(r, exponents.R)
     with np.errstate(over="ignore", invalid="ignore"):
         f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
         f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
-        utt0 = radial_laplacian(u0, r, h, exponents.n) - u1 + f_u
-        vtt0 = radial_laplacian(v0, r, h, exponents.n) + f_v
+        utt0 = radial_laplacian(u0, stencil) - u1 + f_u
+        vtt0 = radial_laplacian(v0, stencil) + f_v
         u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
         v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
     u_prev[-1] = 0.0
     v_prev[-1] = 0.0
 
     return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r,
-                        u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
+                        stencil=stencil, u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
                         peak=float(np.max(np.maximum(np.abs(u0), np.abs(v0)))),
                         coupling=coupling)
 
@@ -235,9 +232,8 @@ def step(state: CoupledState) -> CoupledState:
     solution vanishes there by finite speed of propagation, while the
     explicit stencil would otherwise transport sub-truncation-level
     leakage outward at grid speed h/dt > 1.  The clip conserves the
-    r^{n-1}-weighted integral of each field (the leaked content is
-    re-deposited in the cell at the causal edge), so the tracked mass
-    functionals are unaffected by it.
+    mass sum V_i f[i] of each field, which the Laplacian conserves: the
+    leaked content is re-deposited in the cell at the causal edge.
 
     The step computes only on the causal window, the mesh prefix up to
     two nodes past the causal radius of ``state.time``, and leaves the
@@ -257,11 +253,11 @@ def step(state: CoupledState) -> CoupledState:
         raise ValueError(f"time step {dt} violates the CFL bound "
                          f"{CFL_LIMITS[n]} h (h = {state.h:g})")
     hi = min(state.r.size, _causal_end(state, state.time) + 2)
-    r = state.r[:hi]
+    stencil = state.stencil[:, :hi]
     u, u_prev = state.u[:hi], state.u_prev[:hi]
     v, v_prev = state.v[:hi], state.v_prev[:hi]
-    lap_u = radial_laplacian(u, r, state.h, n)
-    lap_v = radial_laplacian(v, r, state.h, n)
+    lap_u = radial_laplacian(u, stencil)
+    lap_v = radial_laplacian(v, stencil)
     u_next = np.zeros(state.r.size)
     v_next = np.zeros(state.r.size)
     # The update, written in place into the windows of the outputs:
@@ -301,7 +297,7 @@ def step(state: CoupledState) -> CoupledState:
     outside = _causal_end(state, t_next)
     if outside < hi:
         edge = outside - 1
-        w = r[edge:] ** (n - 1)
+        w = 1.0 / stencil[1, edge:]
         u_next[edge] += np.dot(u_next[outside:hi], w[1:]) / w[0]
         v_next[edge] += np.dot(v_next[outside:hi], w[1:]) / w[0]
         u_next[outside:hi] = 0.0
@@ -312,8 +308,8 @@ def step(state: CoupledState) -> CoupledState:
     peak = np.max(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v), out=lap_u))
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
-                        u=u_next, u_prev=state.u, v=v_next, v_prev=state.v,
-                        peak=float(peak), coupling=state.coupling)
+                        stencil=state.stencil, u=u_next, u_prev=state.u, v=v_next,
+                        v_prev=state.v, peak=float(peak), coupling=state.coupling)
 
 
 def _causal_end(state: CoupledState, time: float) -> int:

@@ -39,6 +39,7 @@ __all__ = [
     "phi_quadrature",
     "phi_asymptotic",
     "radial_laplacian",
+    "radial_stencil",
     "verify_wave_identity",
     "weighted_power_integral",
     "sphere_area",
@@ -175,27 +176,31 @@ def phi_asymptotic(r, n: int):
     return out
 
 
-def radial_laplacian(f: np.ndarray, r: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Second-order radial Laplacian f'' + (n-1)/r f' with symmetric origin.
+def radial_stencil(size: int, h: float, n: int) -> np.ndarray:
+    """The two coefficient rows of :func:`radial_laplacian` on the mesh i h,
+    i < ``size``: (i + 1/2)^{n-1} = r_{i+1/2}^{n-1} / h^{n-1}, and
+    n / (h^2 ((i + 1/2)^n - (i - 1/2)^n)) = h^{n-1} / (h V_i) with V_0 = (h/2)^n / n."""
+    k = np.arange(size) + 0.5
+    return np.stack((k ** (n - 1), n / (h * h * np.diff(k ** n, prepend=0.0))))
 
-    The interior is written in place into one output array, with the
-    operations of (f[i+1] - 2 f[i] + f[i-1]) / h^2
-    + (n-1)/r[i] (f[i+1] - f[i-1]) / (2h) in that order.
-    """
+
+def radial_laplacian(f: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """The finite-volume radial Laplacian (F_{i+1/2} - F_{i-1/2}) / V_i on
+    the nodes of ``f``, given their :func:`radial_stencil` columns: fluxes
+    F_{i+1/2} = r_{i+1/2}^{n-1} (f[i+1] - f[i]) / h, shell volumes
+    V_i = (r_{i+1/2}^n - r_{i-1/2}^n) / n and an origin cell [0, h/2] with
+    no inner flux.  Symmetric in the V-weighted inner product, its spectrum
+    is real in every dimension.  It is written in place into one array."""
+    faces, inverse_volumes = stencil[:, :-1]
     lap = np.empty_like(f)
-    lap[0] = 2.0 * n * (f[1] - f[0]) / h**2
+    lap[0] = 0.0
+    flux = np.subtract(f[1:], f[:-1], out=lap[1:])
+    flux *= faces
+    # lap[i] holds F_{i-1/2} until this difference overwrites it.
+    np.subtract(flux, lap[:-1], out=lap[:-1])
+    lap[:-1] *= inverse_volumes
     # The outer node has no right neighbour; its value is never used.
     lap[-1] = 0.0
-    inner = lap[1:-1]
-    np.multiply(f[1:-1], 2.0, out=inner)
-    np.subtract(f[2:], inner, out=inner)
-    inner += f[:-2]
-    inner /= h**2
-    if n > 1:
-        drift = np.subtract(f[2:], f[:-2])
-        drift *= (n - 1) / r[1:-1]
-        drift /= 2.0 * h
-        inner += drift
     return lap
 
 
@@ -203,13 +208,11 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
                          grid_spacing: float) -> float:
     """Max-norm residual of the adjoint wave identity for psi_kind.
 
-    Discretizes psi_tt - Laplace(psi) - psi_t (PSI1) or
-    psi_tt - Laplace(psi) (PSI2) with second-order central differences.
-    The radial Laplacian is f'' + (n-1)/r f', with the symmetric origin
-    stencil 2 n (f(h) - f(0)) / h^2, on the window [0, 10].  The residual
-    is scaled pointwise by phi(r) so that the exponential growth of the
-    test function does not mask the truncation error; it shrinks as
-    O(grid_spacing^2).
+    Discretizes psi_tt - Laplace(psi) - psi_t (PSI1) or psi_tt - Laplace(psi)
+    (PSI2) on [0, 10] by central differences in time and :func:`radial_laplacian`.
+    The residual is scaled pointwise by phi(r) so that the exponential
+    growth of the test function does not mask the truncation error; it
+    shrinks as O(grid_spacing^2).
 
     The time step is half the spatial spacing: with equal steps the
     temporal and spatial truncation errors of the undamped kind cancel
@@ -233,7 +236,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     f_hi = math.exp(-d * (t0 + ht)) * base
 
     psi_tt = (f_hi - 2.0 * f_mid + f_lo) / ht**2
-    residual = psi_tt - radial_laplacian(f_mid, r, h, n)
+    residual = psi_tt - radial_laplacian(f_mid, radial_stencil(r.size, h, n))
     if kind is TestFunctionKind.PSI1:
         psi_t = (f_hi - f_lo) / (2.0 * ht)
         residual = residual - psi_t
@@ -251,7 +254,8 @@ def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
     from :func:`gauss_panels` pieces between successive radii t + R on
     panels at most min(0.5, 20/s') wide: s' r moves by at most 20 on one.
     The integrand carries the last time's e^{-d s' t}, so no value of it
-    exceeds the last weight's own integrand.
+    exceeds the last weight's own integrand.  A weight beyond the float
+    range raises OverflowGuardError, as s' (t + R) > 700 does.
 
     These are the denominators of the reverse-Hoelder weights; callers
     bound them by C2 (t+R)^{n-1-(n-1)p'/2} and
@@ -269,6 +273,11 @@ def weighted_power_integral(kind: TestFunctionKind, conj_exponent: float,
     check_dimension(n)
     d = kind.decay_rate
     last = math.exp(-d * times[-1])
-    pieces = gauss_panels(lambda r: (last * phi(r, n)) ** conj_exponent * r ** (n - 1),
-                          np.concatenate(([0.0], times + R)), 20.0 / max(conj_exponent, 40.0))
-    return sphere_area(n) * np.exp(d * conj_exponent * (times[-1] - times)) * np.cumsum(pieces)
+    with np.errstate(over="ignore"):
+        pieces = gauss_panels(lambda r: (last * phi(r, n)) ** conj_exponent * r ** (n - 1),
+                              np.concatenate(([0.0], times + R)), 20.0 / max(conj_exponent, 40.0))
+        weights = sphere_area(n) * np.exp(d * conj_exponent * (times[-1] - times)) * np.cumsum(pieces)
+    if not np.all(np.isfinite(weights)):
+        raise OverflowGuardError("overflow guard: the weight at t="
+                                 f"{times[~np.isfinite(weights)][0]:.6g} is beyond the float range")
+    return weights

@@ -28,15 +28,15 @@ from blowlab.cli import (
     run_experiment,
 )
 from blowlab.criticality import Label, classify, scan
-from blowlab.exponents import Exponents
-from blowlab.pde import MAX_GRID_POINTS, MAX_STEPS
+from blowlab.exponents import Exponents, theorem_bounds
+from blowlab.pde import CFL_LIMITS, MAX_GRID_POINTS, MAX_STEPS
 
 FAST_SIM = {"grid_points": 250, "horizon": 2.0, "sample_every": 5}
 
-# A mesh coarser than the data (h = 0.99 against R = 0.5) on which F1-F4
-# go negative: the run ends as an instability.
-SIGN_LOSS = {"p": 2.75, "q": 2.65, "n": 3, "amplitudes": 0.008,
-             "horizon": 192, "grid_points": 200, "R": 0.5}
+# A mesh coarser than the data (h = 0.99 against R = 0.5) on which F3
+# goes negative in n = 8: the run ends as an instability.
+SIGN_LOSS = {"p": 4 / 3, "q": 4 / 3, "n": 8, "amplitudes": 0.1, "horizon": 192,
+             "grid_points": 200, "R": 0.5, "cfl_factor": 0.45}
 
 # conditions.txt of the default kato config, and of p = q = 1.5, n = 2
 # with C3 = 0.37, k2 = 0.81, k4 = 1.9.
@@ -73,6 +73,11 @@ k7=0.13864259278730284
 J3_OVERFLOW = {"n": 1, "p": 3.931475598811457, "q": 5.8539456536594585,
                "amplitudes": 0.0018512996093755724, "horizon": 397.11609638511845,
                "grid_points": 200, "cfl_factor": 0.8, "R": 1.0, "coupling": True}
+
+# A run whose weight W2 leaves the float range at t = 0 while s'(t + R)
+# stays below the 700 of the overflow guard: s' = p/(p-1) = 334.
+W2_OVERFLOW = {"n": 3, "p": 1.003, "q": 2, "amplitudes": 0.1, "horizon": 0.5,
+               "grid_points": 200}
 
 # A run in which one audit-window sample's F1 second-order shape is about
 # 1e-300, so that its fitted-k4 ratio leaves the float range.
@@ -178,7 +183,7 @@ def kato_docs(draw):
         return 10.0 ** draw(st.floats(lo, hi))
 
     n = draw(st.sampled_from([1, 2, 3]))
-    top = min(Exponents(2.0, 2.0, n).cap, 12.0)
+    top = min(theorem_bounds(n)[0][1], 12.0)
     doc = {"n": n, "R": draw(st.sampled_from([0.5, 1.0, 3.0])),
            "ode_threshold": log_uniform(0, 40), "horizon": log_uniform(-1, 3)}
     for key in ("p", "q"):
@@ -192,17 +197,18 @@ def kato_docs(draw):
 
 @st.composite
 def simulation_docs(draw):
-    """simulate and audit configs over the ranges of the audit fuzz: p, q
-    in the theorem range (below 12 for n = 1), data and horizons over
+    """simulate and audit configs over the ranges of the audit fuzz in
+    every dimension: p, q in the theorem range (below 12 for n = 1), a
+    CFL factor at or below the dimension's limit, data and horizons over
     several orders of magnitude, coarse grids, coupled and uncoupled."""
-    n = draw(st.sampled_from([1, 2, 3]))
-    top = min(Exponents(2.0, 2.0, n).cap, 12.0)
+    n = draw(st.integers(1, 8))
     doc = {"n": n, "grid_points": draw(st.integers(200, 500)),
            "amplitudes": 10.0 ** draw(st.floats(-3.0, 1.5)),
            "horizon": 10.0 ** draw(st.floats(-1.0, 2.6)),
+           "cfl_factor": draw(st.floats(0.25, CFL_LIMITS[n])),
            "coupling": draw(st.booleans())}
-    for key in ("p", "q"):
-        doc[key] = draw(st.floats(1.0, top, exclude_min=True, exclude_max=True))
+    for key, (_, bound, _) in zip("pq", theorem_bounds(n)):
+        doc[key] = draw(st.floats(1.0, min(bound, 12.0), exclude_min=True, exclude_max=True))
     return draw(st.sampled_from(["simulate", "audit"])), doc
 
 
@@ -258,8 +264,11 @@ class TestParseConfig:
             parse_config('{"p": 1.0}', mode="simulate")
         with pytest.raises(ConfigError, match=r"p=3 >= 2n/\(n-1\)=3 for n=3"):
             parse_config('{"p": 3.0, "q": 2.0, "n": 3}', mode="simulate")
-        with pytest.raises(ConfigError, match="n=4: the radial simulator"):
-            parse_config('{"n": 4}', mode="simulate")
+        with pytest.raises(ConfigError, match=r"p=2.2 > \(n\+3\)/\(n-1\)=2 for n=5$"):
+            parse_config('{"n": 5, "p": 2.2, "q": 1.5, "cfl_factor": 0.45}', mode="simulate")
+        # The default CFL factor 0.5 lies above the n = 8 limit.
+        with pytest.raises(ConfigError, match=r"^cfl_factor=0.5: .* limit for n=8$"):
+            parse_config('{"n": 8}', mode="simulate")
         with pytest.raises(ConfigError, match="grid_points"):
             parse_config('{"grid_points": 10}', mode="simulate")
         with pytest.raises(ConfigError, match="cfl_factor"):
@@ -792,7 +801,7 @@ class TestMain:
         assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
-        assert doc["constants"]["k4"] == 2.6234117665289367e+106
+        assert doc["constants"]["k4"] == 2.6234117665289648e+106
 
     def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
         # |v0|^p = 1e400 leaves the float range in the seed level: no
@@ -906,6 +915,8 @@ class TestMain:
         @settings(max_examples=60, deadline=None, derandomize=True)
         @given(simulation_docs())
         @example(("audit", K4_OVERFLOW))
+        @example(("simulate", W2_OVERFLOW))
+        @example(("audit", W2_OVERFLOW))
         def ends_cleanly(case):
             mode, doc = case
             try:

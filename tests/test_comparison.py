@@ -118,6 +118,11 @@ class TestDeriveParams:
     def test_alpha1_sign_guard(self):
         with pytest.raises(ValueError, match="alpha1"):
             derive_params(Exponents(4.0, 2.0, 2))
+        # alpha1 = 1 + (2-p)(n-1)/2 > 0 exactly for p < 2n/(n-1), which the
+        # message names.
+        with pytest.raises(ValueError, match=r"^p=3 >= 2n/\(n-1\)=3 for n=3: alpha1 <= 0 "
+                           "violates the comparison hypotheses$"):
+            derive_params(Exponents(3.0, 2.0, 3))
 
 
 class TestIntegrateComparison:

@@ -1,6 +1,6 @@
 """Tests for the parameter domain and for the import graph it allows.
 
-The domain rules (n in [1, 8], p, q > 1, the 2n/(n-1) cap) live in
+The domain rules (n in [1, 8], p, q > 1, the theorem's bounds) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
 The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
@@ -13,6 +13,7 @@ fresh interpreter, since this process has loaded them all.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -39,6 +40,8 @@ from blowlab.exponents import (
     check_nonnegative,
     check_positive,
     check_powers,
+    check_theorem_range,
+    theorem_bounds,
     theorem_range,
 )
 from blowlab.pde import AMPLITUDE_KEYS, InitialData, init_state, run
@@ -180,18 +183,20 @@ class TestDomain:
         with pytest.raises(DomainError, match="q=0.5 must exceed 1"):
             check_powers(2.0, 0.5)
 
-    def test_cap(self):
-        assert Exponents(2.0, 2.0, 1).cap == math.inf
-        assert Exponents(2.0, 2.0, 2).cap == 4.0
-        assert Exponents(2.0, 2.0, 3).cap == 3.0
-        assert Exponents(3.0, 2.0, 3).at_cap("p") == "p=3 >= 2n/(n-1)=3 for n=3"
+    def test_bounds(self):
+        # 2n/(n-1), exclusive and infinite for n = 1, then the inclusive
+        # (n+3)/(n-1) and n/(n-2).
+        assert theorem_bounds(1) == [("2n/(n-1)", math.inf, False)] * 2
+        assert theorem_bounds(2) == [("2n/(n-1)", 4.0, False)] * 2
+        assert theorem_bounds(3) == [("2n/(n-1)", 3.0, False)] * 2
+        assert theorem_bounds(5) == [("(n+3)/(n-1)", 2.0, True), ("n/(n-2)", 5.0 / 3.0, True)]
 
     @pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
     def test_theorem_range_on_arrays(self, n):
         # The bounds as the theorem states them: p, q < 2n/(n-1) for
         # n <= 3; p <= (n+3)/(n-1) and q <= n/(n-2) for n >= 4.
         if n <= 3:
-            cap = Exponents(2.0, 2.0, n).cap
+            cap = math.inf if n == 1 else 2.0 * n / (n - 1)
             bounds = [cap] if cap < math.inf else []
 
             def rule(p, q):
@@ -209,7 +214,24 @@ class TestDomain:
             for i, p in enumerate(x.tolist()):
                 ok = theorem_range(p, q, n)
                 assert type(ok) is bool and ok == mask[j, i] == rule(p, q)
-                assert ok == Exponents(p, q, n).theorem_range_ok()
+                try:
+                    check_theorem_range(p, q, n)
+                except DomainError:
+                    assert not ok
+                else:
+                    assert ok
+
+
+    @pytest.mark.parametrize("p, q, n, message", [
+        (4.5, 2.0, 2, "p=4.5 >= 2n/(n-1)=4 for n=2"),
+        (2.0, 3.0, 3, "q=3 >= 2n/(n-1)=3 for n=3"),
+        (2.2, 1.5, 5, "p=2.2 > (n+3)/(n-1)=2 for n=5"),
+        (1.5, 1.4, 8, "q=1.4 > n/(n-2)=1.33333 for n=8"),
+    ])
+    def test_range_check_names_the_power_and_its_bound(self, p, q, n, message):
+        assert not theorem_range(p, q, n)
+        with pytest.raises(DomainError, match=f"^exponents out of range: {re.escape(message)}$"):
+            check_theorem_range(p, q, n)
 
 
 class TestPositivity:

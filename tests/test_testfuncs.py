@@ -21,6 +21,8 @@ from blowlab.testfuncs import (
     phi,
     phi_asymptotic,
     phi_quadrature,
+    radial_laplacian,
+    radial_stencil,
     sphere_area,
     verify_wave_identity,
     weighted_power_integral,
@@ -164,13 +166,26 @@ class TestPsi:
         assert Kind.PSI2.decay_rate == 1.0
 
 
+class TestRadialLaplacian:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_on_r_squared(self, n):
+        # Laplace(r^2) = 2n, and the flux form is exact on it: the flux
+        # through r_{i+1/2} is 2 r_{i+1/2}^n, and the shell volume is the
+        # difference of r^n / n, at the origin cell too.  h = 1/64 keeps
+        # r^2 and its differences exact.
+        r = np.arange(301) / 64.0
+        lap = radial_laplacian(r**2, radial_stencil(r.size, 1.0 / 64.0, n))
+        assert lap[:-1] == pytest.approx(np.full(r.size - 1, 2.0 * n), rel=1e-12)
+        assert lap[-1] == 0.0
+
+
 class TestWaveIdentity:
     def test_residual_small(self):
         # The exact identity is 0; the discrete residual is pure truncation.
         assert verify_wave_identity(Kind.PSI2, 1, 1e-2) <= 1e-3
 
     @pytest.mark.parametrize("kind", list(Kind))
-    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_second_order_convergence(self, kind, n):
         h = 0.02
         ratio = verify_wave_identity(kind, n, h) / verify_wave_identity(kind, n, h / 2)
@@ -219,6 +234,15 @@ class TestWeightedPowerIntegral:
             weighted_power_integral(Kind.PSI1, 2.0, [1.0, 0.5], 1.0, 1)
         with pytest.raises(DomainError):
             weighted_power_integral(Kind.PSI1, 2.0, [0.0], 0.0, 1)
+
+    def test_weight_beyond_the_float_range(self):
+        # s'(t + R) stays below 700, yet the weight passes 1.8e308 between
+        # t = 0.1 and 0.125: the guard names that time, with no warning.
+        times = [0.0, 0.05, 0.1, 0.125]
+        assert weighted_power_integral(Kind.PSI1, 620.0, times[:3], 1.0, 1)[-1] < 1e306
+        with pytest.raises(OverflowGuardError, match=r"^overflow guard: the weight at "
+                           r"t=0.125 is beyond the float range$"):
+            weighted_power_integral(Kind.PSI1, 620.0, times, 1.0, 1)
 
     def test_guard_names_the_first_time_beyond_it(self):
         # s'(t + R) = 2 (t + 1) passes 700 first at t = 350, before any
