@@ -174,7 +174,7 @@ def _plan(mode: str, s: dict):
         if not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
             raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
         # Checks n, and r_max against phi's overflow guard, without
-        # evaluating phi, which would load scipy.
+        # evaluating phi on the table.
         phi_asymptotic(s["r_max"], s["n"])
 
         def run_phi(out: Path):

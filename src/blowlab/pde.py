@@ -176,10 +176,9 @@ def check_init_args(exponents: Exponents, data: InitialData, grid_points: int,
     h = (exponents.R + horizon) / (grid_points - 6)
     r_max = exponents.R + horizon + 5.0 * h
     # The run evaluates phi out to the last node, so that node must pass
-    # phi's radius guard (applied here without evaluating phi, which
-    # would load scipy), and the step count ceil(horizon / dt) must not
-    # exceed MAX_STEPS (compared by a product, since cfl_factor * h may
-    # underflow to 0).
+    # phi's radius guard (applied here without evaluating phi), and the
+    # step count ceil(horizon / dt) must not exceed MAX_STEPS (compared
+    # by a product, since cfl_factor * h may underflow to 0).
     check_radius(r_max)
     if horizon > MAX_STEPS * cfl_factor * h:
         raise ValueError(f"horizon={horizon}, cfl_factor={cfl_factor}: the run "

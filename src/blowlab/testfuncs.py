@@ -18,8 +18,8 @@ Every dimension uses the one identity phi(r) = |S^{n-1}| 0F1(; n/2; r^2/4),
 the power series of the spherical mean of exp(x . w); it reduces to
 2 cosh r for n = 1 and 4 pi sinh(r)/r for n = 3.  Gauss-Legendre
 quadrature over the polar angle (``phi_quadrature``) is kept as an
-independent oracle.  ``phi`` imports ``scipy.special`` when
-it is first called, so importing this module loads no scipy.
+independent oracle.  ``phi`` sums that series in numpy, so neither
+importing this module nor evaluating phi loads scipy.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ def ball_volume(n: int) -> float:
 
 def check_radius(r, positive: bool = False) -> np.ndarray:
     """The radius (scalar or array) as an array, checked against the
-    domain r >= 0 (r > 0 if ``positive``) and the overflow guard."""
+    domain r >= 0 (r > 0 if ``positive``), which NaN fails, and the
+    overflow guard."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0 if positive else arr < 0.0):
+    if not np.all(arr > 0.0 if positive else arr >= 0.0):
         bound = "positive" if positive else "nonnegative"
         raise DomainError(f"radius r={arr.min():g} must be {bound}")
     if np.any(arr > OVERFLOW_LIMIT):
@@ -146,19 +147,33 @@ def phi_quadrature(r: float, n: int) -> float:
 def phi(r, n: int):
     """The spherical exponential mean phi at radius ``r`` in dimension ``n``.
 
-    Evaluates |S^{n-1}| 0F1(; n/2; r^2/4), which is finite and exact at
-    the origin (phi(0) = |S^{n-1}|) in every dimension.  Accepts a
-    scalar or an ndarray of radii.
+    Sums the series |S^{n-1}| 0F1(; n/2; z) = |S^{n-1}| sum_k t_k with
+    z = r^2/4, t_0 = 1 and t_{k+1} = t_k z / ((n/2 + k)(k + 1)), which is
+    exact at the origin (phi(0) = |S^{n-1}|) in every dimension.  Every
+    term is positive, so nothing cancels, and a radius needs the terms
+    k <= r + 40 = 2 sqrt(z) + 40.  Term k is added only on the suffix of
+    the sorted radii that still needs it.  Accepts a scalar or an ndarray
+    of radii.
     """
-    # Imported here, so that importing this module loads no scipy.
-    from scipy.special import hyp0f1
-
     check_dimension(n)
     arr = check_radius(r)
-    out = sphere_area(n) * hyp0f1(n / 2.0, arr * arr / 4.0)
+    order = np.argsort(arr, axis=None)
+    radii = arr.ravel()[order]
+    z = radii * radii / 4.0
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(int(radii[-1]) + 40 if radii.size else 0):
+        # t_{k+1} on the radii r >= k - 39, a suffix of the sorted radii.
+        lo = np.searchsorted(radii, k - 39.0)
+        tail = term[lo:]
+        tail *= z[lo:]
+        tail /= (n / 2.0 + k) * (k + 1.0)
+        total[lo:] += tail
+    out = np.empty_like(total)
+    out[order] = sphere_area(n) * total
     if np.ndim(r) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def phi_asymptotic(r, n: int):

@@ -4,11 +4,12 @@ The domain rules (n in [1, 8], p, q > 1, the theorem's bounds) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
 The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
-inside the functions that call them, and ``testfuncs.phi`` imports
-``scipy.special`` when it is first called.  So the test functions, the
-simulator and the CLI load no scipy module at all until a run needs
-one; parsing a config does not need one.  Each import is checked in a
-fresh interpreter, since this process has loaded them all.
+inside the functions that call them, and ``testfuncs.phi`` sums its
+power series in numpy.  So the test functions, the simulator and the
+CLI load no scipy module at all, and neither do the ``simulate``,
+``audit`` and ``phi`` runs; only a ``kato`` run loads the ODE solver.
+Each import is checked in a fresh interpreter, since this process has
+loaded them all.
 """
 
 import math
@@ -146,7 +147,6 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("module", ["blowlab.cli", "blowlab.pde", "blowlab.testfuncs"])
     def test_loads_no_scipy(self, module):
-        # phi imports scipy.special where it calls it.
         loaded = modules_after_import(module)
         assert "blowlab.testfuncs" in loaded
         assert scipy_modules(loaded) == []
@@ -158,6 +158,23 @@ class TestImportGraph:
             "blowlab.cli", f"blowlab.cli.parse_config('{{}}', {mode!r})")
         assert "blowlab.pde" in loaded
         assert scipy_modules(loaded) == []
+
+    @pytest.mark.parametrize("mode", ["simulate", "audit", "phi"])
+    def test_default_run_loads_no_scipy(self, mode, tmp_path):
+        # phi sums its power series in numpy.
+        loaded = modules_after_import("blowlab.cli", (
+            f"blowlab.cli.run_experiment(blowlab.cli.parse_config('{{}}', {mode!r}),"
+            f" {str(tmp_path)!r})"))
+        assert "blowlab.testfuncs" in loaded
+        assert scipy_modules(loaded) == []
+        assert (tmp_path / "summary.json").is_file()
+
+    def test_kato_loads_ode_solver_when_it_runs(self, tmp_path):
+        parse = "config = blowlab.cli.parse_config('{}', 'kato')"
+        assert scipy_modules(modules_after_import("blowlab.cli", parse)) == []
+        loaded = modules_after_import(
+            "blowlab.cli", f"{parse}\nblowlab.cli.run_experiment(config, {str(tmp_path)!r})")
+        assert "scipy.integrate" in loaded
 
     def test_comparison_loads_no_solver(self):
         loaded = modules_after_import("blowlab.comparison")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0
+from scipy.special import hyp0f1, i0
 
 from blowlab.testfuncs import TestFunctionKind as Kind
 from blowlab.testfuncs import (
@@ -85,8 +85,9 @@ class TestPhi:
                                             rel=1e-15)
 
     def test_origin_value_is_sphere_area(self):
+        # Every term past t_0 = 1 vanishes at r = 0.
         for n in range(1, 9):
-            assert phi(0.0, n) == pytest.approx(sphere_area(n), rel=1e-11)
+            assert phi(0.0, n) == sphere_area(n)
 
     def test_bessel_oracle_n2(self):
         # In the plane the angular integral is 2 pi I0(r).
@@ -129,6 +130,26 @@ class TestPhi:
             assert arr[0] == pytest.approx(phi(0.3, n), rel=1e-14)
             assert arr[1] == pytest.approx(phi(1.7, n), rel=1e-14)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_series_against_hyp0f1(self, n):
+        # Shuffled, so that the sort and the scatter back are exercised.
+        rng = np.random.default_rng(n)
+        r = rng.permutation(np.concatenate([np.linspace(0.0, 700.0, 1401),
+                                            rng.uniform(0.0, 700.0, 600)]))
+        oracle = sphere_area(n) * hyp0f1(n / 2.0, r * r / 4.0)
+        assert np.max(np.abs(phi(r, n) / oracle - 1.0)) <= 5e-14
+
+    def test_shapes_and_order(self):
+        # A scalar gives a float; a 0-d array keeps its empty shape, and a
+        # 2-D array its shape and element order.
+        assert type(phi(2.5, 3)) is float and type(phi(np.float64(2.5), 3)) is float
+        assert np.shape(phi(np.array(2.5), 3)) == () and phi(np.array(2.5), 3) == phi(2.5, 3)
+        r = np.array([[9.0, 0.0, 3.5], [700.0, 1e-3, 42.0]])
+        got = phi(r, 4)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), [phi(float(x), 4) for x in r.ravel()])
+        assert phi(np.empty((0, 2)), 4).shape == (0, 2)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             phi(-0.1, 1)
@@ -136,6 +157,8 @@ class TestPhi:
             phi(701.0, 1)
         with pytest.raises(DomainError):
             phi(np.array([0.5, -0.5]), 3)
+        with pytest.raises(DomainError, match="radius r=nan must be nonnegative"):
+            phi(np.array([0.5, math.nan]), 2)
 
 
 class TestPhiAsymptotic:
