@@ -12,10 +12,12 @@ F2 follows when
     b2 + a2 q <= b1 (pq - 1) + 2 (q + 1)      (condition 1),
     a2 + b2 p <= a1 (pq - 1) + 2 (p + 1)      (condition 2),
 
-and the functions are suitably large at some late time.  This module
-checks the two conditions, integrates the sharp (equality) version of
-the system with blow-up event detection, and evaluates the two
-closed-form auxiliary scalar problems
+and the functions are suitably large at some late time.  The
+right-hand sides have one home, :meth:`KatoParams.lower_bounds`, which
+``pde``'s audit checks and the sharp (equality) system integrates.
+This module checks the two conditions, integrates that system with
+blow-up event detection, and evaluates the two closed-form auxiliary
+scalar problems
 
     Y' = kappa e^{-nu t} (t+R)^{-alpha} Y^beta            (Bernoulli),
     Z' + Z = kappa e^{-gamma t} (t+R)^{-alpha} Z^beta,
@@ -86,19 +88,30 @@ class KatoParams:
         check_nonnegative(**{key: getattr(self, key) for key in
                              ("alpha2", "beta2", "beta3", "T0")})
 
+    def lower_bounds(self, t, F1, F2, which=range(5)) -> list:
+        """The right-hand sides ``which`` (0..4, in the order of the module
+        docstring) at times t, with F1 and F2 at those times: floats, or
+        arrays of one shape.  Each is k_i (shape), its powers taken on
+        array bases, so a float gives what an array element gives, bit
+        for bit; beyond the float range a bound is inf or 0, with no
+        warning."""
+        s = np.asarray(t + self.R)
+        F1, F2 = np.asarray(F1, dtype=float), np.asarray(F2, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [self.k0 * s**self.alpha1 if i == 0
+                    else self.k1 * s**self.alpha1 if i == 1
+                    else self.k2 * (s**-self.alpha2 * F2**self.p) if i == 2
+                    else self.k3 * s**self.beta1 if i == 3
+                    else self.k4 * (np.exp(-self.beta3 * t) * s**-self.beta2 * F1**self.q)
+                    for i in which]
+
     @property
     def k5(self) -> float:
+        # The float64 q-th power of k2 / (4(p+1)(p+2)) saturates to 0 or inf.
         p, q = self.p, self.q
-        base = 4 * (p + 1) * (p + 2)
-        try:
-            return ((2 * q + 1) * self.k2**q * self.k4
-                    / (2 * ((p + 2) * q + 1) * base**q))
-        except OverflowError:
-            # k2^q or base^q is beyond the float range, but the q-th power
-            # of their ratio saturates to 0 or inf.
-            with np.errstate(over="ignore"):
-                return float((2 * q + 1) * self.k4 / (2 * ((p + 2) * q + 1))
-                             * np.float64(self.k2 / base) ** q)
+        with np.errstate(over="ignore"):
+            return float((2 * q + 1) * self.k4 / (2 * ((p + 2) * q + 1))
+                         * np.float64(self.k2 / (4 * (p + 1) * (p + 2))) ** q)
 
     @property
     def k6(self) -> float:
@@ -158,12 +171,10 @@ def derive_params(exponents: Exponents, constants: dict | None = None) -> KatoPa
         beta1 = 1,                  beta2 = n(q-1),
         beta3 = ((3-sqrt(5))/2) q,
 
-    and the k's follow the five functional lower bounds: k0 = C3,
-    k1 = 4 C3, k3 = 1, with k2/k4 taken from audit-fitted constants when
-    provided (keys ``k2``/``k4``, e.g. from an AuditReport), else 1
-    (normalized study mode).  ``constants`` may also carry ``C3``.  Each
-    of C3, k2 and k4 must be positive; a ValueError names the offending
-    key.
+    and k0 = C3, k1 = 4 C3, k3 = 1, with C3, k2 and k4 read from
+    ``constants`` (the audit's C3 and Hoelder floors, or an audit's fitted
+    k2 and k4 in a kato config), each 1 where absent.  Each must be
+    positive; a ValueError names the offending key.
     """
     p, q, n = exponents.p, exponents.q, exponents.n
     alpha1 = 1.0 + (2.0 - p) / 2.0 * (n - 1)
@@ -234,7 +245,8 @@ def check_comparison_args(params: KatoParams, F1_0: float, dF1_0: float,
 def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                          F2_0: float, dF2_0: float, horizon: float,
                          ode_threshold: float = DEFAULT_ODE_THRESHOLD) -> OdeTrace:
-    """Integrate the sharp (equality) comparison system from T0.
+    """Integrate the sharp (equality) comparison system from T0: the
+    second-order pair of :meth:`KatoParams.lower_bounds` as equalities.
 
     Any solution of the inequality system majorizes the equality system,
     so blow-up here certifies blow-up there.  Adaptive embedded
@@ -252,19 +264,11 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     where the solution leaves the float range within the resolution of t.
     """
     check_comparison_args(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold)
-    p, q, R = params.p, params.q, params.R
-    k2, k4, b3 = params.k2, params.k4, params.beta3
-    a2, b2 = params.alpha2, params.beta2
 
     def rhs(t, y):
         F1, dF1, F2, dF2 = y
-        # A float64 base makes a weight beyond the float range saturate to
-        # inf, as in k5, where a Python float would raise OverflowError.
-        s = np.float64(t + R)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g1 = k2 * s ** (-a2) * max(F2, 0.0) ** p - dF1
-            g2 = k4 * math.exp(-b3 * t) * s ** (-b2) * max(F1, 0.0) ** q
-        return [dF1, g1, dF2, g2]
+        g1, g2 = params.lower_bounds(t, max(F1, 0.0), max(F2, 0.0), which=(2, 4))
+        return [dF1, g1 - dF1, dF2, g2]
 
     def hit_threshold(t, y):
         return max(y[0], y[2]) - ode_threshold
@@ -274,23 +278,18 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     y0 = np.array([F1_0, dF1_0, F2_0, dF2_0], dtype=float)
     if (max(F1_0, F2_0) >= ode_threshold
             or not np.all(np.isfinite(rhs(params.T0, y0)))):
-        rows = y0[:, np.newaxis]
-        return OdeTrace(times=np.array([params.T0]), F1=rows[0], dF1=rows[1],
-                        F2=rows[2], dF2=rows[3], blowup_time=params.T0,
-                        terminal_reason=TerminalReason.BLOWUP)
+        times, rows, horizon_reached = np.array([params.T0]), y0[:, np.newaxis], False
+    else:
+        from scipy.integrate import solve_ivp
 
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (params.T0, horizon), y0,
-                    method="RK45", rtol=1e-8, atol=1e-10,
-                    events=hit_threshold, dense_output=False)
-
-    # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
-    # failed step, after the last accepted time in sol.t.
-    horizon_reached = sol.status == 0
-    return OdeTrace(times=sol.t, F1=sol.y[0], dF1=sol.y[1],
-                    F2=sol.y[2], dF2=sol.y[3],
-                    blowup_time=None if horizon_reached else float(sol.t[-1]),
+        sol = solve_ivp(rhs, (params.T0, horizon), y0,
+                        method="RK45", rtol=1e-8, atol=1e-10,
+                        events=hit_threshold, dense_output=False)
+        # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
+        # failed step, after the last accepted time in sol.t.
+        times, rows, horizon_reached = sol.t, sol.y, sol.status == 0
+    return OdeTrace(times=times, F1=rows[0], dF1=rows[1], F2=rows[2], dF2=rows[3],
+                    blowup_time=None if horizon_reached else float(times[-1]),
                     terminal_reason=(TerminalReason.HORIZON if horizon_reached
                                      else TerminalReason.BLOWUP))
 

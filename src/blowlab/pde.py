@@ -3,12 +3,12 @@
     u_tt - Laplace(u) + u_t = |v|^p,
     v_tt - Laplace(v)       = |u|^q,
 
-with compactly supported, nonnegative, radially symmetric data, plus a
-live audit of the functional inequalities that drive the blow-up
-argument.  The solver is an explicit leapfrog scheme: central
-differences in time, the finite-volume radial Laplacian in space, and
-the damping term split symmetrically as (u^{k+1} - u^{k-1}) / (2 dt)
-and solved for u^{k+1} in closed form.  Wave speed is exactly 1, so the
+with compactly supported, nonnegative, radially symmetric data, plus an
+audit of the functional inequalities that drive the blow-up argument,
+the comparison system of :mod:`blowlab.comparison`.  The solver is an
+explicit leapfrog scheme: central differences in time, the finite-volume
+radial Laplacian in space, and the damping term split symmetrically as
+(u^{k+1} - u^{k-1}) / (2 dt) and solved for u^{k+1} in closed form.  Wave speed is exactly 1, so the
 support never reaches the outer Dirichlet boundary before the horizon.
 
 Tracked functionals (F1-F4 by the trapezoid rule on the mesh, the rest once per run):
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -534,23 +534,24 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
                        T0_fraction: float = 0.3) -> AuditReport:
     """Audit the five functional lower bounds on a recorded trace.
 
-    The five bounds are the inequality system of
-    :mod:`blowlab.comparison`, with its weights alpha1, alpha2, beta1,
-    beta2 and beta3 taken from ``derive_params``.  Constants: C0 and C1
-    come from the phi-weighted data integrals, C2 and C2tilde are fitted
-    envelopes of the trace's conjugate-power weights W2 and W4,
-    and C3 = C0^p C2^{-(p-1)} / (8 alpha1).
-    The two second-order inequalities use the Hoelder floor
-    |B_1(0)|^{1-s} (unit-ball volume) as their constant, which is the
-    sharp provable coefficient; the best constants the trace actually
-    supports are reported as fitted_k2 / fitted_k4.
+    The bounds are the system of :mod:`blowlab.comparison`, built by
+    ``derive_params`` from C3 and, as k2 and k4, the unit-ball Hoelder
+    floors |B_1(0)|^{1-s}, the sharp provable coefficients; each record
+    takes its constant from that system and its right-hand side from
+    ``KatoParams.lower_bounds``.  C0, C1 come from the phi-weighted data
+    integrals, C2, C2tilde are fitted envelopes of the trace's weights W2
+    and W4, and C3 = C0^p C2^{-(p-1)} / (8 alpha1).  fitted_k2 and
+    fitted_k4 are the least ratios against the second-order bounds with
+    unit constants, None unless positive and finite.
 
     Derivatives of the F-traces are one-pass central differences; the
     last three samples are excluded from the audit window because the
     end-of-trace derivative estimates are unreliable (one-sided stencils
     on a possibly exploding signal), so a trace of at most three samples
     is inconclusive.  So is an audit whose C3 leaves the float range,
-    with C3 None.  A margin passes down to -1e-9 times max |lhs|.
+    with C3 None, and one whose C3 or a Hoelder floor is 0 in float64,
+    which the system rejects.  A margin passes down to -1e-9 times
+    max |lhs|.
     """
     check_audit_args(T0_fraction)
     if trace.outcome == "instability":
@@ -572,62 +573,60 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
             * (t + R) ** (n - 1 - (n - 1) * q_conj / 2.0))
     C2 = float(np.max(trace.W2 / env2))
     C2tilde = float(np.max(trace.W4 / env4))
-    w = derive_params(exponents)
     # Float64 powers, equal to Python's float ** bit for bit where finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        C3 = float(np.float64(C0) ** p * np.float64(C2) ** (-(p - 1.0)) / (8.0 * w.alpha1))
+        C3 = float(np.float64(C0) ** p * np.float64(C2) ** (-(p - 1.0))
+                   / (8.0 * derive_params(exponents).alpha1))
+    constants = {"C3": C3, "k2": ball_volume(n) ** (1.0 - p),
+                 "k4": ball_volume(n) ** (1.0 - q)}
+    zero = [key for key, value in constants.items() if not value > 0.0]
     C3 = C3 if math.isfinite(C3) else None
 
     mask = t >= T0
     mask[-3:] = False
-    if C3 is None or not np.any(mask):
+    note = ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the float range" if C3 is None
+            else f"{zero[0]} is 0 in float64, but the comparison system needs "
+                 "C3, k2 and k4 positive" if zero
+            else f"audit window empty: every sample at or after T0 = {T0:.6g} "
+                 "is among the last three, which are excluded" if not mask.any()
+            else "")
+    if note:
         return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
                            fitted_k2=None, fitted_k4=None,
                            records=[], window=(T0, float(t[-1])),
-                           min_passing_T0=None, inconclusive=True,
-                           note="C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the "
-                                "float range" if C3 is None else
-                                f"audit window empty: every sample at or after "
-                                f"T0 = {T0:.6g} is among the last three, which "
-                                "are excluded")
+                           min_passing_T0=None, inconclusive=True, note=note)
 
+    system = derive_params(exponents, constants)
     dF1 = np.gradient(trace.F1, t)
     dF2 = np.gradient(trace.F2, t)
+    lhs = {"F1_lower": trace.F1, "F1_first_order": dF1 + trace.F1,
+           "F1_second_order": np.gradient(dF1, t) + dF1, "F2_lower": trace.F2,
+           "F2_second_order": np.gradient(dF2, t)}
 
-    holder_p = ball_volume(n) ** (1.0 - p)
-    holder_q = ball_volume(n) ** (1.0 - q)
-    lhs3 = np.gradient(dF1, t) + dF1
-    rhs3_shape = (t + R) ** -w.alpha2 * trace.F2**p
-    lhs5 = np.gradient(dF2, t)
-    rhs5_shape = np.exp(-w.beta3 * t) * (t + R) ** -w.beta2 * trace.F1**q
-
-    # Least ratios over the window samples whose shape did not underflow
-    # to 0.  A ratio beyond the float range is inf; a least ratio that is
-    # not finite, or has no sample, is None, as C3 is.
+    # Least ratios against the second-order bounds with unit constants,
+    # over the window samples whose bound did not underflow to 0.  A ratio
+    # beyond the float range is inf; a least ratio that is not a positive
+    # finite number, or has no sample, is None, as C3 is.
+    shapes = replace(system, k2=1.0, k4=1.0).lower_bounds(t, trace.F1, trace.F2,
+                                                          which=(2, 4))
+    fitted = []
     with np.errstate(over="ignore"):
-        fitted_k2, fitted_k4 = (
-            k if math.isfinite(k) else None
-            for lhs, shape in ((lhs3, rhs3_shape), (lhs5, rhs5_shape))
-            for keep in [mask & (shape > 0.0)]
-            for k in [float(np.min(lhs[keep] / shape[keep], initial=math.inf))])
-
-    specs = [
-        ("F1_lower", trace.F1, C3 * (t + R) ** w.alpha1, C3),
-        ("F1_first_order", dF1 + trace.F1, 4.0 * C3 * (t + R) ** w.alpha1, 4.0 * C3),
-        ("F1_second_order", lhs3, holder_p * rhs3_shape, holder_p),
-        ("F2_lower", trace.F2, (t + R) ** w.beta1, 1.0),
-        ("F2_second_order", lhs5, holder_q * rhs5_shape, holder_q),
-    ]
+        for name, shape in zip(("F1_second_order", "F2_second_order"), shapes):
+            keep = mask & (shape > 0.0)
+            k = float(np.min(lhs[name][keep] / shape[keep], initial=math.inf))
+            fitted.append(k if 0.0 < k < math.inf else None)
+    fitted_k2, fitted_k4 = fitted
 
     records = []
     pointwise_ok = np.ones(t.size, dtype=bool)
-    for name, lhs, rhs, constant in specs:
-        margins = lhs - rhs
-        scale = float(np.max(np.abs(lhs[mask]))) or 1.0
+    for i, ((name, lower), upper) in enumerate(
+            zip(lhs.items(), system.lower_bounds(t, trace.F1, trace.F2))):
+        margins = lower - upper
+        scale = float(np.max(np.abs(lower[mask]))) or 1.0
         margin_min = float(np.min(margins[mask]))
         passed = margin_min >= -1e-9 * scale
         pointwise_ok &= margins >= -1e-9 * scale
-        records.append(InequalityRecord(name=name, constant=constant,
+        records.append(InequalityRecord(name=name, constant=getattr(system, f"k{i}"),
                                         margin_min=margin_min, scale=scale,
                                         passed=passed))
 

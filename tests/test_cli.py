@@ -789,7 +789,12 @@ class TestMain:
         if mode == "audit":
             doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                              parse_constant=reject_constant)
-            assert math.isfinite(doc["constants"]["k4"])
+            # Its least F2 second-order ratio is finite but negative (about
+            # -4.9e277): k4 reads null, and the record keeps the failed margin.
+            assert 0.0 < doc["constants"]["k2"] < math.inf
+            assert doc["constants"]["k4"] is None
+            record = doc["inequalities"][4]
+            assert record["name"] == "F2_second_order" and not record["passed"]
 
     def test_audit_with_fitted_k_beyond_float_range(self, tmp_path, capsys):
         # One window sample's ratio lhs / shape leaves the float range; it
@@ -830,6 +835,65 @@ class TestMain:
         assert doc["inconclusive"] is True and doc["inequalities"] == []
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_audit_of_C3_underflowed_to_zero(self, tmp_path, capsys):
+        # C0 = 2.6e-200, so C3 = C0^p C2^{-(p-1)} / (8 alpha1) is 0: the F1
+        # bound is vacuous, and the comparison system needs C3 > 0.  The
+        # audit is inconclusive with its own note, not a mid-run error.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"amplitudes": 1e-200, "grid_points": 300, "horizon": 3}')
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["C3"] == 0.0
+        assert doc["constants"]["k2"] is None and doc["constants"]["k4"] is None
+        assert doc["inconclusive"] is True and doc["inequalities"] == []
+        assert doc["note"].startswith("C3 is 0 in float64")
+
+    def test_audit_of_negative_least_ratio(self, tmp_path, capsys):
+        # The least F1 second-order ratio of this run is -3.74, which the
+        # comparison system rejects as k2: it reads null, and the record
+        # keeps the failed margin.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"p": 3, "q": 3, "n": 1, "amplitudes": 0.005, '
+                          '"grid_points": 300, "horizon": 5}')
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["k2"] is None
+        assert 0.0 < doc["constants"]["k4"] < math.inf
+        assert doc["inconclusive"] is False
+        record = doc["inequalities"][2]
+        assert record["name"] == "F1_second_order" and not record["passed"]
+        assert record["margin_min"] < 0.0
+
+    @pytest.mark.parametrize("doc,blowup_time,rows", [
+        pytest.param({}, 0.09698058089686964, 333, id="default"),
+        # The constants of the audit-n2 audit (amplitude 1, grid 1000).
+        pytest.param({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07241886135849035,
+                      "k2": 0.6103393946639272, "k4": 1.5424272975524305},
+                     1.211162661294748, 279, id="audit-n2"),
+        # A step fails where the solution leaves the float range.
+        pytest.param({"p": 4, "q": 4}, 4.554606335710942e-05, 531, id="p4"),
+    ])
+    def test_kato_blowup_times(self, tmp_path, capsys, doc, blowup_time, rows):
+        # The outcome, blow-up time and row count do not depend on how the
+        # right-hand side rounds: numpy's array and scalar powers differ in
+        # the last bit, and these values hold for both.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        code = main(["kato", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["outcome"] == "blowup"
+        assert summary["blowup_time"] == pytest.approx(blowup_time, rel=1e-9)
+        trace = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
+        assert len(trace) == rows + 1
+
     @pytest.mark.parametrize("doc", [
         pytest.param({"p": 200, "q": 200}, id="200"),
         pytest.param({"p": 5000, "q": 5000}, id="5000"),
@@ -846,8 +910,10 @@ class TestMain:
         for name in ("conditions.txt", "ode_trace.csv", "summary.json"):
             assert (tmp_path / "out" / name).exists()
         assert "k5=0\n" in (tmp_path / "out" / "conditions.txt").read_text()
-        # F2_0^p = 1000^p is inf, so the comparison ODE blows up at T0 = 0.
-        assert "outcome=blowup blowup_time=0.0 " in capsys.readouterr().out
+        # F2_0^p = 1000^p is inf, so the comparison ODE blows up at T0 = 0,
+        # with no warning.
+        out, err = capsys.readouterr()
+        assert "outcome=blowup blowup_time=0.0 " in out and err == ""
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["outcome"] == "blowup" and doc["blowup_time"] == 0.0
         rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()

@@ -74,6 +74,34 @@ class TestKatoParams:
         assert default_params().k6 > 0.0
 
 
+class TestLowerBounds:
+    @pytest.mark.parametrize("p,q,n", [(2.0, 2.0, 1), (1.5, 1.5, 2), (1.7, 2.5, 2),
+                                       (2.0, 2.0, 3), (4.0, 4.0, 1)])
+    def test_array_equals_floats_bit_for_bit(self, p, q, n):
+        # p = q = 2, n = 1 takes the exponents 1, -1 and 2, which numpy
+        # evaluates apart from its general power.  F1 and F2 span the float
+        # range, so some bounds saturate to inf and some to 0.
+        params = derive_params(Exponents(p, q, n), {"C3": 0.3, "k2": 0.7, "k4": 1.9})
+        t = np.concatenate([[0.0, 1e3], RNG.uniform(0.0, 50.0, 300)])
+        F1, F2 = 10.0 ** RNG.uniform(-300.0, 300.0, (2, t.size))
+        arrays = np.array(params.lower_bounds(t, F1, F2))
+        assert arrays.shape == (5, t.size)
+        assert np.isinf(arrays).any() and (arrays == 0.0).any()
+        floats = np.array([params.lower_bounds(float(t[j]), float(F1[j]), float(F2[j]))
+                           for j in range(t.size)]).T
+        assert floats.tobytes() == arrays.tobytes()
+        pair = params.lower_bounds(t, F1, F2, which=(2, 4))
+        assert np.array(pair).tobytes() == arrays[[2, 4]].tobytes()
+
+    def test_constants_scale_the_shapes(self):
+        params = derive_params(Exponents(1.7, 2.5, 2), {"C3": 0.3, "k2": 0.7, "k4": 1.9})
+        unit = replace(params, k0=1.0, k1=1.0, k2=1.0, k4=1.0)
+        t, F1, F2 = np.linspace(0.0, 5.0, 11), np.linspace(1.0, 9.0, 11), np.full(11, 3.0)
+        for i, (bound, shape) in enumerate(zip(params.lower_bounds(t, F1, F2),
+                                               unit.lower_bounds(t, F1, F2))):
+            assert np.array_equal(bound, getattr(params, f"k{i}") * shape)
+
+
 class TestConditions:
     def test_boundary_flags(self):
         # beta2 + alpha2 q = beta1 (pq - 1) + 2(q + 1) exactly:

@@ -796,7 +796,13 @@ class TestAudit:
                 assert report.fitted_k4 == np.min(lhs5[keep] / shape[keep])
             else:
                 assert report.fitted_k4 is None
-            assert report.fitted_k2 is not None
+            # F2 is untouched, so no k2 shape underflows and k2 is the least
+            # ratio over the whole window.  The jump in F1 makes it
+            # negative, so it reads None.
+            dF1 = np.gradient(F1, t)
+            shape2 = (t + ex.R) ** -w.alpha2 * trace.F2**ex.p
+            assert np.min(((np.gradient(dF1, t) + dF1) / shape2)[window]) < 0.0
+            assert report.fitted_k2 is None
 
     def test_min_passing_T0_reported(self, reference):
         ex, trace = reference
