@@ -224,15 +224,7 @@ def _plan(mode: str, s: dict):
         # An unstable run has no trustworthy functionals to audit.
         if mode == "audit" and trace.outcome != "instability":
             report = pde.audit_inequalities(trace, ex, T0_fraction=s["T0_fraction"])
-            doc = {
-                "constants": report.constants(),
-                "window": list(report.window),
-                "min_passing_T0": report.min_passing_T0,
-                "inconclusive": report.inconclusive,
-                "note": report.note,
-                "inequalities": [asdict(r) for r in report.records],
-            }
-            files.append(_write(out / "audit.json", _json_text(doc)))
+            files.append(_write(out / "audit.json", _json_text(asdict(report))))
         return trace.outcome, trace.blowup_time, trace.dt, files
     return run_pde
 

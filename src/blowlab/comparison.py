@@ -282,9 +282,13 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     else:
         from scipy.integrate import solve_ivp
 
-        sol = solve_ivp(rhs, (params.T0, horizon), y0,
-                        method="RK45", rtol=1e-8, atol=1e-10,
-                        events=hit_threshold, dense_output=False)
+        # A right-hand side finite at T0 may still overflow the solver's
+        # own norms (its first-step estimate squares it); a step that
+        # leaves the float range fails, which is blow-up, silently.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (params.T0, horizon), y0,
+                            method="RK45", rtol=1e-8, atol=1e-10,
+                            events=hit_threshold, dense_output=False)
         # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
         # failed step, after the last accepted time in sol.t.
         times, rows, horizon_reached = sol.t, sol.y, sol.status == 0

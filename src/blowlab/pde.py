@@ -367,9 +367,10 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
 
     u, v, phi_w = state.u[nodes], state.v[nodes], phi_mesh[nodes]
     t = state.time
-    return {"F1": quad(u * w), "F2": quad(v * w),
-            "F3": math.exp(-t) * quad(v * phi_w * w),
-            "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)}
+    with np.errstate(over="ignore"):
+        return {"F1": quad(u * w), "F2": quad(v * w),
+                "F3": math.exp(-t) * quad(v * phi_w * w),
+                "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)}
 
 
 @dataclass
@@ -436,11 +437,13 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     phi_mesh = phi(state.r, n)
     w = state.r ** (n - 1)
     surf = sphere_area(n)
-    data_integrals = {
-        key.replace("amplitude", "int_phi"):
-            surf * float(np.trapezoid(f * phi_mesh * w, dx=state.h))
-        for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
-    }
+    # Like F1-F4, an integral beyond the float range is inf, silently.
+    with np.errstate(over="ignore"):
+        data_integrals = {
+            key.replace("amplitude", "int_phi"):
+                surf * float(np.trapezoid(f * phi_mesh * w, dx=state.h))
+            for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
+        }
 
     rows = []
 
@@ -499,29 +502,25 @@ class InequalityRecord:
 
 @dataclass
 class AuditReport:
-    """Fitted constants and margins of the five functional inequalities."""
+    """The audit's document: its fields are the keys of ``audit.json``,
+    which the CLI writes as ``asdict(report)``.
 
-    C0: float
-    C1: float
-    C2: float
-    C2tilde: float
-    C3: float | None                  # None when it leaves the float range
-    fitted_k2: float | None           # None when empty or beyond the float range
-    fitted_k4: float | None
-    records: list
+    ``constants`` maps C0, C1, C2, C2tilde, C3, k2 and k4 to a float or
+    None, by the rule of :func:`audit_inequalities`.  ``inequalities``
+    holds one :class:`InequalityRecord` per bound, and none when the
+    audit is inconclusive.
+    """
+
+    constants: dict
     window: tuple
     min_passing_T0: float | None
-    inconclusive: bool = False
-    note: str = ""
+    inconclusive: bool
+    note: str
+    inequalities: list
 
     @property
     def all_pass(self) -> bool:
-        return (not self.inconclusive) and all(r.passed for r in self.records)
-
-    def constants(self) -> dict:
-        return {"C0": self.C0, "C1": self.C1, "C2": self.C2,
-                "C2tilde": self.C2tilde, "C3": self.C3,
-                "k2": self.fitted_k2, "k4": self.fitted_k4}
+        return (not self.inconclusive) and all(r.passed for r in self.inequalities)
 
 
 def check_audit_args(T0_fraction: float) -> None:
@@ -540,18 +539,24 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     takes its constant from that system and its right-hand side from
     ``KatoParams.lower_bounds``.  C0, C1 come from the phi-weighted data
     integrals, C2, C2tilde are fitted envelopes of the trace's weights W2
-    and W4, and C3 = C0^p C2^{-(p-1)} / (8 alpha1).  fitted_k2 and
-    fitted_k4 are the least ratios against the second-order bounds with
-    unit constants, None unless positive and finite.
+    and W4, and C3 = C0^p C2^{-(p-1)} / (8 alpha1).  The reported k2 and
+    k4 are the fitted ones, the least ratios against the second-order
+    bounds with unit constants.
+
+    Each constant is a float64, evaluated with no floating-point
+    warning, and one rule makes it None: a value that is not a finite
+    number, or a fitted k2 or k4 that is not positive.  An envelope
+    that overflows at a sample gives that sample the ratio 0, below its
+    true ratio.
 
     Derivatives of the F-traces are one-pass central differences; the
     last three samples are excluded from the audit window because the
     end-of-trace derivative estimates are unreliable (one-sided stencils
     on a possibly exploding signal), so a trace of at most three samples
     is inconclusive.  So is an audit whose C3 leaves the float range,
-    with C3 None, and one whose C3 or a Hoelder floor is 0 in float64,
-    which the system rejects.  A margin passes down to -1e-9 times
-    max |lhs|.
+    and one whose C3 or a Hoelder floor is 0 in float64, which the
+    system rejects; an inconclusive audit fits no k2 or k4.  A margin
+    passes down to -1e-9 times max |lhs|.
     """
     check_audit_args(T0_fraction)
     if trace.outcome == "instability":
@@ -561,89 +566,82 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     T0 = T0_fraction * t[-1]
 
     di = trace.data_integrals
-    C0 = min(di["int_phi_v0"], 0.5 * (di["int_phi_v0"] + di["int_phi_v1"]))
+    C0 = np.float64(min(di["int_phi_v0"], 0.5 * (di["int_phi_v0"] + di["int_phi_v1"])))
     C1 = min(di["int_phi_u0"],
              (di["int_phi_u1"] + (1.0 + math.sqrt(5.0)) / 2.0 * di["int_phi_u0"])
              / math.sqrt(5.0))
-
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
-    env2 = (t + R) ** (n - 1 - (n - 1) * p_conj / 2.0)
-    env4 = (np.exp((3.0 - math.sqrt(5.0)) / 2.0 * q_conj * t)
-            * (t + R) ** (n - 1 - (n - 1) * q_conj / 2.0))
-    C2 = float(np.max(trace.W2 / env2))
-    C2tilde = float(np.max(trace.W4 / env4))
     # Float64 powers, equal to Python's float ** bit for bit where finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        C3 = float(np.float64(C0) ** p * np.float64(C2) ** (-(p - 1.0))
-                   / (8.0 * derive_params(exponents).alpha1))
-    constants = {"C3": C3, "k2": ball_volume(n) ** (1.0 - p),
-                 "k4": ball_volume(n) ** (1.0 - q)}
-    zero = [key for key, value in constants.items() if not value > 0.0]
-    C3 = C3 if math.isfinite(C3) else None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        env2 = (t + R) ** (n - 1 - (n - 1) * p_conj / 2.0)
+        env4 = (np.exp((3.0 - math.sqrt(5.0)) / 2.0 * q_conj * t)
+                * (t + R) ** (n - 1 - (n - 1) * q_conj / 2.0))
+        C2 = np.max(trace.W2 / env2)
+        C3 = C0**p * C2 ** (-(p - 1.0)) / (8.0 * derive_params(exponents).alpha1)
+        constants = {"C0": C0, "C1": C1, "C2": C2, "C2tilde": np.max(trace.W4 / env4),
+                     "C3": C3, "k2": math.nan, "k4": math.nan}
+    floors = {"C3": C3, "k2": ball_volume(n) ** (1.0 - p),
+              "k4": ball_volume(n) ** (1.0 - q)}
+    zero = [key for key, value in floors.items() if not value > 0.0]
 
     mask = t >= T0
     mask[-3:] = False
-    note = ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the float range" if C3 is None
+    note = ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the float range"
+            if not math.isfinite(C3)
             else f"{zero[0]} is 0 in float64, but the comparison system needs "
                  "C3, k2 and k4 positive" if zero
             else f"audit window empty: every sample at or after T0 = {T0:.6g} "
                  "is among the last three, which are excluded" if not mask.any()
             else "")
-    if note:
-        return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
-                           fitted_k2=None, fitted_k4=None,
-                           records=[], window=(T0, float(t[-1])),
-                           min_passing_T0=None, inconclusive=True, note=note)
+    inconclusive = bool(note)
+    records, window, min_T0 = [], (T0, float(t[-1])), None
+    if not inconclusive:
+        system = derive_params(exponents, floors)
+        dF1 = np.gradient(trace.F1, t)
+        dF2 = np.gradient(trace.F2, t)
+        lhs = {"F1_lower": trace.F1, "F1_first_order": dF1 + trace.F1,
+               "F1_second_order": np.gradient(dF1, t) + dF1, "F2_lower": trace.F2,
+               "F2_second_order": np.gradient(dF2, t)}
 
-    system = derive_params(exponents, constants)
-    dF1 = np.gradient(trace.F1, t)
-    dF2 = np.gradient(trace.F2, t)
-    lhs = {"F1_lower": trace.F1, "F1_first_order": dF1 + trace.F1,
-           "F1_second_order": np.gradient(dF1, t) + dF1, "F2_lower": trace.F2,
-           "F2_second_order": np.gradient(dF2, t)}
+        # The fitted k2 and k4: least ratios against the second-order
+        # bounds with unit constants, over the window samples whose bound
+        # did not underflow to 0.  A ratio beyond the float range is inf,
+        # and so is the least ratio of no sample.
+        shapes = replace(system, k2=1.0, k4=1.0).lower_bounds(t, trace.F1, trace.F2,
+                                                              which=(2, 4))
+        with np.errstate(over="ignore"):
+            for key, name, shape in zip(("k2", "k4"),
+                                        ("F1_second_order", "F2_second_order"), shapes):
+                keep = mask & (shape > 0.0)
+                constants[key] = np.min(lhs[name][keep] / shape[keep], initial=math.inf)
 
-    # Least ratios against the second-order bounds with unit constants,
-    # over the window samples whose bound did not underflow to 0.  A ratio
-    # beyond the float range is inf; a least ratio that is not a positive
-    # finite number, or has no sample, is None, as C3 is.
-    shapes = replace(system, k2=1.0, k4=1.0).lower_bounds(t, trace.F1, trace.F2,
-                                                          which=(2, 4))
-    fitted = []
-    with np.errstate(over="ignore"):
-        for name, shape in zip(("F1_second_order", "F2_second_order"), shapes):
-            keep = mask & (shape > 0.0)
-            k = float(np.min(lhs[name][keep] / shape[keep], initial=math.inf))
-            fitted.append(k if 0.0 < k < math.inf else None)
-    fitted_k2, fitted_k4 = fitted
+        pointwise_ok = np.ones(t.size, dtype=bool)
+        for i, ((name, lower), upper) in enumerate(
+                zip(lhs.items(), system.lower_bounds(t, trace.F1, trace.F2))):
+            margins = lower - upper
+            scale = float(np.max(np.abs(lower[mask]))) or 1.0
+            margin_min = float(np.min(margins[mask]))
+            pointwise_ok &= margins >= -1e-9 * scale
+            records.append(InequalityRecord(name=name, constant=getattr(system, f"k{i}"),
+                                            margin_min=margin_min, scale=scale,
+                                            passed=margin_min >= -1e-9 * scale))
 
-    records = []
-    pointwise_ok = np.ones(t.size, dtype=bool)
-    for i, ((name, lower), upper) in enumerate(
-            zip(lhs.items(), system.lower_bounds(t, trace.F1, trace.F2))):
-        margins = lower - upper
-        scale = float(np.max(np.abs(lower[mask]))) or 1.0
-        margin_min = float(np.min(margins[mask]))
-        passed = margin_min >= -1e-9 * scale
-        pointwise_ok &= margins >= -1e-9 * scale
-        records.append(InequalityRecord(name=name, constant=getattr(system, f"k{i}"),
-                                        margin_min=margin_min, scale=scale,
-                                        passed=passed))
+        # Smallest T0 from which every margin stays nonnegative through the
+        # end of the (trimmed) window.
+        last = np.nonzero(mask)[0][-1]
+        ok_suffix = np.logical_and.accumulate(pointwise_ok[last::-1])[::-1]
+        first = np.nonzero(ok_suffix)[0]
+        min_T0 = float(t[first[0]]) if first.size else None
+        window = (float(t[mask][0]), float(t[mask][-1]))
+        note = ("C2tilde (fitted from the J4 weight) stands in for C2 in the "
+                "exponentially weighted envelope; second-order constants are "
+                "unit-ball Hoelder floors, with the trace-supported best "
+                "constants reported as fitted_k2/fitted_k4")
 
-    # Smallest T0 from which every margin stays nonnegative through the
-    # end of the (trimmed) window.
-    last = np.nonzero(mask)[0][-1]
-    ok_suffix = np.logical_and.accumulate(pointwise_ok[last::-1])[::-1]
-    first = np.nonzero(ok_suffix)[0]
-    min_T0 = float(t[first[0]]) if first.size else None
-
-    return AuditReport(C0=C0, C1=C1, C2=C2, C2tilde=C2tilde, C3=C3,
-                       fitted_k2=fitted_k2, fitted_k4=fitted_k4,
-                       records=records,
-                       window=(float(t[mask][0]), float(t[mask][-1])),
-                       min_passing_T0=min_T0,
-                       note="C2tilde (fitted from the J4 weight) stands in "
-                            "for C2 in the exponentially weighted envelope; "
-                            "second-order constants are unit-ball Hoelder "
-                            "floors, with the trace-supported best constants "
-                            "reported as fitted_k2/fitted_k4")
+    return AuditReport(
+        constants={key: float(value) if math.isfinite(value)
+                   and (value > 0.0 or key not in ("k2", "k4")) else None
+                   for key, value in constants.items()},
+        window=window, min_passing_T0=min_T0, inconclusive=inconclusive,
+        note=note, inequalities=records)

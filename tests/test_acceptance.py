@@ -181,7 +181,7 @@ def test_criterion_05_finite_propagation(report, uncoupled_traces, audit_run,
 
 def test_criterion_06_inequality_audit(report, audit_run):
     _, _, rep = audit_run
-    margins = {r.name: r.margin_min for r in rep.records}
+    margins = {r.name: r.margin_min for r in rep.inequalities}
     ok = rep.all_pass and rep.min_passing_T0 is not None
     assert report(6, ok, "all five functional inequalities hold on "
                   f"[{rep.window[0]:.2f}, {rep.window[1]:.2f}] "
@@ -223,8 +223,7 @@ def test_criterion_08_comparison_system_blowup(report, audit_run):
 
     _, _, rep = audit_run
     params = derive_params(Exponents(2.0, 2.0, 1, 1.0),
-                           {"C3": rep.C3, "k2": rep.fitted_k2,
-                            "k4": rep.fitted_k4})
+                           {key: rep.constants[key] for key in ("C3", "k2", "k4")})
     t1 = integrate_comparison(params, 1e3, 1e2, 1e3, 1e2, horizon=50.0)
     t2 = integrate_comparison(params, 2e3, 2e2, 2e3, 2e2, horizon=50.0)
     damped = replace(params, beta3=1e3)

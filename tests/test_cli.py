@@ -9,6 +9,7 @@ import multiprocessing.pool
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -84,6 +85,27 @@ W2_OVERFLOW = {"n": 3, "p": 1.003, "q": 2, "amplitudes": 0.1, "horizon": 0.5,
 K4_OVERFLOW = {"n": 1, "p": 2.206588509314799, "q": 5.772494008007659,
                "amplitudes": 0.011414105206280556, "horizon": 359.58341677137173,
                "grid_points": 200, "cfl_factor": 0.5, "R": 1.0, "coupling": True}
+
+# Runs near p = 1 or q = 1, whose envelope fits leave the float range:
+# W4 / env4 is about 1e235 / 1e-140 (C2TILDE_OVERFLOW) and W2 / env2 about
+# 1e201 / 1e-202 (C2_OVERFLOW), and env4 = e^{...} (t + R)^{-426} itself
+# overflows at 76 of 851 samples, where t + R < 1 (ENV4_OVERFLOW).
+C2TILDE_OVERFLOW = {"n": 5, "p": 1.06, "q": 1.0087, "R": 4, "amplitudes": 10,
+                    "grid_points": 400, "horizon": 1.3, "coupling": False}
+C2_OVERFLOW = {"n": 7, "p": 1.01, "q": 1.12, "R": 4, "amplitudes": 1,
+               "grid_points": 200, "horizon": 0.75, "cfl_factor": 0.45}
+ENV4_OVERFLOW = {"n": 7, "p": 1.2, "q": 1.007, "R": 0.05, "amplitudes": 500,
+                 "grid_points": 400, "horizon": 1.6, "cfl_factor": 0.45,
+                 "sample_every": 1, "blowup_threshold": 2e6}
+
+# Data near the float maximum, whose integrals F1-F4 and C0, C1 read inf.
+DATA_NEAR_MAX = {"amplitudes": 1e308, "grid_points": 300, "horizon": 3}
+
+# A comparison ODE whose right-hand side is finite at T0 but whose square
+# norm, in RK45's first-step estimate, leaves the float range.
+KATO_HUGE_RHS = {"p": 50, "q": 1.1, "F1_0": 604.0, "dF1_0": 0.0027, "F2_0": 66575.0,
+                 "dF2_0": 0.98, "C3": 1e6, "k2": 0.16, "k4": 0.0003,
+                 "horizon": 7.3, "ode_threshold": 2e10}
 
 
 def steps_doc(steps):
@@ -408,6 +430,18 @@ class TestRunExperiment:
         assert len(doc["inequalities"]) == 5
         assert all(item["passed"] for item in doc["inequalities"])
         assert doc["min_passing_T0"] is not None
+
+    def test_audit_json_is_the_report(self, tmp_path):
+        # audit.json is the audit's report as a dict: its fields are the
+        # document's keys, and the CLI writes nothing else.
+        doc = {**FAST_SIM, "p": 1.5, "q": 1.5, "n": 2}
+        run_experiment(parse_config(json.dumps(doc), mode="audit"), tmp_path)
+        ex = Exponents(1.5, 1.5, 2)
+        trace = pde.run(ex, pde.InitialData(), grid_points=250, horizon=2.0,
+                        sample_every=5)
+        report = asdict(pde.audit_inequalities(trace, ex))
+        assert len(report["inequalities"]) == 5
+        assert (tmp_path / "audit.json").read_text() == cli._json_text(report)
 
     def test_kato_artifacts(self, tmp_path):
         cfg = parse_config("{}", mode="kato")
@@ -870,6 +904,84 @@ class TestMain:
         assert record["name"] == "F1_second_order" and not record["passed"]
         assert record["margin_min"] < 0.0
 
+    def test_audit_of_C2tilde_beyond_float_range(self, tmp_path, capsys):
+        # W4 / env4 leaves the float range at every sample (q = 1.0087), so
+        # C2tilde reads null; the rest of the audit does not use it.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(C2TILDE_OVERFLOW))
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "out" / "audit.json").read_text()
+        assert '"C2tilde": null' in text
+        doc = json.loads(text, parse_constant=reject_constant)
+        assert doc["inconclusive"] is False and len(doc["inequalities"]) == 5
+
+    def test_audit_of_C2_beyond_float_range(self, tmp_path, capsys):
+        # W2 / env2 leaves the float range (p = 1.01): C2 reads null, and
+        # C3 = C0^p C2^{-(p-1)} / (8 alpha1) is 0, so the audit is inconclusive.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(C2_OVERFLOW))
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["C2"] is None and doc["constants"]["C3"] == 0.0
+        assert doc["inconclusive"] is True and doc["inequalities"] == []
+        assert doc["note"].startswith("C3 is 0 in float64")
+
+    def test_audit_with_envelope_overflow_at_some_samples(self, tmp_path, capsys):
+        # env4 leaves the float range at some samples only: their ratio
+        # W4 / env4 is 0, below its true value, so C2tilde is the least
+        # upper bound of the others, with no warning.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(ENV4_OVERFLOW))
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["constants"]["C2tilde"] == 2.9526441695191203e+224
+
+    @pytest.mark.parametrize("mode", ["simulate", "audit"])
+    def test_data_near_float_maximum(self, tmp_path, capsys, mode):
+        # The data integrals and F1-F4 leave the float range: they read inf,
+        # with no warning, and the audit writes C0, C1 and C3 as null.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(DATA_NEAR_MAX))
+        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("outcome=blowup blowup_time=0.0 ") and err == ""
+        header, row = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert [key for key, x in cells.items() if not math.isfinite(x)] == \
+            ["F1", "F2", "F3", "F4", "J1", "J3"]
+        if mode == "audit":
+            doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                             parse_constant=reject_constant)
+            constants = doc["constants"]
+            assert [key for key, x in constants.items() if x is None] == \
+                ["C0", "C1", "C3", "k2", "k4"]
+            assert doc["inconclusive"] is True
+            assert doc["note"] == ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves "
+                                   "the float range")
+
+    def test_kato_with_huge_right_hand_side(self, tmp_path, capsys):
+        # F2_0^p = 1.5e241 is finite, but RK45's first-step estimate squares
+        # the right-hand side: that overflow is silent, and the run blows up
+        # at once.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(KATO_HUGE_RHS))
+        code = main(["kato", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("outcome=blowup blowup_time=5.489618287124963e-116 ")
+        assert err == ""
+        rows = (tmp_path / "out" / "ode_trace.csv").read_text().splitlines()
+        assert len(rows) == 211
+
     @pytest.mark.parametrize("doc,blowup_time,rows", [
         pytest.param({}, 0.09698058089686964, 333, id="default"),
         # The constants of the audit-n2 audit (amplitude 1, grid 1000).
@@ -951,6 +1063,7 @@ class TestMain:
     def test_every_accepted_kato_config_has_a_finite_outcome(self, capsys):
         @settings(max_examples=60, deadline=None)
         @given(kato_docs())
+        @example(KATO_HUGE_RHS)
         def finite_outcome(doc):
             try:
                 parse_config(json.dumps(doc), mode="kato")
@@ -983,6 +1096,11 @@ class TestMain:
         @example(("audit", K4_OVERFLOW))
         @example(("simulate", W2_OVERFLOW))
         @example(("audit", W2_OVERFLOW))
+        @example(("audit", C2TILDE_OVERFLOW))
+        @example(("audit", C2_OVERFLOW))
+        @example(("audit", ENV4_OVERFLOW))
+        @example(("simulate", DATA_NEAR_MAX))
+        @example(("audit", DATA_NEAR_MAX))
         def ends_cleanly(case):
             mode, doc = case
             try:

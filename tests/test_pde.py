@@ -728,16 +728,16 @@ class TestAudit:
         report = audit_inequalities(trace, ex)
         assert isinstance(report, AuditReport)
         assert report.all_pass
-        names = [r.name for r in report.records]
+        names = [r.name for r in report.inequalities]
         assert names == ["F1_lower", "F1_first_order", "F1_second_order",
                          "F2_lower", "F2_second_order"]
-        for rec in report.records:
+        for rec in report.inequalities:
             assert rec.margin_min >= -1e-9 * rec.scale
 
     def test_constants_positive_and_consistent(self, reference):
         ex, trace = reference
         report = audit_inequalities(trace, ex)
-        c = report.constants()
+        c = report.constants
         assert all(v > 0.0 for v in c.values())
         # C3 is determined by C0, C2 and the dimension weights.
         growth = 4.0 * (2.0 + (2.0 - ex.p) * (ex.n - 1))
@@ -752,12 +752,13 @@ class TestAudit:
         # alpha1, alpha2, beta1 and beta2 are all 1.
         ex, trace = request.getfixturevalue(trace_fixture)
         report = audit_inequalities(trace, ex)
-        kp = derive_params(ex, {"C3": report.C3,
+        c = report.constants
+        kp = derive_params(ex, {"C3": c["C3"],
                                 "k2": ball_volume(ex.n) ** (1.0 - ex.p),
                                 "k4": ball_volume(ex.n) ** (1.0 - ex.q)})
-        assert report.C3 == (report.C0**ex.p * report.C2 ** (-(ex.p - 1.0))
-                             / (8.0 * kp.alpha1))
-        assert [rec.constant for rec in report.records] == \
+        assert c["C3"] == (c["C0"]**ex.p * c["C2"] ** (-(ex.p - 1.0))
+                           / (8.0 * kp.alpha1))
+        assert [rec.constant for rec in report.inequalities] == \
             [kp.k0, kp.k1, kp.k2, kp.k3, kp.k4]
         t, F1, F2 = trace.times, trace.F1, trace.F2
         s = t + kp.R
@@ -771,7 +772,7 @@ class TestAudit:
                kp.k4 * (np.exp(-kp.beta3 * t) * s**-kp.beta2 * F1**kp.q)]
         window = (t >= report.window[0]) & (t <= report.window[1])
         assert window.sum() > 10
-        for rec, lower, upper in zip(report.records, lhs, rhs):
+        for rec, lower, upper in zip(report.inequalities, lhs, rhs):
             assert rec.margin_min == np.min((lower - upper)[window]), rec.name
 
     def test_fitted_constants_skip_underflowed_shapes(self, reference):
@@ -793,16 +794,16 @@ class TestAudit:
             assert np.all(shape[window & ~kept] == 0.0)
             if kept.any():
                 keep = window & kept
-                assert report.fitted_k4 == np.min(lhs5[keep] / shape[keep])
+                assert report.constants["k4"] == np.min(lhs5[keep] / shape[keep])
             else:
-                assert report.fitted_k4 is None
+                assert report.constants["k4"] is None
             # F2 is untouched, so no k2 shape underflows and k2 is the least
             # ratio over the whole window.  The jump in F1 makes it
             # negative, so it reads None.
             dF1 = np.gradient(F1, t)
             shape2 = (t + ex.R) ** -w.alpha2 * trace.F2**ex.p
             assert np.min(((np.gradient(dF1, t) + dF1) / shape2)[window]) < 0.0
-            assert report.fitted_k2 is None
+            assert report.constants["k2"] is None
 
     def test_min_passing_T0_reported(self, reference):
         ex, trace = reference
@@ -827,7 +828,7 @@ class TestAudit:
                                   if isinstance(getattr(trace, f.name), np.ndarray)})
         report = audit_inequalities(short, ex)
         assert report.inconclusive
-        assert report.records == []
+        assert report.inequalities == []
         assert report.min_passing_T0 is None
         assert report.note.startswith("audit window empty: every sample at or "
                                       f"after T0 = {0.3 * short.times[-1]:.6g}")
@@ -838,8 +839,8 @@ class TestAudit:
         ex = Exponents(2.0, 2.0, 1)
         trace = run(ex, smooth_data(1e200), grid_points=400, horizon=2.0)
         report = audit_inequalities(trace, ex)
-        assert report.C3 is None and math.isfinite(report.C0)
-        assert report.inconclusive and report.records == []
+        assert report.constants["C3"] is None and math.isfinite(report.constants["C0"])
+        assert report.inconclusive and report.inequalities == []
         assert report.note == ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the "
                                "float range")
 
