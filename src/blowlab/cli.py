@@ -132,11 +132,11 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         expected = type(schema[key])
         if not (type(value) is expected or (expected is float and type(value) is int)):
             raise ConfigError(
-                f"{key}={value!r} must be a JSON {_JSON_TYPE_NAMES[expected]}")
+                f"{key}={json.dumps(value)} must be a JSON {_JSON_TYPE_NAMES[expected]}")
         # Rejects NaN, +-Infinity (also 1e400, which parses to inf) and
         # integers beyond the float range.
         if expected in (int, float) and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{key}={value!r} must be a finite number")
+            raise ConfigError(f"{key}={json.dumps(value)} must be a finite number")
     if "amplitudes" in doc:
         a = doc.pop("amplitudes")
         for key in AMPLITUDE_KEYS:

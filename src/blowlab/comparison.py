@@ -28,8 +28,11 @@ sigma = t - T9 with kappa e^{-gamma T9}, nu = gamma + beta - 1 and
 R + T9.  Both are validated against a numerical ODE oracle in the test
 suite.
 
-The ODE solver, ``quad`` and ``brentq`` are imported inside the
-functions that call them, so importing this module loads no scipy.
+The system is integrated by this module's own numpy Dormand-Prince
+5(4) pair, so integrating it loads no scipy.  ``quad`` and ``brentq``,
+which only the closed-form Y and Z helpers use, are imported inside the
+functions that call them, so importing this module loads no scipy
+either.
 """
 
 from __future__ import annotations
@@ -242,6 +245,181 @@ def check_comparison_args(params: KatoParams, F1_0: float, dF1_0: float,
     check_positive(ode_threshold=ode_threshold)
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 1980): nodes C, stages A, 5th-order weights B, error weights E (the
+# 5th- minus the 4th-order weights, the last on the FSAL stage) and the
+# free 4th-order interpolant P of Shampine (Math. Comp. 46, 1986), one
+# row per stage, the coefficients of x, x^2, x^3, x^4.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
+    """The starting step of Hairer, Norsett & Wanner (Solving ODEs I,
+    II.4) for an error estimator of order 4, capped at t_bound - t0."""
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _dp_step(fun, t, y, f, h, K):
+    """One Dormand-Prince step of size h from (t, y), with f = fun(t, y):
+    the 5th-order state at t + h and fun there.  K receives the seven
+    stages, the last of them fun(t + h, state)."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), start=1):
+        K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+    y_new = y + h * np.dot(K[:-1].T, _DP_B)
+    f_new = K[-1] = fun(t + h, y_new)
+    return y_new, f_new
+
+
+def _brent(f, a, b, tol):
+    """A zero of f between a and b, where f changes sign, by Brent's
+    method to an x tolerance of tol + tol |x|.  This is the loop of
+    scipy.optimize.brentq (100 iterations at most; a NaN value, or no
+    sign change, is a ValueError), so a root agrees with brentq's bit
+    for bit."""
+    def value(x):
+        fx = np.float64(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = np.float64(a), np.float64(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.float64(0.0)
+    for _ in range(100):
+        # xblk brackets the zero with xcur, and |fcur| <= |fblk|.
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant step.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic step.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge after 100 iterations, at {xcur}")
+
+
+def _dormand_prince(fun, t0, y0, t_bound, event, rtol, atol):
+    """Integrate y' = fun(t, y) from (t0, y0) towards t_bound by adaptive
+    Dormand-Prince 5(4) steps, until event(y) changes sign.
+
+    The step control is that of Hairer, Norsett & Wanner (Solving ODEs I,
+    II.4): the error is the RMS of the error estimate over atol + rtol
+    max(|y|, |y_new|), a step is accepted when it is below 1, and the
+    next step is scaled by 0.9 error^(-1/5) within [0.2, 10], by at most
+    1 right after a rejection.  A step below 10 spacings of t fails.
+    After an accepted step on which event(y) changes sign (or reaches
+    0), the event time is the zero of event on the step's 4th-order
+    interpolant, by Brent's method to 4 machine epsilons.
+
+    Returns the times, the states at them and a status: 0 when t_bound
+    is reached; 1 at the event, whose time and interpolated state end
+    the lists; -1 when a step fails, after the last accepted time.
+    This is scipy's solve_ivp(method="RK45") with one terminal event,
+    step for step, in the same numpy operations: the two give the same
+    times and states, bit for bit.
+    """
+    t, y, f, g = t0, y0, fun(t0, y0), event(y0)
+    h_abs = _first_step(fun, t0, y0, f, t_bound, rtol, atol)
+    K = np.empty((_DP_C.size + 1, y0.size))
+    times, states = [t0], [y0]
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return times, states, -1
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _dp_step(fun, t, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error < 1:
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+        h_abs *= min(1, factor) if rejected else factor
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        g_old, g = g, event(y)
+        if g_old <= 0 <= g or g <= 0 <= g_old:
+            Q = K.T.dot(_DP_P)
+
+            def dense(s):
+                x = np.cumprod(np.tile((np.asarray(s) - t_old) / h, Q.shape[1]))
+                return h * np.dot(Q, x) + y_old
+
+            t = _brent(lambda s: event(dense(s)), t_old, t, 4 * np.finfo(float).eps)
+            times.append(t)
+            states.append(dense(t))
+            return times, states, 1
+        times.append(t)
+        states.append(y)
+    return times, states, 0
+
+
 def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                          F2_0: float, dF2_0: float, horizon: float,
                          ode_threshold: float = DEFAULT_ODE_THRESHOLD) -> OdeTrace:
@@ -249,13 +427,14 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     second-order pair of :meth:`KatoParams.lower_bounds` as equalities.
 
     Any solution of the inequality system majorizes the equality system,
-    so blow-up here certifies blow-up there.  Adaptive embedded
-    Runge-Kutta (rtol 1e-8, atol 1e-10) with a terminal event at
-    max(F1, F2) = ode_threshold; the event time is refined by the
-    solver's root finder.  Initial data at or above the threshold, or a
-    right-hand side that is already beyond the float range at T0 (for
-    example F2_0^p = inf), is blow-up at T0: the trace then holds the
-    initial row alone and the solver is not called.
+    so blow-up here certifies blow-up there.  Adaptive Dormand-Prince
+    5(4) (rtol 1e-8, atol 1e-10; see ``_dormand_prince``) with a
+    terminal event at max(F1, F2) = ode_threshold; the event time is the
+    root, by Brent's method, of the step's 4th-order interpolant, and
+    the last row is the interpolated state there.  Initial data at or
+    above the threshold, or a right-hand side that is already beyond the
+    float range at T0 (for example F2_0^p = inf), is blow-up at T0: the
+    trace then holds the initial row alone and the solver is not called.
 
     The run ends in one of two ways.  It is ``HORIZON`` when the solver
     reaches the horizon, and ``BLOWUP`` otherwise, at the last time of
@@ -268,30 +447,27 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     def rhs(t, y):
         F1, dF1, F2, dF2 = y
         g1, g2 = params.lower_bounds(t, max(F1, 0.0), max(F2, 0.0), which=(2, 4))
-        return [dF1, g1 - dF1, dF2, g2]
+        return np.array([dF1, g1 - dF1, dF2, g2], dtype=float)
 
-    def hit_threshold(t, y):
+    def hit_threshold(y):
         return max(y[0], y[2]) - ode_threshold
-
-    hit_threshold.terminal = True
 
     y0 = np.array([F1_0, dF1_0, F2_0, dF2_0], dtype=float)
     if (max(F1_0, F2_0) >= ode_threshold
             or not np.all(np.isfinite(rhs(params.T0, y0)))):
-        times, rows, horizon_reached = np.array([params.T0]), y0[:, np.newaxis], False
+        times, rows, horizon_reached = [params.T0], [y0], False
     else:
-        from scipy.integrate import solve_ivp
-
         # A right-hand side finite at T0 may still overflow the solver's
         # own norms (its first-step estimate squares it); a step that
         # leaves the float range fails, which is blow-up, silently.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sol = solve_ivp(rhs, (params.T0, horizon), y0,
-                            method="RK45", rtol=1e-8, atol=1e-10,
-                            events=hit_threshold, dense_output=False)
-        # status 0: the horizon; 1: an event, whose time ends sol.t; -1: a
-        # failed step, after the last accepted time in sol.t.
-        times, rows, horizon_reached = sol.t, sol.y, sol.status == 0
+            times, rows, status = _dormand_prince(
+                rhs, float(params.T0), y0, float(horizon), hit_threshold,
+                rtol=1e-8, atol=1e-10)
+        # status 0: the horizon; 1: the event, whose time ends the times;
+        # -1: a failed step, after the last accepted time.
+        horizon_reached = status == 0
+    times, rows = np.array(times), np.vstack(rows).T
     return OdeTrace(times=times, F1=rows[0], dF1=rows[1], F2=rows[2], dF2=rows[3],
                     blowup_time=None if horizon_reached else float(times[-1]),
                     terminal_reason=(TerminalReason.HORIZON if horizon_reached

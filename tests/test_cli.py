@@ -6,14 +6,17 @@ configuration errors are 2)."""
 import json
 import math
 import multiprocessing.pool
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from blowlab import cli, comparison, pde
 from blowlab.cli import (
@@ -313,6 +316,14 @@ class TestParseConfig:
                           ("regions", '{"svg": "false"}'),
                           ("regions", '{"n": 2.9}')):
             with pytest.raises(ConfigError, match="must be a JSON"):
+                parse_config(doc, mode=mode)
+        # The offending value is echoed as JSON spells it.
+        for mode, doc, message in (
+                ("kato", '{"k2": null}', "k2=null must be a JSON number"),
+                ("simulate", '{"coupling": "false"}', 'coupling="false" must be a JSON boolean'),
+                ("simulate", '{"coupling": 0}', "coupling=0 must be a JSON boolean"),
+                ("simulate", '{"horizon": NaN}', "horizon=NaN must be a finite number")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 parse_config(doc, mode=mode)
         for value in ("NaN", "Infinity", "-Infinity", "1e400"):
             with pytest.raises(ConfigError, match="must be a finite number"):
@@ -1128,3 +1139,92 @@ class TestMain:
     def test_sweep_bad_key(self, tmp_path, capsys):
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])
         assert code == 2
+
+
+def rk45_oracle(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold):
+    """``integrate_comparison`` as scipy's ``solve_ivp`` runs it: RK45 at
+    rtol 1e-8 and atol 1e-10 with one terminal event at max(F1, F2) =
+    ode_threshold, after the same blow-up-at-T0 check."""
+    def rhs(t, y):
+        F1, dF1, F2, dF2 = y
+        g1, g2 = params.lower_bounds(t, max(F1, 0.0), max(F2, 0.0), which=(2, 4))
+        return [dF1, g1 - dF1, dF2, g2]
+
+    def hit_threshold(t, y):
+        return max(y[0], y[2]) - ode_threshold
+
+    hit_threshold.terminal = True
+    y0 = np.array([F1_0, dF1_0, F2_0, dF2_0], dtype=float)
+    if (max(F1_0, F2_0) >= ode_threshold
+            or not np.all(np.isfinite(rhs(params.T0, y0)))):
+        return comparison.OdeTrace(np.array([params.T0]), *y0[:, np.newaxis],
+                                   blowup_time=params.T0,
+                                   terminal_reason=comparison.TerminalReason.BLOWUP)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (params.T0, horizon), y0, method="RK45",
+                        rtol=1e-8, atol=1e-10, events=hit_threshold)
+    horizon_reached = sol.status == 0
+    return comparison.OdeTrace(
+        sol.t, *sol.y, blowup_time=None if horizon_reached else float(sol.t[-1]),
+        terminal_reason=(comparison.TerminalReason.HORIZON if horizon_reached
+                         else comparison.TerminalReason.BLOWUP))
+
+
+def kato_traces(doc):
+    """The comparison solve of the kato config ``doc``, by
+    ``integrate_comparison`` and by the scipy oracle."""
+    s = parse_config(json.dumps(doc), mode="kato").settings
+    params = comparison.derive_params(
+        Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"])),
+        {k: s[k] for k in ("C3", "k2", "k4")})
+    ode = {k: s[k] for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon", "ode_threshold")}
+    return comparison.integrate_comparison(params, **ode), rk45_oracle(params, **ode)
+
+
+def assert_same_solve(trace, oracle):
+    # The numpy Dormand-Prince port takes scipy's steps in scipy's numpy
+    # operations, so every value agrees bit for bit.
+    assert trace.terminal_reason is oracle.terminal_reason
+    assert trace.times.size == oracle.times.size
+    if oracle.blowup_time is None:
+        assert trace.blowup_time is None
+    else:
+        assert trace.blowup_time == pytest.approx(oracle.blowup_time, rel=1e-9)
+    for name in ("times", "F1", "dF1", "F2", "dF2"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(oracle, name))
+
+
+class TestKatoAgainstScipy:
+    @pytest.mark.parametrize("doc,blowup_time,rows", [
+        pytest.param({}, 0.09698058089686964, 333, id="default"),
+        pytest.param({"p": 4, "q": 4}, 4.554606335710942e-05, 531, id="p4"),
+        pytest.param({"p": 200, "q": 200}, 0.0, 1, id="200"),
+        pytest.param({"p": 5000, "q": 5000}, 0.0, 1, id="5000"),
+        # The constants of the audit-n2 audit (amplitude 1, grid 1000) and
+        # of the CI chain's audit (grid 300).
+        pytest.param({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07241886135849035,
+                      "k2": 0.6103393946639272, "k4": 1.5424272975524305},
+                     1.211162661294748, 279, id="audit-n2"),
+        pytest.param({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07240507049691755,
+                      "k2": 0.6108343451486321, "k4": 1.561861162177372},
+                     1.2056456332240324, 279, id="ci-chain"),
+        pytest.param(KATO_HUGE_RHS, 5.489618287124963e-116, 210, id="huge-rhs"),
+    ])
+    def test_measured_configs(self, doc, blowup_time, rows):
+        trace, oracle = kato_traces(doc)
+        assert_same_solve(trace, oracle)
+        assert trace.terminal_reason is comparison.TerminalReason.BLOWUP
+        assert trace.blowup_time == pytest.approx(blowup_time, rel=1e-9)
+        assert trace.times.size == rows
+
+    def test_every_accepted_config(self):
+        @settings(max_examples=60, deadline=None)
+        @given(kato_docs())
+        def same_solve(doc):
+            try:
+                parse_config(json.dumps(doc), mode="kato")
+            except ConfigError:
+                assume(False)
+            assert_same_solve(*kato_traces(doc))
+
+        same_solve()

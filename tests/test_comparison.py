@@ -14,10 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from blowlab.cli import parse_config, run_experiment
 from blowlab.comparison import (
     KatoParams,
+    _brent,
     TerminalReason,
     check_conditions,
     derive_params,
@@ -151,6 +153,37 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match=r"^p=3 >= 2n/\(n-1\)=3 for n=3: alpha1 <= 0 "
                            "violates the comparison hypotheses$"):
             derive_params(Exponents(3.0, 2.0, 3))
+
+
+class TestBrent:
+    def test_iterates_are_brentqs(self):
+        # The event root finder is brentq's loop: on cubics with a root
+        # inside the bracket, at scales over 400 decades, it evaluates the
+        # same points and returns the same root, bit for bit.
+        tol = 4 * np.finfo(float).eps
+        for _ in range(300):
+            c, off = RNG.uniform(-0.9, 0.9), RNG.uniform(-1e-4, 1e-4)
+            scale = 10.0 ** RNG.uniform(-200, 200)
+            a, b = -1.0 - RNG.random(), 1.0 + RNG.random()
+            if RNG.random() < 0.5:
+                a, b = b, a
+            seen = {"brentq": [], "port": []}
+
+            def f(x, who):
+                seen[who].append(float(x))
+                return scale * ((x - c) ** 3 + off * (x - c))
+
+            expected = brentq(f, a, b, args=("brentq",), xtol=tol, rtol=tol)
+            # Its float64 steps may leave the float range, as brentq's C
+            # doubles do, silently.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                got = _brent(lambda x: f(x, "port"), a, b, tol)
+            assert got == expected
+            assert seen["port"] == seen["brentq"]
+
+    def test_no_sign_change_is_an_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 class TestIntegrateComparison:

@@ -3,15 +3,17 @@
 The domain rules (n in [1, 8], p, q > 1, the theorem's bounds) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
-The comparison layer imports scipy's ODE solver, ``quad`` and ``brentq``
-inside the functions that call them, and ``testfuncs.phi`` sums its
-power series in numpy.  So the test functions, the simulator and the
-CLI load no scipy module at all, and neither do the ``simulate``,
-``audit`` and ``phi`` runs; only a ``kato`` run loads the ODE solver.
+The comparison layer integrates its ODE with its own numpy
+Dormand-Prince 5(4) pair and imports scipy's ``quad`` and ``brentq``
+only inside the closed-form Y and Z helpers, which no CLI mode calls;
+``testfuncs.phi`` sums its power series in numpy.  So the test
+functions, the simulator and the CLI load no scipy module at all, and
+neither does a run of any mode, ``kato`` included.
 Each import is checked in a fresh interpreter, since this process has
 loaded them all.
 """
 
+import json
 import math
 import os
 import re
@@ -135,7 +137,7 @@ class TestImportGraph:
         assert scipy_modules(loaded) == []
 
     def test_cli_loads_no_ode_solver(self):
-        # comparison imports its ODE solver, quad and brentq where it calls them.
+        # comparison imports quad and brentq where it calls them.
         loaded = modules_after_import("blowlab.cli")
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
@@ -159,9 +161,10 @@ class TestImportGraph:
         assert "blowlab.pde" in loaded
         assert scipy_modules(loaded) == []
 
-    @pytest.mark.parametrize("mode", ["simulate", "audit", "phi"])
+    @pytest.mark.parametrize("mode", ["simulate", "audit", "phi", "kato"])
     def test_default_run_loads_no_scipy(self, mode, tmp_path):
-        # phi sums its power series in numpy.
+        # phi sums its power series in numpy, and comparison integrates its
+        # ODE in numpy.
         loaded = modules_after_import("blowlab.cli", (
             f"blowlab.cli.run_experiment(blowlab.cli.parse_config('{{}}', {mode!r}),"
             f" {str(tmp_path)!r})"))
@@ -169,12 +172,17 @@ class TestImportGraph:
         assert scipy_modules(loaded) == []
         assert (tmp_path / "summary.json").is_file()
 
-    def test_kato_loads_ode_solver_when_it_runs(self, tmp_path):
-        parse = "config = blowlab.cli.parse_config('{}', 'kato')"
-        assert scipy_modules(modules_after_import("blowlab.cli", parse)) == []
-        loaded = modules_after_import(
-            "blowlab.cli", f"{parse}\nblowlab.cli.run_experiment(config, {str(tmp_path)!r})")
-        assert "scipy.integrate" in loaded
+    def test_audit_seeded_kato_loads_no_scipy(self, tmp_path):
+        # The constants of the audit-n2 audit (amplitude 1, grid 1000): the
+        # audit -> kato chain blows up, and its ODE solve loads no scipy.
+        doc = {"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07241886135849035,
+               "k2": 0.6103393946639272, "k4": 1.5424272975524305}
+        loaded = modules_after_import("blowlab.cli", (
+            f"blowlab.cli.run_experiment(blowlab.cli.parse_config({json.dumps(doc)!r},"
+            f" 'kato'), {str(tmp_path)!r})"))
+        assert "blowlab.comparison" in loaded
+        assert scipy_modules(loaded) == []
+        assert json.loads((tmp_path / "summary.json").read_text())["outcome"] == "blowup"
 
     def test_comparison_loads_no_solver(self):
         loaded = modules_after_import("blowlab.comparison")
