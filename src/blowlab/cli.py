@@ -14,6 +14,7 @@ weight-integral overflow guard.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
@@ -164,11 +165,8 @@ def _plan(mode: str, s: dict):
         check_dimension(s["n"])
 
         def run_regions(out: Path):
-            grid = criticality.scan(*window, s["n"], s["resolution"])
-            files = [_write_regions_csv(grid, out / "regions.csv")]
-            if s["svg"]:
-                files.append(emit_region_svg(grid, *window, s["n"], out / "regions.svg"))
-            return "completed", None, None, files
+            return "completed", None, None, _write_regions(
+                *window, s["n"], s["resolution"], out, s["svg"])
         return run_regions
     if mode == "phi":
         if not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
@@ -276,8 +274,11 @@ _LABEL_COLUMNS = np.array(
               for bit in (3, 2, 1, 0)) for k in range(16)], dtype=object)
 
 
-# Grid rows per block that one call of _format_csv_block formats.
-_CSV_BLOCK_ROWS = 16
+# Cells per band.  The main thread scans a band and writes its SVG rows;
+# a pool worker formats its CSV lines.  Bands are sized in cells, not rows,
+# so what is held at once does not grow with the resolution; 8 000 cells
+# are 16 rows at resolution 500.
+_BAND_CELLS = 8_000
 # The fewest cells worth a process pool.  Starting one (the forks, then
 # the workers' copy-on-write faults on their first blocks) cost about
 # 40 ms on a 2-vCPU VM, as much as formatting 10 000 cells; below about
@@ -297,8 +298,12 @@ def _usable_cpus() -> int:
 def _block_map(workers: int):
     """An ordered, lazy ``map`` over independent blocks.
 
-    It is the ``imap`` of a fork process pool of ``workers`` processes,
-    or the builtin ``map`` for fewer than two, or in a daemonic process
+    On a fork process pool of ``workers`` processes, it takes the next
+    block from its input, in the calling thread, only while fewer than
+    ``2 * workers`` blocks are in flight, so a generator of blocks runs in
+    that thread and at most that many blocks and results are held at once.
+    (``Pool.imap`` would drain its input in a pool thread.)  It is the
+    builtin ``map`` for fewer than two workers, or in a daemonic process
     (a pool worker, say), which may not have children.  The pool ends
     with the ``with`` block, also when a worker raises; the exception
     reaches the caller.
@@ -309,14 +314,24 @@ def _block_map(workers: int):
 
         if not multiprocessing.current_process().daemon:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap
+                def bounded_map(fn, blocks):
+                    pending = collections.deque()
+                    for block in blocks:
+                        pending.append(pool.apply_async(fn, (block,)))
+                        if len(pending) == 2 * workers:
+                            yield pending.popleft().get()
+                    while pending:
+                        yield pending.popleft().get()
+
+                yield bounded_map
             return
     yield map
 
 
-def _format_csv_block(block) -> str:
-    """The regions.csv lines of a block ``(p_text, rows)`` of grid rows:
-    one line per cell, alphas to 17 significant digits."""
+def _format_csv_block(block) -> list:
+    """The regions.csv text of a block ``(p_text, rows)`` of grid rows,
+    one string per row: one line per cell, alphas to 17 significant
+    digits.  The rows are not joined, which would copy the block's text."""
     p_text, rows = block
     text = []
     for row in rows:
@@ -326,23 +341,53 @@ def _format_csv_block(block) -> str:
         text.append("".join(map(line.__mod__, zip(
             p_text, *(row[key].tolist() for key in _ALPHA_FIELDS),
             _LABEL_COLUMNS[labels].tolist()))))
-    return "".join(text)
+    return text
 
 
-def _write_regions_csv(grid: list, path: Path) -> Path:
-    """regions.csv, formatted in blocks of grid rows on every usable CPU
-    and written in grid order."""
-    p_text = ["%.17g" % p for p in grid[0]["p"].tolist()]
-    blocks = [(p_text, grid[i:i + _CSV_BLOCK_ROWS])
-              for i in range(0, len(grid), _CSV_BLOCK_ROWS)]
-    pooled = len(grid) * len(grid[0]) >= _POOL_MIN_CELLS
-    workers = min(_usable_cpus(), len(blocks)) if pooled else 1
-    with path.open("w") as fh, _block_map(workers) as map_blocks:
-        fh.write("p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
-                 "label_new,label_NW,label_W,label_DW\n")
-        for text in map_blocks(_format_csv_block, blocks):
-            fh.write(text)
-    return path
+def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
+                   out: Path, svg: bool) -> list:
+    """Write regions.csv, and with ``svg`` regions.svg, in one streaming
+    pass over the dimension-``n`` grid of the window; return their paths.
+
+    The main thread scans the grid in bands of about ``_BAND_CELLS``
+    cells, q ascending, and writes each band's SVG rows.  The bands' CSV
+    lines are formatted on every usable CPU, a grid of ``_POOL_MIN_CELLS``
+    or more on a fork pool (``_block_map``), and written in grid order.
+    Only a few bands are held at a time, never the whole grid, so memory
+    does not grow with the resolution, and both files are the same on any
+    number of CPUs.
+    """
+    band_rows = max(1, _BAND_CELLS // resolution)
+    bands = [range(resolution)[j:j + band_rows] for j in range(0, resolution, band_rows)]
+    pooled = resolution * resolution >= _POOL_MIN_CELLS
+    workers = min(_usable_cpus(), len(bands)) if pooled else 1
+    paths = [out / "regions.csv", *([out / "regions.svg"] if svg else [])]
+    svg_map = _SvgMap(p_range, q_range, n, resolution, resolution) if svg else None
+    with contextlib.ExitStack() as stack:
+        csv_fh = stack.enter_context(paths[0].open("w"))
+        svg_fh = stack.enter_context(paths[1].open("w")) if svg else None
+        map_blocks = stack.enter_context(_block_map(workers))
+        csv_fh.write("p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
+                     "label_new,label_NW,label_W,label_DW\n")
+        if svg:
+            svg_fh.write(svg_map.head)
+
+        def blocks():
+            # Drawn by map_blocks in this thread, so each band's SVG rows
+            # are written as it is scanned, in grid order.
+            p_text = None
+            for rows in bands:
+                band = criticality.scan(p_range, q_range, n, resolution, rows=rows)
+                if svg:
+                    svg_map.write_rows(svg_fh, band, rows.start)
+                p_text = p_text or ["%.17g" % p for p in band[0]["p"].tolist()]
+                yield p_text, band
+
+        for text in map_blocks(_format_csv_block, blocks()):
+            csv_fh.writelines(text)
+        if svg:
+            svg_fh.write(svg_map.tail)
+    return paths
 
 
 # Cell colors: interior blow-up, boundary blow-up, undetermined, and
@@ -365,64 +410,88 @@ def _svg_categories(row, n: int) -> np.ndarray:
                     np.where(hypothesis_failed, 3, 2))
 
 
+class _SvgMap:
+    """The 800x800 SVG heat map of the comparison-ODE label of an
+    ``n_p`` x ``n_q`` dimension-``n`` scan of the window ``p_range`` x
+    ``q_range``: its ``head``, then the cells of every grid row, written
+    by ``write_rows`` in any number of calls, then its ``tail``.
+
+    The plot area spans the window, so axis ticks are placed from it.
+    Each cell is one ``<rect>``.
+    """
+
+    # The plot area.
+    x0, y0, x1, y1 = 70.0, 40.0, 760.0, 730.0
+    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+            'viewBox="0 0 800 800">\n'
+            '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n')
+
+    def __init__(self, p_range: tuple, q_range: tuple, n: int, n_p: int, n_q: int):
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        self.n = n
+        self.ch = (y1 - y0) / n_q
+        cw = (x1 - x0) / n_p
+        # A cell's line is its column's head, its row's y and its color's tail.
+        self.heads = [f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(n_p)]
+        self.tails = [f'" width="{cw:.2f}" height="{self.ch:.2f}" fill="{color}"/>\n'
+                      for _, color in _SVG_CATEGORIES]
+
+        # Drawn after the cells: the frame, axis ticks at integer exponent
+        # values, the axis names and the legend.
+        (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
+        parts = [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+                 f'height="{y1 - y0:.2f}" fill="none" stroke="#000000"/>']
+        for k in range(int(math.ceil(p_lo)), int(math.floor(p_hi)) + 1):
+            x = x0 + (k - p_lo) / (p_hi - p_lo) * (x1 - x0)
+            parts.append(f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" '
+                         f'y2="{y1 + 6:.2f}" stroke="#000000"/>')
+            parts.append(f'<text x="{x:.2f}" y="{y1 + 20:.2f}" font-size="12" '
+                         f'text-anchor="middle">{k}</text>')
+        for k in range(int(math.ceil(q_lo)), int(math.floor(q_hi)) + 1):
+            y = y1 - (k - q_lo) / (q_hi - q_lo) * (y1 - y0)
+            parts.append(f'<line x1="{x0 - 6:.2f}" y1="{y:.2f}" x2="{x0:.2f}" '
+                         f'y2="{y:.2f}" stroke="#000000"/>')
+            parts.append(f'<text x="{x0 - 10:.2f}" y="{y + 4:.2f}" font-size="12" '
+                         f'text-anchor="end">{k}</text>')
+        parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="770" font-size="14" '
+                     'text-anchor="middle">p</text>')
+        parts.append('<text x="20" y="385" font-size="14" text-anchor="middle">q</text>')
+        lx = x0
+        for name, color in _SVG_CATEGORIES:
+            parts.append(f'<rect x="{lx:.2f}" y="10" width="14" height="14" '
+                         f'fill="{color}"/>')
+            parts.append(f'<text x="{lx + 18:.2f}" y="22" font-size="12">{name}</text>')
+            lx += 170.0
+        parts.append("</svg>")
+        self.tail = "\n".join(parts) + "\n"
+
+    def write_rows(self, fh, rows, j0: int) -> None:
+        """Write the cells of grid rows ``j0, j0 + 1, ...``, one row per write."""
+        for j, row in enumerate(rows, start=j0):
+            # q grows upward: row j sits at the bottom for j = 0.
+            y = f"{self.y1 - (j + 1) * self.ch:.2f}"
+            fh.write("".join([head + y + self.tails[c] for head, c in
+                              zip(self.heads, _svg_categories(row, self.n).tolist())]))
+
+
 def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, n: int,
                     path) -> Path:
     """Deterministic 800x800 SVG heat map of the comparison-ODE label.
 
     ``grid`` is the dimension-``n`` scan of the window ``p_range`` x
-    ``q_range``; the plot area spans that window, so axis ticks are
-    placed from it.  Each cell is one ``<rect>``.
+    ``q_range``, rows q ascending; the plot area spans that window, so
+    axis ticks are placed from it.  Each cell is one ``<rect>``.  The
+    ``regions`` mode writes the same bytes band by band, with the same
+    ``_SvgMap``, and never holds the whole grid.
     """
     if not grid or not len(grid[0]):
         raise ValueError("cannot render an empty grid")
     path = Path(path)
-    n_q = len(grid)
-    n_p = len(grid[0])
-    x0, y0, x1, y1 = 70.0, 40.0, 760.0, 730.0
-    (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
-    cw = (x1 - x0) / n_p
-    ch = (y1 - y0) / n_q
-    # A cell's line is its column's head, its row's y and its color's tail.
-    heads = [f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(n_p)]
-    tails = [f'" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>\n'
-             for _, color in _SVG_CATEGORIES]
-
-    # Drawn after the cells: the frame, axis ticks at integer exponent
-    # values, the axis names and the legend.
-    parts = [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-             f'height="{y1 - y0:.2f}" fill="none" stroke="#000000"/>']
-    for k in range(int(math.ceil(p_lo)), int(math.floor(p_hi)) + 1):
-        x = x0 + (k - p_lo) / (p_hi - p_lo) * (x1 - x0)
-        parts.append(f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" '
-                     f'y2="{y1 + 6:.2f}" stroke="#000000"/>')
-        parts.append(f'<text x="{x:.2f}" y="{y1 + 20:.2f}" font-size="12" '
-                     f'text-anchor="middle">{k}</text>')
-    for k in range(int(math.ceil(q_lo)), int(math.floor(q_hi)) + 1):
-        y = y1 - (k - q_lo) / (q_hi - q_lo) * (y1 - y0)
-        parts.append(f'<line x1="{x0 - 6:.2f}" y1="{y:.2f}" x2="{x0:.2f}" '
-                     f'y2="{y:.2f}" stroke="#000000"/>')
-        parts.append(f'<text x="{x0 - 10:.2f}" y="{y + 4:.2f}" font-size="12" '
-                     f'text-anchor="end">{k}</text>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="770" font-size="14" '
-                 'text-anchor="middle">p</text>')
-    parts.append('<text x="20" y="385" font-size="14" text-anchor="middle">q</text>')
-    lx = x0
-    for idx, (name, color) in enumerate(_SVG_CATEGORIES):
-        parts.append(f'<rect x="{lx:.2f}" y="10" width="14" height="14" '
-                     f'fill="{color}"/>')
-        parts.append(f'<text x="{lx + 18:.2f}" y="22" font-size="12">{name}</text>')
-        lx += 170.0
-    parts.append("</svg>")
+    svg_map = _SvgMap(p_range, q_range, n, len(grid[0]), len(grid))
     with path.open("w") as fh:
-        fh.write('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-                 'viewBox="0 0 800 800">\n'
-                 '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n')
-        for j, row in enumerate(grid):
-            # q grows upward: row j sits at the bottom for j = 0.
-            y = f"{y1 - (j + 1) * ch:.2f}"
-            fh.write("".join([head + y + tails[c] for head, c in
-                              zip(heads, _svg_categories(row, n).tolist())]))
-        fh.write("\n".join(parts) + "\n")
+        fh.write(svg_map.head)
+        svg_map.write_rows(fh, grid, 0)
+        fh.write(svg_map.tail)
     return path
 
 

@@ -29,10 +29,11 @@ R + T9.  Both are validated against a numerical ODE oracle in the test
 suite.
 
 The system is integrated by this module's own numpy Dormand-Prince
-5(4) pair, so integrating it loads no scipy.  ``quad`` and ``brentq``,
-which only the closed-form Y and Z helpers use, are imported inside the
-functions that call them, so importing this module loads no scipy
-either.
+5(4) pair, so integrating it loads no scipy.  One Brent root finder,
+``_brent``, finds both the ODE's threshold event and the zero of the Y
+and Z brackets.  ``quad``, which only the closed-form Y and Z helpers
+use, is imported inside the function that calls it, so importing this
+module loads no scipy either.
 """
 
 from __future__ import annotations
@@ -304,12 +305,12 @@ def _dp_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def _brent(f, a, b, tol):
+def _brent(f, a, b, xtol, rtol):
     """A zero of f between a and b, where f changes sign, by Brent's
-    method to an x tolerance of tol + tol |x|.  This is the loop of
+    method to an x tolerance of xtol + rtol |x|.  This is the loop of
     scipy.optimize.brentq (100 iterations at most; a NaN value, or no
-    sign change, is a ValueError), so a root agrees with brentq's bit
-    for bit."""
+    sign change, is a ValueError), so a root agrees with brentq's at the
+    same xtol and rtol bit for bit."""
     def value(x):
         fx = np.float64(f(x))
         if np.isnan(fx):
@@ -333,7 +334,7 @@ def _brent(f, a, b, tol):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + tol * abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -411,7 +412,8 @@ def _dormand_prince(fun, t0, y0, t_bound, event, rtol, atol):
                 x = np.cumprod(np.tile((np.asarray(s) - t_old) / h, Q.shape[1]))
                 return h * np.dot(Q, x) + y_old
 
-            t = _brent(lambda s: event(dense(s)), t_old, t, 4 * np.finfo(float).eps)
+            tol = 4 * np.finfo(float).eps
+            t = _brent(lambda s: event(dense(s)), t_old, t, xtol=tol, rtol=tol)
             times.append(t)
             states.append(dense(t))
             return times, states, 1
@@ -512,8 +514,6 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
 def _bracket_root(bracket, T_start):
     """Root of a monotone decreasing bracket (to 1e-9 relative), or None
     if it stays positive."""
-    from scipy.optimize import brentq
-
     b0 = bracket(T_start)
     if b0 <= 0.0:
         return float(T_start)
@@ -521,8 +521,7 @@ def _bracket_root(bracket, T_start):
     lo = T_start
     for _ in range(200):
         if bracket(hi) <= 0.0:
-            root = brentq(bracket, lo, hi, rtol=1e-9, xtol=1e-14)
-            return float(root)
+            return float(_brent(bracket, lo, hi, xtol=1e-14, rtol=1e-9))
         lo, hi = hi, 2.0 * hi
     return None
 

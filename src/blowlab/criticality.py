@@ -160,31 +160,41 @@ def check_window(p_range: tuple, q_range: tuple, resolution: int) -> None:
         raise ValueError(f"resolution={resolution} must lie in [1, 2000]")
 
 
-def scan(p_range: tuple, q_range: tuple, n: int, resolution: int) -> list:
+def scan(p_range: tuple, q_range: tuple, n: int, resolution: int,
+         rows: range | None = None) -> list:
     """Row-major grid of classify results over [p_range] x [q_range].
 
-    Returns ``resolution`` rows, q ascending; row j is a 1-D record
-    array of CELL_DTYPE over p ascending, so ``grid[j][i]`` holds what
-    ``classify`` reports at the cell, with labels as BlowUp masks.  With
-    resolution 1 the single cell sits at the range midpoint; otherwise
-    cells are placed at cell centers, so range endpoints on the open
-    boundary p, q = 1 are never evaluated.
+    Returns the q rows ``rows`` (by default every row, ``range(resolution)``)
+    of the ``resolution`` x ``resolution`` grid, q ascending; each is a
+    1-D record array of CELL_DTYPE over p ascending, so ``scan(...)[j][i]``
+    holds what ``classify`` reports at the cell, with labels as BlowUp
+    masks.  With resolution 1 the single cell sits at the range midpoint;
+    otherwise cells are placed at cell centers ``lo + (i + 0.5) width``,
+    so range endpoints on the open boundary p, q = 1 are never evaluated.
+    A row is computed from its global index, so a band of rows is bit for
+    bit the same rows of the full scan: a caller can scan the grid band by
+    band and never hold all of it.
     """
     check_window(p_range, q_range, resolution)
     check_dimension(n)
+    rows = range(resolution) if rows is None else rows
+    if not (len(rows) and rows.step == 1 and 0 <= rows.start
+            and rows.stop <= resolution):
+        raise ValueError(f"rows={rows} must be a nonempty range of consecutive "
+                         f"rows within range({resolution})")
 
-    def centers(lo, hi):
+    def centers(lo, hi, index):
         width = (hi - lo) / resolution
-        return lo + (np.arange(resolution) + 0.5) * width
+        return lo + (np.arange(index.start, index.stop) + 0.5) * width
 
-    p = centers(*p_range)[np.newaxis, :]
-    q = centers(*q_range)[:, np.newaxis]
-    grid = np.recarray((resolution, resolution), dtype=CELL_DTYPE)
+    p = centers(*p_range, range(resolution))[np.newaxis, :]
+    q = centers(*q_range, rows)[:, np.newaxis]
+    grid = np.recarray((len(rows), resolution), dtype=CELL_DTYPE)
     grid["p"] = p
     grid["q"] = q
     # Sixteen rows at a time, so the curves' temporaries are bounded by
-    # a block, not by the grid.
-    for j in range(0, resolution, 16):
+    # a block, not by the band.
+    for j in range(0, len(rows), 16):
         for key, value in _evaluate(p, q[j:j + 16], n).items():
             grid[key][j:j + 16] = value
     return list(grid)

@@ -6,11 +6,16 @@ configuration errors are 2)."""
 import json
 import math
 import multiprocessing.pool
+import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from blowlab import cli, comparison, pde
+from blowlab import cli, comparison, criticality, pde
 from blowlab.cli import (
     _DEFAULTS,
     _SVG_CATEGORIES,
@@ -507,7 +512,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("window", [((1.1, 10.0), (1.1, 10.0), 40),
                                         ((1.3, 4.1), (1.05, 3.7), 23),
                                         ((1.5, 2.5), (1.5, 2.5), 1),
-                                        # Ten blocks, the last of six rows.
+                                        # Ten bands, the last of six rows.
                                         ((1.3, 4.1), (1.05, 3.7), 150)])
     def test_regions_csv_equals_per_cell_writer(self, tmp_path, monkeypatch,
                                                 n, window):
@@ -516,17 +521,22 @@ class TestRunExperiment:
             {"n": n, "resolution": resolution, "p_min": p_min, "p_max": p_max,
              "q_min": q_min, "q_max": q_max, "svg": True}), mode="regions")
         want = regions_csv_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
-        # On a pool of two workers, whatever the grid size and the CPUs
-        # of this machine, then inline, as on one CPU.
+        # In bands of 16 rows on a pool of two workers, whatever the grid
+        # size and the CPUs of this machine, then inline, as on one CPU.
         workers = spy_block_map(monkeypatch)
         monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_BAND_CELLS", 16 * resolution)
         for cpus in (2, 1):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             run_experiment(cfg, tmp_path / str(cpus))
             assert (tmp_path / str(cpus) / "regions.csv").read_text() == want
-        assert workers == [min(2, math.ceil(resolution / cli._CSV_BLOCK_ROWS)), 1]
-        assert (tmp_path / "2" / "regions.svg").read_bytes() == \
-            (tmp_path / "1" / "regions.svg").read_bytes()
+        assert workers == [min(2, math.ceil(resolution / 16)), 1]
+        # The streamed SVG is the whole-grid writer's.
+        window = (p_min, p_max), (q_min, q_max)
+        emit_region_svg(scan(*window, n, resolution), *window, n, tmp_path / "map.svg")
+        for cpus in (2, 1):
+            assert (tmp_path / str(cpus) / "regions.svg").read_bytes() == \
+                (tmp_path / "map.svg").read_bytes()
 
     @pytest.mark.parametrize("resolution, cpus, workers", [
         (100, 2, 1), (200, 2, 2), (200, 1, 1), (200, 3, 3)])
@@ -534,30 +544,41 @@ class TestRunExperiment:
                                        resolution, cpus, workers):
         calls = spy_block_map(monkeypatch)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        grid = scan((1.1, 10.0), (1.1, 10.0), 3, resolution)
-        cli._write_regions_csv(grid, tmp_path / "regions.csv")
+        cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, resolution, tmp_path, False)
         assert calls == [workers]
 
     def test_inline_in_a_daemonic_process(self, tmp_path, monkeypatch):
         # A pool worker may not start a pool of its own.
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
-        grid = scan((1.1, 10.0), (1.1, 10.0), 3, 40)
+        monkeypatch.setattr(cli, "_BAND_CELLS", 16 * 40)
+        args = (1.1, 10.0), (1.1, 10.0), 3, 40
+        for name in ("daemon", "main"):
+            (tmp_path / name).mkdir()
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            pool.apply(cli._write_regions_csv, (grid, tmp_path / "daemon.csv"))
-        cli._write_regions_csv(grid, tmp_path / "regions.csv")
-        assert (tmp_path / "daemon.csv").read_bytes() == \
-            (tmp_path / "regions.csv").read_bytes()
+            pool.apply(cli._write_regions, (*args, tmp_path / "daemon", True))
+        cli._write_regions(*args, tmp_path / "main", True)
+        for name in ("regions.csv", "regions.svg"):
+            assert (tmp_path / "daemon" / name).read_bytes() == \
+                (tmp_path / "main" / name).read_bytes()
 
     def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
         calls = spy_block_map(monkeypatch)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
-        grid = scan((1.1, 10.0), (1.1, 10.0), 3, 40)
-        # The last block's last row holds only p and q.
-        grid[-1] = grid[-1][["p", "q"]]
+        monkeypatch.setattr(cli, "_BAND_CELLS", 16 * 40)
+        scan_band = criticality.scan
+
+        def broken_middle_band(*args, rows):
+            band = scan_band(*args, rows=rows)
+            # The middle band's last row holds only p and q.
+            if rows.start == 16:
+                band[-1] = band[-1][["p", "q"]]
+            return band
+
+        monkeypatch.setattr(criticality, "scan", broken_middle_band)
         with pytest.raises(ValueError, match="no field of name label_new") as raised:
-            cli._write_regions_csv(grid, tmp_path / "regions.csv")
+            cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, 40, tmp_path, False)
         assert calls == [2]
         # Raised in a worker: the pool chains the worker's traceback.
         assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
@@ -575,6 +596,42 @@ class TestRunExperiment:
         run_experiment(sim, tmp_path / "d")
         assert (tmp_path / "c" / "trace.csv").read_bytes() == \
             (tmp_path / "d" / "trace.csv").read_bytes()
+
+
+def regions_peak_rss_mb(tmp_path, doc: dict) -> float:
+    """The peak RSS of a fresh process that runs one ``regions`` config
+    through ``cli.main``, in MB."""
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of the
+    # process that forked it (Linux keeps the maximum across exec), and
+    # the test process is larger than the map.
+    code = ("import sys\n"
+            "from blowlab.cli import main\n"
+            "status = main(['regions', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+            "sys.exit(status)\n")
+    tmp_path.mkdir()
+    config = tmp_path / "regions.json"
+    config.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True, env=env)
+    # The resolution-1000 map writes 180 MB.
+    shutil.rmtree(tmp_path / "out")
+    return int(proc.stdout.split()[-1]) * 1024 / 1e6
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_region_map_memory_does_not_grow_with_resolution(tmp_path):
+    # The map is streamed in bands: a 100-fold larger grid, drawn as
+    # SVG too, may cost a few bands more, never the grid (the whole
+    # grid at resolution 1000 took about 100 MB against 33 MB).
+    small = regions_peak_rss_mb(tmp_path / "small", {"resolution": 100})
+    large = regions_peak_rss_mb(tmp_path / "large", {"resolution": 1000, "svg": True})
+    assert large - small <= 15.0, (small, large)
 
 
 class TestSvg:

@@ -19,8 +19,9 @@ from scipy.optimize import brentq
 from blowlab.cli import parse_config, run_experiment
 from blowlab.comparison import (
     KatoParams,
-    _brent,
     TerminalReason,
+    _brent,
+    _y_bracket,
     check_conditions,
     derive_params,
     integrate_comparison,
@@ -155,12 +156,27 @@ class TestDeriveParams:
             derive_params(Exponents(3.0, 2.0, 3))
 
 
+def bracket_root_brentq(bracket, T_start):
+    """``comparison._bracket_root`` with scipy's brentq as its root finder:
+    the oracle of the Y and Z blow-up times."""
+    if bracket(T_start) <= 0.0:
+        return float(T_start)
+    lo, hi = T_start, max(1.0, abs(T_start) + 1.0)
+    for _ in range(200):
+        if bracket(hi) <= 0.0:
+            return float(brentq(bracket, lo, hi, rtol=1e-9, xtol=1e-14))
+        lo, hi = hi, 2.0 * hi
+    return None
+
+
 class TestBrent:
-    def test_iterates_are_brentqs(self):
-        # The event root finder is brentq's loop: on cubics with a root
-        # inside the bracket, at scales over 400 decades, it evaluates the
-        # same points and returns the same root, bit for bit.
-        tol = 4 * np.finfo(float).eps
+    # The ODE event's tolerance pair, and that of the Y and Z brackets.
+    @pytest.mark.parametrize("xtol, rtol", [(4 * np.finfo(float).eps,) * 2,
+                                            (1e-14, 1e-9)])
+    def test_iterates_are_brentqs(self, xtol, rtol):
+        # The root finder is brentq's loop: on cubics with a root inside
+        # the bracket, at scales over 400 decades, it evaluates the same
+        # points and returns the same root, bit for bit.
         for _ in range(300):
             c, off = RNG.uniform(-0.9, 0.9), RNG.uniform(-1e-4, 1e-4)
             scale = 10.0 ** RNG.uniform(-200, 200)
@@ -173,17 +189,51 @@ class TestBrent:
                 seen[who].append(float(x))
                 return scale * ((x - c) ** 3 + off * (x - c))
 
-            expected = brentq(f, a, b, args=("brentq",), xtol=tol, rtol=tol)
+            expected = brentq(f, a, b, args=("brentq",), xtol=xtol, rtol=rtol)
             # Its float64 steps may leave the float range, as brentq's C
             # doubles do, silently.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                got = _brent(lambda x: f(x, "port"), a, b, tol)
+                got = _brent(lambda x: f(x, "port"), a, b, xtol=xtol, rtol=rtol)
             assert got == expected
             assert seen["port"] == seen["brentq"]
 
     def test_no_sign_change_is_an_error(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-12)
+
+    def test_blowup_times_are_brentqs(self):
+        # y_blowup_time and z_blowup_time, bit for bit, against the same
+        # bracket search with brentq; the frozen and oracle cases of
+        # TestYBlowupTime and TestZBlowupTime, then random data.
+        y_cases = [(1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0),
+                   (0.8, 0.5, 0.3, 2.0, 1.0, 0.0, 1.0), (1.5, 1.0, 0.0, 3.0, 2.0, 0.5, 0.7),
+                   (0.3, 0.0, 1.5, 2.5, 1.0, 0.0, 2.0)]
+        z_cases = [(10.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0), (10.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.2),
+                   (0.8, 0.5, 0.3, 2.0, 1.0, 0.0, 1.0), (3.0, 0.0, 1.0, 2.5, 2.0, 0.2, 0.5)]
+        for _ in range(20):
+            case = (float(RNG.uniform(0.2, 3.0)), float(RNG.uniform(0.0, 1.0)),
+                    float(RNG.uniform(0.0, 1.0)), float(RNG.uniform(1.5, 3.0)),
+                    float(RNG.uniform(0.5, 2.0)), float(RNG.uniform(0.0, 1.0)),
+                    float(RNG.uniform(0.5, 5.0)))
+            y_cases.append(case)
+            z_cases.append(case)
+        roots = 0
+        for kappa, nu, alpha, beta, R, T6, Y0 in y_cases:
+            got = y_blowup_time(kappa, nu, alpha, beta, R, T6, Y0)
+            if got is not None:
+                want = bracket_root_brentq(
+                    lambda t: _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t), T6)
+                assert got == want
+                roots += 1
+        for kappa, gamma, alpha, beta, R, T9, Z0 in z_cases:
+            got = z_blowup_time(kappa, gamma, alpha, beta, R, T9, Z0)
+            if got is not None:
+                shifted = (kappa * math.exp(-gamma * T9), gamma + beta - 1.0, alpha, beta,
+                           R + T9, 0.0, Z0)
+                want = T9 + bracket_root_brentq(lambda t: _y_bracket(*shifted, t), 0.0)
+                assert got == want
+                roots += 1
+        assert roots >= 20
 
 
 class TestIntegrateComparison:

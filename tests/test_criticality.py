@@ -158,6 +158,28 @@ class TestScan:
         assert len(scan((1.1, 10.0), (1.1, 10.0), 3, 40)) == 40
         assert rows == [16, 16, 8]
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("resolution", [1, 16, 17, 40, 500])
+    def test_bands_are_rows_of_the_full_scan(self, n, resolution):
+        # Bands of 16 rows, as the region map scans resolution 500, and of
+        # 7: 17, 40 and 500 rows end on a partial band.
+        window = (1.1, 10.0), (1.05, 4.0)
+        full = np.array(scan(*window, n, resolution))
+        for band_rows in (16, 7):
+            for j in range(0, resolution, band_rows):
+                rows = range(j, min(j + band_rows, resolution))
+                band = np.array(scan(*window, n, resolution, rows=rows))
+                assert band.shape == (len(rows), resolution)
+                for key in CELL_DTYPE.names:
+                    assert band[key].tobytes() == full[key][j:rows.stop].tobytes(), \
+                        (rows, key)
+
+    @pytest.mark.parametrize("rows", [range(0), range(3, 3), range(-1, 2),
+                                      range(2, 5), range(0, 4, 2), range(3, 0, -1)])
+    def test_band_validation(self, rows):
+        with pytest.raises(ValueError, match="rows="):
+            scan((1.5, 2.5), (1.5, 2.5), 1, 4, rows=rows)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scan((1.5, 2.5), (1.5, 2.5), 1, 0)

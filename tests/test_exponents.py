@@ -4,8 +4,9 @@ The domain rules (n in [1, 8], p, q > 1, the theorem's bounds) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
 The comparison layer integrates its ODE with its own numpy
-Dormand-Prince 5(4) pair and imports scipy's ``quad`` and ``brentq``
-only inside the closed-form Y and Z helpers, which no CLI mode calls;
+Dormand-Prince 5(4) pair and its own Brent root finder, and imports
+scipy's ``quad`` only inside the closed-form Y and Z helpers, which no
+CLI mode calls;
 ``testfuncs.phi`` sums its power series in numpy.  So the test
 functions, the simulator and the CLI load no scipy module at all, and
 neither does a run of any mode, ``kato`` included.
@@ -137,7 +138,7 @@ class TestImportGraph:
         assert scipy_modules(loaded) == []
 
     def test_cli_loads_no_ode_solver(self):
-        # comparison imports quad and brentq where it calls them.
+        # comparison imports quad where it calls it.
         loaded = modules_after_import("blowlab.cli")
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
