@@ -11,7 +11,8 @@ radial Laplacian in space, and the damping term split symmetrically as
 (u^{k+1} - u^{k-1}) / (2 dt) and solved for u^{k+1} in closed form.  Wave speed is exactly 1, so the
 support never reaches the outer Dirichlet boundary before the horizon.
 
-Tracked functionals (F1-F4 by the trapezoid rule on the mesh, the rest once per run):
+Tracked functionals (F1-F4 as sums over the mesh's cells weighted by their
+volumes, the rest once per run):
 
     F1 = int u dx,  F2 = int v dx,
     F3 = int v psi2 dx,  F4 = int u psi1 dx,
@@ -129,7 +130,9 @@ class InitialData:
 class CoupledState:
     """Two time levels of the discretized radial fields.
 
-    ``stencil`` holds the mesh's :func:`radial_stencil` columns.
+    ``stencil`` holds the mesh's :func:`radial_stencil` columns, and
+    ``volumes`` the measure |S^{n-1}| V_i of each node's cell, by which
+    every mesh integral is a sum.
     ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if either
     field holds a NaN.
     """
@@ -140,6 +143,7 @@ class CoupledState:
     dt: float
     r: np.ndarray
     stencil: np.ndarray
+    volumes: np.ndarray
     u: np.ndarray
     u_prev: np.ndarray
     v: np.ndarray
@@ -202,6 +206,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     h = float(r[1] - r[0])
     dt = cfl_factor * h
     stencil = radial_stencil(grid_points, h, exponents.n)
+    # |S^{n-1}| V_i, from the stencil's h^{n-1} / (h V_i); V_0 = (h/2)^n / n.
+    volumes = sphere_area(exponents.n) * h ** (exponents.n - 2) / stencil[1]
 
     u0, u1, v0, v1 = data.sample(r, exponents.R)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,8 +220,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     u_prev[-1] = 0.0
     v_prev[-1] = 0.0
 
-    return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r,
-                        stencil=stencil, u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
+    return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r, stencil=stencil,
+                        volumes=volumes, u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
                         peak=float(np.max(np.maximum(np.abs(u0), np.abs(v0)))),
                         coupling=coupling)
 
@@ -232,7 +238,9 @@ def step(state: CoupledState) -> CoupledState:
     explicit stencil would otherwise transport sub-truncation-level
     leakage outward at grid speed h/dt > 1.  The clip conserves the
     mass sum V_i f[i] of each field, which the Laplacian conserves: the
-    leaked content is re-deposited in the cell at the causal edge.
+    leaked content is re-deposited in the cell at the causal edge.  Its
+    weights 1 / stencil[1] are ``state.volumes`` up to a constant factor,
+    so it conserves F1 and F2 as :func:`functionals` measures them.
 
     The step computes only on the causal window, the mesh prefix up to
     two nodes past the causal radius of ``state.time``, and leaves the
@@ -307,8 +315,9 @@ def step(state: CoupledState) -> CoupledState:
     peak = np.max(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v), out=lap_u))
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
-                        stencil=state.stencil, u=u_next, u_prev=state.u, v=v_next,
-                        v_prev=state.v, peak=float(peak), coupling=state.coupling)
+                        stencil=state.stencil, volumes=state.volumes, u=u_next,
+                        u_prev=state.u, v=v_next, v_prev=state.v, peak=float(peak),
+                        coupling=state.coupling)
 
 
 def _causal_end(state: CoupledState, time: float) -> int:
@@ -339,38 +348,24 @@ def support_radius(state: CoupledState) -> float:
 
 
 def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
-    """F1-F4 of one state by radial quadrature, given phi on the mesh.
+    """F1-F4 of one state, given phi on the mesh.
 
-    Each quadrature is the trapezoid rule over the whole mesh, equal bit
-    for bit to ``np.trapezoid``.  Like :func:`step`, this relies on u
-    and v vanishing beyond the causal radius state.time + R + 2h, as
-    every state that ``init_state`` and ``step`` return does.  The
-    trapezoid terms h (y[i+1] + y[i]) / 2 are computed only on the nodes
-    inside that radius, into the prefix of a mesh-length buffer whose
-    tail holds the terms beyond it, +0.0.  The whole buffer is then
-    summed, so numpy's pairwise summation sees the same array as
-    ``np.trapezoid`` does.
+    Each integral is the sum of its integrand over the nodes, weighted by
+    ``state.volumes``: the measure whose mass sum the stencil and its
+    causal clip conserve.  The field is multiplied by phi before the
+    volumes, each finite and positive, so no 0 * inf arises.  Like
+    :func:`step`, this reads only the nodes inside the causal radius
+    state.time + R + 2h, beyond which every state that ``init_state``
+    and ``step`` return vanishes.
     """
-    n = state.exponents.n
-    # Terms 0 .. end-1 may be nonzero; they read nodes 0 .. end.
-    end = min(state.r.size - 1, _causal_end(state, state.time))
-    nodes = slice(0, end + 1)
-    w = state.r[nodes] ** (n - 1)
-    terms = np.zeros(state.r.size - 1)
-    surf = sphere_area(n)
-
-    def quad(y):
-        window = np.add(y[1:], y[:-1], out=terms[:end])
-        window *= state.h
-        window /= 2.0
-        return surf * float(terms.sum())
-
-    u, v, phi_w = state.u[nodes], state.v[nodes], phi_mesh[nodes]
+    end = _causal_end(state, state.time)
+    u, v, phi_w, vol = state.u[:end], state.v[:end], phi_mesh[:end], state.volumes[:end]
     t = state.time
     with np.errstate(over="ignore"):
-        return {"F1": quad(u * w), "F2": quad(v * w),
-                "F3": math.exp(-t) * quad(v * phi_w * w),
-                "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * quad(u * phi_w * w)}
+        return {"F1": float(np.dot(u, vol)), "F2": float(np.dot(v, vol)),
+                "F3": math.exp(-t) * float(np.dot(v * phi_w, vol)),
+                "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t)
+                * float(np.dot(u * phi_w, vol))}
 
 
 @dataclass
@@ -435,13 +430,10 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
                        cfl_factor=cfl_factor, coupling=coupling)
     n = exponents.n
     phi_mesh = phi(state.r, n)
-    w = state.r ** (n - 1)
-    surf = sphere_area(n)
-    # Like F1-F4, an integral beyond the float range is inf, silently.
+    # Sums like F1-F4; an integral beyond the float range is inf, silently.
     with np.errstate(over="ignore"):
         data_integrals = {
-            key.replace("amplitude", "int_phi"):
-                surf * float(np.trapezoid(f * phi_mesh * w, dx=state.h))
+            key.replace("amplitude", "int_phi"): float(np.dot(f * phi_mesh, state.volumes))
             for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
         }
 

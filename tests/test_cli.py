@@ -106,7 +106,8 @@ ENV4_OVERFLOW = {"n": 7, "p": 1.2, "q": 1.007, "R": 0.05, "amplitudes": 500,
                  "grid_points": 400, "horizon": 1.6, "cfl_factor": 0.45,
                  "sample_every": 1, "blowup_threshold": 2e6}
 
-# Data near the float maximum, whose integrals F1-F4 and C0, C1 read inf.
+# Data near the float maximum, whose phi-weighted integrals F3, F4 and C0, C1
+# read inf.
 DATA_NEAR_MAX = {"amplitudes": 1e308, "grid_points": 300, "horizon": 3}
 
 # A comparison ODE whose right-hand side is finite at T0 but whose square
@@ -908,7 +909,9 @@ class TestMain:
         assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
-        assert doc["constants"]["k4"] == 2.6234117665289648e+106
+        # k4 is a least ratio of second differences of F2, which amplify
+        # F2's rounding: this pin holds for one summation order of F2 only.
+        assert doc["constants"]["k4"] == 2.6234128881828516e+106
 
     def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
         # |v0|^p = 1e400 leaves the float range in the seed level: no
@@ -1013,19 +1016,24 @@ class TestMain:
         assert doc["constants"]["C2tilde"] == 2.9526441695191203e+224
 
     @pytest.mark.parametrize("mode", ["simulate", "audit"])
-    def test_data_near_float_maximum(self, tmp_path, capsys, mode):
-        # The data integrals and F1-F4 leave the float range: they read inf,
+    @pytest.mark.parametrize("doc", [DATA_NEAR_MAX, {"n": 2, **DATA_NEAR_MAX}],
+                             ids=["n1", "n2"])
+    def test_data_near_float_maximum(self, tmp_path, capsys, mode, doc):
+        # F1 and F2 are about 1.2e308, while the phi-weighted data integrals,
+        # F3 and F4 leave the float range: they read inf, not NaN (phi
+        # multiplies the field before the cell volumes, none of which is 0),
         # with no warning, and the audit writes C0, C1 and C3 as null.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(DATA_NEAR_MAX))
+        config.write_text(json.dumps(doc))
         code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 0
         out, err = capsys.readouterr()
         assert out.startswith("outcome=blowup blowup_time=0.0 ") and err == ""
         header, row = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert not any(math.isnan(x) for x in cells.values())
         assert [key for key, x in cells.items() if not math.isfinite(x)] == \
-            ["F1", "F2", "F3", "F4", "J1", "J3"]
+            ["F3", "F4", "J1", "J3"]
         if mode == "audit":
             doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                              parse_constant=reject_constant)

@@ -232,20 +232,32 @@ def radial_laplacian_oracle(f, stencil):
     return lap
 
 
-def functionals_full_mesh(state, phi_mesh):
-    """Oracle: F1-F4 as they were before the quadratures were confined
-    to the causal window, ``np.trapezoid`` over the whole mesh."""
+def shell_volumes(state):
+    """Oracle: |S^{n-1}| V_i, the measure of each node's cell [r_{i-1/2},
+    r_{i+1/2}] (the origin's is [0, h/2]), from the radii alone."""
     n = state.exponents.n
-    w = state.r ** (n - 1)
-    surf = sphere_area(n)
+    return ball_volume(n) * np.diff((state.r + state.h / 2.0) ** n, prepend=0.0)
 
-    def quad(f):
-        return surf * float(np.trapezoid(f * w, dx=state.h))
 
+def functionals_full_mesh(state, phi_mesh):
+    """Oracle: F1-F4 as ``math.fsum`` of the whole mesh's volume-weighted
+    terms, each as a pair (value, sum of the terms' magnitudes)."""
+    vol = shell_volumes(state)
     t = state.time
-    return {"F1": quad(state.u), "F2": quad(state.v),
-            "F3": math.exp(-t) * quad(state.v * phi_mesh),
-            "F4": math.exp(-Kind.PSI1.decay_rate * t) * quad(state.u * phi_mesh)}
+
+    def integral(f, factor=1.0):
+        terms = (f * vol).tolist()
+        return factor * math.fsum(terms), factor * math.fsum(map(abs, terms))
+
+    return {"F1": integral(state.u), "F2": integral(state.v),
+            "F3": integral(state.v * phi_mesh, math.exp(-t)),
+            "F4": integral(state.u * phi_mesh, math.exp(-Kind.PSI1.decay_rate * t))}
+
+
+def near_full_mesh(got, want):
+    """F1-F4 within 1e-13 of the oracle's sum of term magnitudes."""
+    return list(got) == list(want) == ["F1", "F2", "F3", "F4"] and all(
+        abs(got[key] - value) <= 1e-13 * scale for key, (value, scale) in want.items())
 
 
 def weights(ex, times):
@@ -380,8 +392,9 @@ class TestCausalWindow:
 
 class TestFullMeshOracles:
     """The in-place Laplacian against its one-temporary-per-expression
-    form, and the windowed step, quadratures and sample reads against the
-    full-mesh code they replaced, bit for bit."""
+    form, and the windowed step and sample reads against the full-mesh
+    code they replaced, bit for bit; F1-F4 against exactly rounded sums
+    over the whole mesh."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("size", [3, 4, 17, 1000])
@@ -403,36 +416,36 @@ class TestFullMeshOracles:
     @pytest.mark.parametrize("profile", list(Profile))
     def test_run_samples(self, n, coupling, profile):
         # Every sample of a run, t = 0 included, against the full-mesh
-        # step, quadratures and reads.
+        # step, sums and reads.
         ex = Exponents(1.5, 2.5, n)
         data = InitialData(profile=profile, amplitude_u0=1.5, amplitude_v1=0.5)
         trace = run(ex, data, grid_points=250, horizon=1.0, sample_every=7,
                     coupling=coupling)
         state = init_state(ex, data, 250, 1.0, coupling=coupling)
         phi_mesh = phi(state.r, n)
-
-        def row(s):
-            return (s.time, *functionals_full_mesh(s, phi_mesh).values(),
-                    *peaks_full_mesh(s))
-
-        rows = [row(state)]
+        samples = [state]
         n_steps = math.ceil(1.0 / state.dt)
         for k in range(1, n_steps + 1):
             state = step_full_mesh(state)
             if k % 7 == 0 or k == n_steps:
-                rows.append(row(state))
-        times, F1, F2, F3, F4, max_u, max_v, support = np.array(rows).T
-        # The weights of the oracle's own recorded times.
+                samples.append(state)
+        assert trace.outcome == "completed"
+        assert len(samples) == trace.times.size > 20
+        columns = ("F1", "F2", "F3", "F4")
+        for i, s in enumerate(samples):
+            got = {key: float(getattr(trace, key)[i]) for key in columns}
+            assert near_full_mesh(got, functionals_full_mesh(s, phi_mesh)), s.time
+        times = np.array([s.time for s in samples])
+        max_u, max_v, support = np.array([peaks_full_mesh(s) for s in samples]).T
+        # The weights of the oracle's own recorded times, and J1-J4 as
+        # powers of the trace's F3 and F4 and of those weights.
         W2, W4 = weights(ex, times)
         J = [[x ** power for x in base.tolist()]
-             for base, power in ((F3, ex.p), (W2, -(ex.p - 1.0)),
-                                 (F4, ex.q), (W4, -(ex.q - 1.0)))]
-        want = (times, F1, F2, F3, F4, *J, W2, W4, max_u, max_v, support)
-        got = (trace.times, trace.F1, trace.F2, trace.F3, trace.F4,
-               trace.J1, trace.J2, trace.J3, trace.J4, trace.W2, trace.W4,
+             for base, power in ((trace.F3, ex.p), (W2, -(ex.p - 1.0)),
+                                 (trace.F4, ex.q), (W4, -(ex.q - 1.0)))]
+        want = (times, *J, W2, W4, max_u, max_v, support)
+        got = (trace.times, trace.J1, trace.J2, trace.J3, trace.J4, trace.W2, trace.W4,
                trace.max_abs_u, trace.max_abs_v, trace.support_r)
-        assert trace.outcome == "completed"
-        assert len(rows) == trace.times.size > 20
         for column, expected in zip(got, want):
             assert same_bits(column, expected)
 
@@ -452,10 +465,8 @@ class TestFullMeshOracles:
         # passes the last node three cells after the horizon.
         for k in range(math.ceil(horizon / state.dt) + 21):
             if k == 0 or k % 25 == 0 or state.time > horizon - 10.0 * state.h:
-                got = functionals(state, phi_mesh)
-                want = functionals_full_mesh(state, phi_mesh)
-                assert list(got) == list(want) == ["F1", "F2", "F3", "F4"]
-                assert same_bits(list(got.values()), list(want.values())), state.time
+                assert near_full_mesh(functionals(state, phi_mesh),
+                                      functionals_full_mesh(state, phi_mesh)), state.time
                 reached.append(bool(state.time + ex.R + 2.0 * state.h > last))
             state = step(state)
         assert reached[0] is False and reached[-1] is True
@@ -505,6 +516,33 @@ class TestFunctionals:
         oracle, _ = quad(lambda x: (1.0 - x * x) ** 3 * 2.0 * math.cosh(x), 0.0, 1.0)
         oracle *= sphere_area(1)
         assert functionals(state, phi(state.r, 1))["F3"] == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("coupling", [True, False])
+    def test_discrete_mass_identity(self, n, coupling):
+        # Summed over the cells, the stencil's fluxes cancel, so the
+        # leapfrog levels of F1 and F2 satisfy the discrete F1'' + F1' =
+        # int |v|^p and F2'' = int |u|^q exactly, up to rounding:
+        #   F1^{k+1} (1 + dt/2) - 2 F1^k + (1 - dt/2) F1^{k-1} = dt^2 sum V |v^k|^p,
+        #   F2^{k+1} - 2 F2^k + F2^{k-1} = dt^2 sum V |u^k|^q.
+        ex = Exponents(4.0 / 3.0, 4.0 / 3.0, n)
+        state = init_state(ex, smooth_data(), 600, 10.0, cfl_factor=0.45, coupling=coupling)
+        phi_mesh = phi(state.r, n)
+        vol = shell_volumes(state)
+        dt = state.dt
+        F, sources = [functionals(state, phi_mesh)], []
+        for _ in range(400):
+            sources.append([math.fsum((vol * np.abs(f) ** s).tolist()) if coupling else 0.0
+                            for f, s in ((state.v, ex.p), (state.u, ex.q))])
+            state = step(state)
+            F.append(functionals(state, phi_mesh))
+        F1, F2 = (np.array([f[key] for f in F]) for key in ("F1", "F2"))
+        S1, S2 = np.array(sources[1:]).T
+        residual1 = F1[2:] * (1.0 + dt / 2.0) - 2.0 * F1[1:-1] + (1.0 - dt / 2.0) * F1[:-2] \
+            - dt**2 * S1
+        residual2 = F2[2:] - 2.0 * F2[1:-1] + F2[:-2] - dt**2 * S2
+        assert np.max(np.abs(residual1)) <= 1e-13 * np.max(F1)
+        assert np.max(np.abs(residual2)) <= 1e-13 * np.max(F2)
 
     def test_j_columns_are_powers(self):
         # A run derives W2 and W4 in one pass over its recorded times, and
@@ -595,9 +633,10 @@ class TestRun:
 
     def test_sign_loss_is_instability(self):
         # h = 0.99 > R = 0.5: the data sit on the origin node alone, and
-        # in n = 8 F3 goes negative (-2.1e-4 at t = 40.2, with a peak of
-        # 0.12), so F3 ** p would be complex.  The run ends at the first
-        # such sample and keeps only the samples before it.
+        # in n = 8 F3 goes negative (first at t = 36.61, -3.9e-7, and
+        # -2.1e-4 at the sample t = 40.2, with a peak of 0.12), so F3 ** p
+        # would be complex.  The run ends at the first such sample and
+        # keeps only the 9 samples before it.
         ex = Exponents(4.0 / 3.0, 4.0 / 3.0, 8, R=0.5)
         data = smooth_data(amplitude=0.1)
         trace = run(ex, data, grid_points=200, horizon=192.0, cfl_factor=0.45)
