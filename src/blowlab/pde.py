@@ -213,8 +213,8 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     with np.errstate(over="ignore", invalid="ignore"):
         f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
         f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
-        utt0 = radial_laplacian(u0, stencil) - u1 + f_u
-        vtt0 = radial_laplacian(v0, stencil) + f_v
+        utt0 = radial_laplacian(u0, *stencil[:, :-1]) - u1 + f_u
+        vtt0 = radial_laplacian(v0, *stencil[:, :-1]) + f_v
         u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
         v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
     u_prev[-1] = 0.0
@@ -226,7 +226,7 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
                         coupling=coupling)
 
 
-def step(state: CoupledState) -> CoupledState:
+def step(state: CoupledState, out: tuple | None = None) -> CoupledState:
     """Advance one leapfrog time level.
 
     The new state carries its peak, which may be non-finite: ``run``
@@ -243,30 +243,34 @@ def step(state: CoupledState) -> CoupledState:
     so it conserves F1 and F2 as :func:`functionals` measures them.
 
     The step computes only on the causal window, the mesh prefix up to
-    two nodes past the causal radius of ``state.time``, and leaves the
-    rest exactly 0.  This relies on the inputs (u, v and both previous
-    levels) vanishing beyond that radius: ``init_state`` seeds the
-    previous level inside r < R + h, and the clip keeps every state
-    returned here inside it.  The three-point stencil then reaches at
-    most one node further.  Once the radius passes the outer boundary
-    the window is the whole mesh.  The only full-mesh arrays the step
-    makes are its two zeroed outputs; the update is written in place
-    into their windows.  The input state is not modified.
+    two nodes past the new level's causal radius, which is the whole
+    mesh once that radius passes the outer boundary.  This relies on the
+    inputs (u, v and both previous levels) vanishing beyond the radius
+    of ``state.time``: ``init_state`` seeds the previous level inside
+    r < R + h, and the clip keeps every state returned here inside it.
+    The new u and v go into ``out``, two mesh-length arrays that share no
+    memory with the input and hold 0.0 from the input's causal end on,
+    as the level at ``state.time - 2 dt`` that ``run`` passes does; only
+    their windows are written.  Without ``out`` they go into two fresh
+    zeroed arrays.  The input state is not modified.
     """
     dt = state.dt
     ex = state.exponents
-    n = ex.n
-    if not 0.0 < dt <= CFL_LIMITS[n] * state.h:
-        raise ValueError(f"time step {dt} violates the CFL bound "
-                         f"{CFL_LIMITS[n]} h (h = {state.h:g})")
-    hi = min(state.r.size, _causal_end(state, state.time) + 2)
-    stencil = state.stencil[:, :hi]
+    limit = CFL_LIMITS[ex.n]
+    if not 0.0 < dt <= limit * state.h:
+        raise ValueError(f"time step {dt} violates the CFL bound {limit} h (h = {state.h:g})")
+    size = state.r.size
+    t_next = state.time + dt
+    # First node beyond the new causal radius; the mesh is increasing, and
+    # r[1] = h lies inside the radius, so the edge node is never the origin.
+    outside = _causal_end(state, t_next)
+    hi = min(size, outside + 2)
     u, u_prev = state.u[:hi], state.u_prev[:hi]
     v, v_prev = state.v[:hi], state.v_prev[:hi]
-    lap_u = radial_laplacian(u, stencil)
-    lap_v = radial_laplacian(v, stencil)
-    u_next = np.zeros(state.r.size)
-    v_next = np.zeros(state.r.size)
+    faces, inverse_volumes = state.stencil[0, :hi - 1], state.stencil[1, :hi - 1]
+    lap_u = radial_laplacian(u, faces, inverse_volumes)
+    lap_v = radial_laplacian(v, faces, inverse_volumes)
+    u_next, v_next = (np.zeros(size), np.zeros(size)) if out is None else out
     # The update, written in place into the windows of the outputs:
     #   u_next = (2 u - (1 - dt/2) u_prev + dt^2 (lap_u + |v|^p)) / (1 + dt/2),
     #   v_next = 2 v - v_prev + dt^2 (lap_v + |u|^q),
@@ -281,8 +285,7 @@ def step(state: CoupledState) -> CoupledState:
             f_v = np.abs(u, out=vn)
             f_v **= ex.q
         else:
-            f_u = 0.0
-            f_v = 0.0
+            f_u = f_v = 0.0
         lap_u += f_u
         lap_v += f_v
         lap_u *= dt**2
@@ -298,21 +301,18 @@ def step(state: CoupledState) -> CoupledState:
     u_next[-1] = 0.0
     v_next[-1] = 0.0
 
-    t_next = state.time + dt
-    # First node beyond the causal radius; the mesh is increasing, and
-    # r[1] = h lies inside the radius, so the edge node is never the origin.
-    outside = _causal_end(state, t_next)
     if outside < hi:
         edge = outside - 1
-        w = 1.0 / stencil[1, edge:]
-        u_next[edge] += np.dot(u_next[outside:hi], w[1:]) / w[0]
-        v_next[edge] += np.dot(v_next[outside:hi], w[1:]) / w[0]
-        u_next[outside:hi] = 0.0
-        v_next[outside:hi] = 0.0
-    # np.maximum and np.max propagate NaN, so one non-finite value anywhere
-    # makes the peak non-finite.  The Laplacians are spent, so they hold
-    # the magnitudes.
-    peak = np.max(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v), out=lap_u))
+        w = 1.0 / state.stencil[1, edge:hi]
+        u_next[edge] += np.dot(un[outside:], w[1:]) / w[0]
+        v_next[edge] += np.dot(vn[outside:], w[1:]) / w[0]
+        un[outside:] = 0.0
+        vn[outside:] = 0.0
+    # np.maximum and its reduction propagate NaN, so one non-finite value
+    # anywhere makes the peak non-finite.  The Laplacians are spent, so
+    # they hold the magnitudes.
+    peak = np.maximum.reduce(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v),
+                                        out=lap_u))
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
                         stencil=state.stencil, volumes=state.volumes, u=u_next,
@@ -352,20 +352,20 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
 
     Each integral is the sum of its integrand over the nodes, weighted by
     ``state.volumes``: the measure whose mass sum the stencil and its
-    causal clip conserve.  The field is multiplied by phi before the
-    volumes, each finite and positive, so no 0 * inf arises.  Like
-    :func:`step`, this reads only the nodes inside the causal radius
-    state.time + R + 2h, beyond which every state that ``init_state``
-    and ``step`` return vanishes.
+    causal clip conserve, summed by numpy (a BLAS dot rounds by its
+    thread count).  The field is multiplied by phi before the volumes,
+    each finite and positive, so no 0 * inf arises.  Like :func:`step`,
+    this reads only the nodes inside the causal radius state.time + R + 2h,
+    beyond which every state that ``init_state`` and ``step`` return vanishes.
     """
     end = _causal_end(state, state.time)
     u, v, phi_w, vol = state.u[:end], state.v[:end], phi_mesh[:end], state.volumes[:end]
     t = state.time
-    with np.errstate(over="ignore"):
-        return {"F1": float(np.dot(u, vol)), "F2": float(np.dot(v, vol)),
-                "F3": math.exp(-t) * float(np.dot(v * phi_w, vol)),
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {"F1": float(np.add.reduce(u * vol)), "F2": float(np.add.reduce(v * vol)),
+                "F3": math.exp(-t) * float(np.add.reduce(v * phi_w * vol)),
                 "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t)
-                * float(np.dot(u * phi_w, vol))}
+                * float(np.add.reduce(u * phi_w * vol))}
 
 
 @dataclass
@@ -433,7 +433,7 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     # Sums like F1-F4; an integral beyond the float range is inf, silently.
     with np.errstate(over="ignore"):
         data_integrals = {
-            key.replace("amplitude", "int_phi"): float(np.dot(f * phi_mesh, state.volumes))
+            key.replace("amplitude", "int_phi"): float(np.add.reduce(f * phi_mesh * state.volumes))
             for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
         }
 
@@ -454,8 +454,10 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     record(state)
     outcome = "blowup" if state.peak > blowup_threshold else "completed"
     n_steps = int(math.ceil(horizon / state.dt)) if outcome == "completed" else 0
+    # Each step writes into the level two steps back, which no later step reads.
+    spare = (np.zeros(state.r.size), np.zeros(state.r.size))
     for k in range(1, n_steps + 1):
-        state = step(state)
+        state, spare = step(state, out=spare), (state.u_prev, state.v_prev)
         if not math.isfinite(state.peak):
             outcome = "instability"
         elif state.peak > blowup_threshold:

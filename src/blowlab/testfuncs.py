@@ -199,20 +199,18 @@ def radial_stencil(size: int, h: float, n: int) -> np.ndarray:
     return np.stack((k ** (n - 1), n / (h * h * np.diff(k ** n, prepend=0.0))))
 
 
-def radial_laplacian(f: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+def radial_laplacian(f: np.ndarray, faces: np.ndarray, inverse_volumes: np.ndarray) -> np.ndarray:
     """The finite-volume radial Laplacian (F_{i+1/2} - F_{i-1/2}) / V_i on
-    the nodes of ``f``, given their :func:`radial_stencil` columns: fluxes
-    F_{i+1/2} = r_{i+1/2}^{n-1} (f[i+1] - f[i]) / h, shell volumes
-    V_i = (r_{i+1/2}^n - r_{i-1/2}^n) / n and an origin cell [0, h/2] with
-    no inner flux.  Symmetric in the V-weighted inner product, its spectrum
-    is real in every dimension.  It is written in place into one array."""
-    faces, inverse_volumes = stencil[:, :-1]
-    lap = np.empty_like(f)
-    lap[0] = 0.0
-    flux = np.subtract(f[1:], f[:-1], out=lap[1:])
+    the nodes of ``f``, given the two :func:`radial_stencil` rows of its
+    nodes but the last: fluxes F_{i+1/2} = r_{i+1/2}^{n-1} (f[i+1] - f[i]) / h,
+    shell volumes V_i = (r_{i+1/2}^n - r_{i-1/2}^n) / n and an origin cell
+    [0, h/2] with no inner flux.  Symmetric in the V-weighted inner product,
+    its spectrum is real in every dimension."""
+    flux = np.subtract(f[1:], f[:-1])
     flux *= faces
-    # lap[i] holds F_{i-1/2} until this difference overwrites it.
-    np.subtract(flux, lap[:-1], out=lap[:-1])
+    lap = np.empty_like(f)
+    lap[0] = flux[0]  # F_{1/2} - 0, signed zeros included
+    np.subtract(flux[1:], flux[:-1], out=lap[1:-1])
     lap[:-1] *= inverse_volumes
     # The outer node has no right neighbour; its value is never used.
     lap[-1] = 0.0
@@ -251,7 +249,7 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     f_hi = math.exp(-d * (t0 + ht)) * base
 
     psi_tt = (f_hi - 2.0 * f_mid + f_lo) / ht**2
-    residual = psi_tt - radial_laplacian(f_mid, radial_stencil(r.size, h, n))
+    residual = psi_tt - radial_laplacian(f_mid, *radial_stencil(r.size, h, n)[:, :-1])
     if kind is TestFunctionKind.PSI1:
         psi_t = (f_hi - f_lo) / (2.0 * ht)
         residual = residual - psi_t

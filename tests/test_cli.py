@@ -911,7 +911,7 @@ class TestMain:
                          parse_constant=reject_constant)
         # k4 is a least ratio of second differences of F2, which amplify
         # F2's rounding: this pin holds for one summation order of F2 only.
-        assert doc["constants"]["k4"] == 2.6234128881828516e+106
+        assert doc["constants"]["k4"] == 2.6234106448750723e+106
 
     def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
         # |v0|^p = 1e400 leaves the float range in the seed level: no
