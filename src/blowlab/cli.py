@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comparison, criticality, pde
+from . import criticality, pde
 from .criticality import Label
 from .exponents import Exponents, check_dimension
 from .pde import AMPLITUDE_KEYS, InitialData, Profile
@@ -185,6 +185,9 @@ def _plan(mode: str, s: dict):
         return run_phi
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
+        # Loaded only here: simulate, audit and regions never run it.
+        from . import comparison
+
         params = comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})
         ode = {k: s[k] for k in ("F1_0", "dF1_0", "F2_0", "dF2_0", "horizon",
                                  "ode_threshold")}

@@ -25,10 +25,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .comparison import derive_params
 from .exponents import Exponents, check_nonnegative, check_positive, check_theorem_range
 from .testfuncs import (
     TestFunctionKind,
@@ -126,15 +126,26 @@ class InitialData:
         return tuple(getattr(self, key) * base for key in AMPLITUDE_KEYS)
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class CoupledState:
     """Two time levels of the discretized radial fields.
 
-    ``stencil`` holds the mesh's :func:`radial_stencil` columns, and
-    ``volumes`` the measure |S^{n-1}| V_i of each node's cell, by which
-    every mesh integral is a sum.
-    ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if either
-    field holds a NaN.
+    Each level is one buffer of 2N doubles for the N mesh nodes, holding
+    both fields mirrored about the origin: ``[u_{N-1} ... u_1, u_0, v_0,
+    v_1 ... v_{N-1}]``, so that the nodes within a radius form one
+    contiguous slice for both fields.  ``fields`` is the level at
+    ``time`` and ``fields_prev`` the level at ``time - dt``; ``u``, ``v``,
+    ``u_prev`` and ``v_prev`` are read-only views of their halves, in
+    mesh order.  ``stencil`` holds the mesh's mirrored
+    :func:`radial_stencil` rows, and ``volumes`` the measure
+    |S^{n-1}| V_i of each node's cell, by which every mesh integral is a
+    sum.  ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if
+    either field holds a NaN.
     """
 
     exponents: Exponents
@@ -144,12 +155,32 @@ class CoupledState:
     r: np.ndarray
     stencil: np.ndarray
     volumes: np.ndarray
-    u: np.ndarray
-    u_prev: np.ndarray
-    v: np.ndarray
-    v_prev: np.ndarray
+    fields: np.ndarray
+    fields_prev: np.ndarray
     peak: float
     coupling: bool = True
+
+    @property
+    def u(self) -> np.ndarray:
+        return _read_only(self.fields[self.r.size - 1::-1])
+
+    @property
+    def v(self) -> np.ndarray:
+        return _read_only(self.fields[self.r.size:])
+
+    @property
+    def u_prev(self) -> np.ndarray:
+        return _read_only(self.fields_prev[self.r.size - 1::-1])
+
+    @property
+    def v_prev(self) -> np.ndarray:
+        return _read_only(self.fields_prev[self.r.size:])
+
+    @cached_property
+    def causal_end(self) -> int:
+        """Index of the first node beyond the causal radius at ``time``,
+        from which a state that ``init_state`` or ``step`` returns vanishes."""
+        return _causal_end(self, self.time)
 
 
 def check_init_args(exponents: Exponents, data: InitialData, grid_points: int,
@@ -198,8 +229,9 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     The backward level at -dt comes from a second-order Taylor expansion
     using u_t(0) = u1 and u_tt(0) = Laplace(u0) - u1 + |v0|^p (and the
     undamped analogue for v), so the first leapfrog step is second-order
-    accurate.  As in :func:`step`, a seed level beyond the float range
-    is left for ``run`` to report.
+    accurate; both fields are seeded at once, in the mirrored layout.  As
+    in :func:`step`, a seed level beyond the float range is left for
+    ``run`` to report.
     """
     r = np.linspace(0.0, check_init_args(exponents, data, grid_points, horizon,
                                          cfl_factor, coupling), grid_points)
@@ -207,26 +239,31 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     dt = cfl_factor * h
     stencil = radial_stencil(grid_points, h, exponents.n)
     # |S^{n-1}| V_i, from the stencil's h^{n-1} / (h V_i); V_0 = (h/2)^n / n.
-    volumes = sphere_area(exponents.n) * h ** (exponents.n - 2) / stencil[1]
+    volumes = sphere_area(exponents.n) * h ** (exponents.n - 2) / stencil[1, grid_points:]
 
     u0, u1, v0, v1 = data.sample(r, exponents.R)
+    fields = np.concatenate((u0[::-1], v0))
+    velocities = np.concatenate((u1[::-1], v1))
     with np.errstate(over="ignore", invalid="ignore"):
-        f_u = np.abs(v0) ** exponents.p if coupling else np.zeros_like(v0)
-        f_v = np.abs(u0) ** exponents.q if coupling else np.zeros_like(u0)
-        utt0 = radial_laplacian(u0, *stencil[:, :-1]) - u1 + f_u
-        vtt0 = radial_laplacian(v0, *stencil[:, :-1]) + f_v
-        u_prev = u0 - dt * u1 + 0.5 * dt**2 * utt0
-        v_prev = v0 - dt * v1 + 0.5 * dt**2 * vtt0
-    u_prev[-1] = 0.0
-    v_prev[-1] = 0.0
+        # |v0|^p on the u half and |u0|^q on the v half.
+        if coupling:
+            sources = np.abs(fields[::-1])
+            sources[:grid_points] **= exponents.p
+            sources[grid_points:] **= exponents.q
+        else:
+            sources = 0.0
+        accelerations = radial_laplacian(fields, *stencil)
+        accelerations[:grid_points] -= velocities[:grid_points]
+        accelerations += sources
+        fields_prev = fields - dt * velocities + 0.5 * dt**2 * accelerations
+    fields_prev[0] = fields_prev[-1] = 0.0
 
     return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r, stencil=stencil,
-                        volumes=volumes, u=u0, u_prev=u_prev, v=v0, v_prev=v_prev,
-                        peak=float(np.max(np.maximum(np.abs(u0), np.abs(v0)))),
-                        coupling=coupling)
+                        volumes=volumes, fields=fields, fields_prev=fields_prev,
+                        peak=float(np.max(np.abs(fields))), coupling=coupling)
 
 
-def step(state: CoupledState, out: tuple | None = None) -> CoupledState:
+def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
     """Advance one leapfrog time level.
 
     The new state carries its peak, which may be non-finite: ``run``
@@ -238,21 +275,25 @@ def step(state: CoupledState, out: tuple | None = None) -> CoupledState:
     explicit stencil would otherwise transport sub-truncation-level
     leakage outward at grid speed h/dt > 1.  The clip conserves the
     mass sum V_i f[i] of each field, which the Laplacian conserves: the
-    leaked content is re-deposited in the cell at the causal edge.  Its
-    weights 1 / stencil[1] are ``state.volumes`` up to a constant factor,
+    leaked content is re-deposited in the cell at the causal edge, at
+    either end of the window.  Its weights are the reciprocals of the
+    stencil's inverse volumes, ``state.volumes`` up to a constant factor,
     so it conserves F1 and F2 as :func:`functionals` measures them.
 
-    The step computes only on the causal window, the mesh prefix up to
-    two nodes past the new level's causal radius, which is the whole
-    mesh once that radius passes the outer boundary.  This relies on the
-    inputs (u, v and both previous levels) vanishing beyond the radius
-    of ``state.time``: ``init_state`` seeds the previous level inside
+    The step computes only on the causal window, the nodes up to two
+    past the new level's causal radius, which is the whole mesh once
+    that radius passes the outer boundary; in the mirrored layout the
+    window of both fields is one slice.  Each operation of the update
+    is one numpy call over both fields, except the powers |v|^p and
+    |u|^q and the damping, which act on their own half.  This relies on
+    the inputs (both levels) vanishing beyond the radius of
+    ``state.time``: ``init_state`` seeds the previous level inside
     r < R + h, and the clip keeps every state returned here inside it.
-    The new u and v go into ``out``, two mesh-length arrays that share no
-    memory with the input and hold 0.0 from the input's causal end on,
-    as the level at ``state.time - 2 dt`` that ``run`` passes does; only
-    their windows are written.  Without ``out`` they go into two fresh
-    zeroed arrays.  The input state is not modified.
+    The new level goes into ``out``, a buffer of 2N doubles that shares
+    no memory with the input and holds 0.0 from the input's causal end
+    on, at both ends, as the level at ``state.time - 2 dt`` that ``run``
+    passes does; only its window is written.  Without ``out`` it goes
+    into a fresh zeroed buffer.  The input state is not modified.
     """
     dt = state.dt
     ex = state.exponents
@@ -265,59 +306,51 @@ def step(state: CoupledState, out: tuple | None = None) -> CoupledState:
     # r[1] = h lies inside the radius, so the edge node is never the origin.
     outside = _causal_end(state, t_next)
     hi = min(size, outside + 2)
-    u, u_prev = state.u[:hi], state.u_prev[:hi]
-    v, v_prev = state.v[:hi], state.v_prev[:hi]
-    faces, inverse_volumes = state.stencil[0, :hi - 1], state.stencil[1, :hi - 1]
-    lap_u = radial_laplacian(u, faces, inverse_volumes)
-    lap_v = radial_laplacian(v, faces, inverse_volumes)
-    u_next, v_next = (np.zeros(size), np.zeros(size)) if out is None else out
-    # The update, written in place into the windows of the outputs:
+    lo, top = size - hi, size + hi
+    w, w_prev = state.fields[lo:top], state.fields_prev[lo:top]
+    lap = radial_laplacian(w, state.stencil[0, lo:top], state.stencil[1, lo:top])
+    fields = np.zeros(2 * size) if out is None else out
+    # The update, written in place into the window of the output:
     #   u_next = (2 u - (1 - dt/2) u_prev + dt^2 (lap_u + |v|^p)) / (1 + dt/2),
     #   v_next = 2 v - v_prev + dt^2 (lap_v + |u|^q),
     # one operation at a time, in the order Python evaluates these.  The
-    # output windows serve as scratch for |v|^p, |u|^q and (1 - dt/2) u_prev
-    # before they receive their own values.
-    un, vn = u_next[:hi], v_next[:hi]
+    # output window serves as scratch for |v|^p and |u|^q, which the
+    # reversed window puts on the halves they feed.
+    new = fields[lo:top]
     with np.errstate(over="ignore", invalid="ignore"):
         if state.coupling:
-            f_u = np.abs(v, out=un)
-            f_u **= ex.p
-            f_v = np.abs(u, out=vn)
-            f_v **= ex.q
+            sources = np.abs(w[::-1], out=new)
+            sources[:hi] **= ex.p
+            sources[hi:] **= ex.q
         else:
-            f_u = f_v = 0.0
-        lap_u += f_u
-        lap_v += f_v
-        lap_u *= dt**2
-        lap_v *= dt**2
-        np.multiply(u, 2.0, out=un)
-        np.multiply(u_prev, 1.0 - 0.5 * dt, out=vn)
-        un -= vn
-        un += lap_u
-        un /= 1.0 + 0.5 * dt
-        np.multiply(v, 2.0, out=vn)
-        vn -= v_prev
-        vn += lap_v
-    u_next[-1] = 0.0
-    v_next[-1] = 0.0
+            sources = 0.0
+        lap += sources
+        lap *= dt**2
+        damped_prev = np.multiply(w_prev[:hi], 1.0 - 0.5 * dt)
+        np.multiply(w, 2.0, out=new)
+        new[:hi] -= damped_prev
+        new[hi:] -= w_prev[hi:]
+        new += lap
+        new[:hi] /= 1.0 + 0.5 * dt
+    fields[0] = fields[-1] = 0.0
 
     if outside < hi:
-        edge = outside - 1
-        w = 1.0 / state.stencil[1, edge:hi]
-        u_next[edge] += np.dot(un[outside:], w[1:]) / w[0]
-        v_next[edge] += np.dot(vn[outside:], w[1:]) / w[0]
-        un[outside:] = 0.0
-        vn[outside:] = 0.0
-    # np.maximum and its reduction propagate NaN, so one non-finite value
-    # anywhere makes the peak non-finite.  The Laplacians are spent, so
-    # they hold the magnitudes.
-    peak = np.maximum.reduce(np.maximum(np.abs(un, out=lap_u), np.abs(vn, out=lap_v),
-                                        out=lap_u))
+        # The k cells past the edge lie at either end of the window, the
+        # u ones in reverse; each dot runs outward from the edge.
+        k = hi - outside
+        weights = 1.0 / state.stencil[1, size + outside - 1:top]
+        new[k] += np.dot(new[k - 1::-1], weights[1:]) / weights[0]
+        new[-k - 1] += np.dot(new[-k:], weights[1:]) / weights[0]
+        new[:k] = 0.0
+        new[-k:] = 0.0
+    # np.maximum's reduction propagates NaN, so one non-finite value
+    # anywhere makes the peak non-finite.  The Laplacian is spent, so it
+    # holds the magnitudes.
+    peak = np.maximum.reduce(np.abs(new, out=lap))
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
-                        stencil=state.stencil, volumes=state.volumes, u=u_next,
-                        u_prev=state.u, v=v_next, v_prev=state.v, peak=float(peak),
-                        coupling=state.coupling)
+                        stencil=state.stencil, volumes=state.volumes, fields=fields,
+                        fields_prev=state.fields, peak=float(peak), coupling=state.coupling)
 
 
 def _causal_end(state: CoupledState, time: float) -> int:
@@ -330,21 +363,32 @@ def _causal_end(state: CoupledState, time: float) -> int:
                                     side="right"))
 
 
-def support_radius(state: CoupledState) -> float:
+def _window_magnitudes(state: CoupledState) -> np.ndarray:
+    """|u| and |v| over the causal window, mirrored as the fields are."""
+    size, end = state.r.size, state.causal_end
+    return np.abs(state.fields[size - end:size + end])
+
+
+def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) -> float:
     """Largest mesh radius where either field exceeds the support tolerance.
 
     The tolerance is 1e-12 relative to the current peak field value; a
     zero state has support radius 0.  Like :func:`functionals`, this
     reads only the nodes inside the causal radius, beyond which every
-    state that ``init_state`` and ``step`` return vanishes.
+    state that ``init_state`` and ``step`` return vanishes: the mirrored
+    window of both fields, whose magnitudes a caller that has them passes
+    as ``magnitudes``.
     """
-    end = _causal_end(state, state.time)
-    mag = np.maximum(np.abs(state.u[:end]), np.abs(state.v[:end]))
-    peak = float(np.max(mag))
+    if magnitudes is None:
+        magnitudes = _window_magnitudes(state)
+    end = magnitudes.size // 2
+    peak = float(np.max(magnitudes))
     if peak == 0.0:
         return 0.0
-    idx = np.nonzero(mag > 1e-12 * peak)[0]
-    return float(state.r[idx[-1]])
+    # The outermost node above the tolerance: the first position of the
+    # window (u, reversed) or the last (v).
+    idx = np.nonzero(magnitudes > 1e-12 * peak)[0]
+    return float(state.r[max(end - 1 - idx[0], idx[-1] - end)])
 
 
 def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
@@ -358,7 +402,7 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
     this reads only the nodes inside the causal radius state.time + R + 2h,
     beyond which every state that ``init_state`` and ``step`` return vanishes.
     """
-    end = _causal_end(state, state.time)
+    end = state.causal_end
     u, v, phi_w, vol = state.u[:end], state.v[:end], phi_mesh[:end], state.volumes[:end]
     t = state.time
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,20 +488,21 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         f = functionals(s, phi_mesh)
         if min(f.values()) < 0.0:
             return False
-        # The peaks read the causal window, as support_radius does.
-        end = _causal_end(s, s.time)
-        rows.append({"times": s.time, **f, "support_r": support_radius(s),
-                     "max_abs_u": float(np.max(np.abs(s.u[:end]))),
-                     "max_abs_v": float(np.max(np.abs(s.v[:end])))})
+        # One pass over the causal window gives the peaks and the support.
+        magnitudes = _window_magnitudes(s)
+        end = magnitudes.size // 2
+        rows.append({"times": s.time, **f, "support_r": support_radius(s, magnitudes),
+                     "max_abs_u": float(np.max(magnitudes[:end])),
+                     "max_abs_v": float(np.max(magnitudes[end:]))})
         return True
 
     record(state)
     outcome = "blowup" if state.peak > blowup_threshold else "completed"
     n_steps = int(math.ceil(horizon / state.dt)) if outcome == "completed" else 0
     # Each step writes into the level two steps back, which no later step reads.
-    spare = (np.zeros(state.r.size), np.zeros(state.r.size))
+    spare = np.zeros(2 * state.r.size)
     for k in range(1, n_steps + 1):
-        state, spare = step(state, out=spare), (state.u_prev, state.v_prev)
+        state, spare = step(state, out=spare), state.fields_prev
         if not math.isfinite(state.peak):
             outcome = "instability"
         elif state.peak > blowup_threshold:
@@ -552,6 +597,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     system rejects; an inconclusive audit fits no k2 or k4.  A margin
     passes down to -1e-9 times max |lhs|.
     """
+    from .comparison import derive_params
+
     check_audit_args(T0_fraction)
     if trace.outcome == "instability":
         raise ValueError("cannot audit an unstable run")

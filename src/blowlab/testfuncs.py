@@ -193,27 +193,44 @@ def phi_asymptotic(r, n: int):
 
 def radial_stencil(size: int, h: float, n: int) -> np.ndarray:
     """The two coefficient rows of :func:`radial_laplacian` on the mesh i h,
-    i < ``size``: (i + 1/2)^{n-1} = r_{i+1/2}^{n-1} / h^{n-1}, and
-    n / (h^2 ((i + 1/2)^n - (i - 1/2)^n)) = h^{n-1} / (h V_i) with V_0 = (h/2)^n / n."""
+    i < ``size``, mirrored about the origin over the 2 ``size`` positions
+    of a field pair (see :func:`radial_laplacian`): the faces row holds
+    (i + 1/2)^{n-1} = r_{i+1/2}^{n-1} / h^{n-1} at the face between node
+    i and node i + 1 of either field, and 0 at the centre face between
+    the two origins; the inverse-volumes row holds
+    n / (h^2 ((i + 1/2)^n - (i - 1/2)^n)) = h^{n-1} / (h V_i), with
+    V_0 = (h/2)^n / n, at node i of either field.  Row positions size - 1
+    - i and size + i belong to node i; the faces row's last entry, past
+    the mesh, is never read."""
     k = np.arange(size) + 0.5
-    return np.stack((k ** (n - 1), n / (h * h * np.diff(k ** n, prepend=0.0))))
+    faces = k ** (n - 1)
+    inverse_volumes = n / (h * h * np.diff(k ** n, prepend=0.0))
+    return np.stack((np.concatenate((faces[-2::-1], [0.0], faces)),
+                     np.concatenate((inverse_volumes[::-1], inverse_volumes))))
 
 
 def radial_laplacian(f: np.ndarray, faces: np.ndarray, inverse_volumes: np.ndarray) -> np.ndarray:
-    """The finite-volume radial Laplacian (F_{i+1/2} - F_{i-1/2}) / V_i on
-    the nodes of ``f``, given the two :func:`radial_stencil` rows of its
-    nodes but the last: fluxes F_{i+1/2} = r_{i+1/2}^{n-1} (f[i+1] - f[i]) / h,
-    shell volumes V_i = (r_{i+1/2}^n - r_{i-1/2}^n) / n and an origin cell
-    [0, h/2] with no inner flux.  Symmetric in the V-weighted inner product,
-    its spectrum is real in every dimension."""
+    """The finite-volume radial Laplacian (F_{i+1/2} - F_{i-1/2}) / V_i of
+    two fields held in one mirrored array, f[c - 1 - i] = u_i and
+    f[c + i] = v_i with c = f.size / 2, given the two :func:`radial_stencil`
+    rows over the same positions: fluxes F_{i+1/2} = r_{i+1/2}^{n-1}
+    (f[i+1] - f[i]) / h, shell volumes V_i = (r_{i+1/2}^n - r_{i-1/2}^n) / n
+    and an origin cell [0, h/2] with no inner flux.  In the u half every
+    flux difference comes out negated twice, so each half is its field's
+    Laplacian bit for bit (for fields with no -0.0 or NaN in the u half).
+    Symmetric in the V-weighted inner product, its spectrum is real in
+    every dimension."""
     flux = np.subtract(f[1:], f[:-1])
-    flux *= faces
+    flux *= faces[:-1]
+    # The centre face joins the two origin cells; no flux crosses it, and
+    # a +0.0 leaves each origin's own outer flux exact, signed zeros included.
+    flux[f.size // 2 - 1] = 0.0
     lap = np.empty_like(f)
-    lap[0] = flux[0]  # F_{1/2} - 0, signed zeros included
     np.subtract(flux[1:], flux[:-1], out=lap[1:-1])
-    lap[:-1] *= inverse_volumes
-    # The outer node has no right neighbour; its value is never used.
-    lap[-1] = 0.0
+    lap[1:-1] *= inverse_volumes[1:-1]
+    # The outer node of each field has no outer neighbour; its value is
+    # never used.
+    lap[0] = lap[-1] = 0.0
     return lap
 
 
@@ -249,7 +266,9 @@ def verify_wave_identity(kind: TestFunctionKind, n: int,
     f_hi = math.exp(-d * (t0 + ht)) * base
 
     psi_tt = (f_hi - 2.0 * f_mid + f_lo) / ht**2
-    residual = psi_tt - radial_laplacian(f_mid, *radial_stencil(r.size, h, n)[:, :-1])
+    # The profile as both fields of a mirrored pair; the second half is its Laplacian.
+    pair = np.concatenate((f_mid[::-1], f_mid))
+    residual = psi_tt - radial_laplacian(pair, *radial_stencil(r.size, h, n))[r.size:]
     if kind is TestFunctionKind.PSI1:
         psi_t = (f_hi - f_lo) / (2.0 * ht)
         residual = residual - psi_t

@@ -143,10 +143,20 @@ class TestImportGraph:
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
     def test_pde_loads_no_ode_solver(self):
-        # The audit takes its weights from comparison, which loads no scipy.
+        # The audit imports its weights from comparison where it runs.
         loaded = modules_after_import("blowlab.pde")
-        assert "blowlab.comparison" in loaded
+        assert "blowlab.comparison" not in loaded
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+    @pytest.mark.parametrize("mode", ["simulate", "regions"])
+    def test_default_run_loads_no_comparison(self, mode, tmp_path):
+        # Only kato and the audit run the comparison layer.
+        loaded = modules_after_import("blowlab.cli", (
+            f"blowlab.cli.run_experiment(blowlab.cli.parse_config('{{}}', {mode!r}),"
+            f" {str(tmp_path)!r})"))
+        assert "blowlab.pde" in loaded
+        assert "blowlab.comparison" not in loaded
+        assert (tmp_path / "summary.json").is_file()
 
     @pytest.mark.parametrize("module", ["blowlab.cli", "blowlab.pde", "blowlab.testfuncs"])
     def test_loads_no_scipy(self, module):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import blowlab
@@ -46,6 +48,21 @@ from blowlab.testfuncs import (
 )
 
 FIELDS = ("u", "u_prev", "v", "v_prev")
+
+
+def with_fields(state, **changes):
+    """``state`` with the named fields of ``FIELDS`` replaced and the others
+    copied, in freshly built mirrored buffers; every other keyword goes to
+    ``replace`` as it is."""
+    values = {name: changes.pop(name, getattr(state, name)) for name in FIELDS}
+    return replace(state, **changes,
+                   fields=np.concatenate((values["u"][::-1], values["v"])),
+                   fields_prev=np.concatenate((values["u_prev"][::-1], values["v_prev"])))
+
+
+def mirrored(u, v):
+    """The fields u and v of one level as one mirrored buffer."""
+    return np.concatenate((np.asarray(u)[::-1], v))
 
 
 def dimension_case(n):
@@ -132,14 +149,19 @@ class TestInitState:
         assert state.dt == pytest.approx(0.5 * state.h, rel=1e-15)
 
     def test_backward_seed_is_second_order(self):
-        # Halving dt must shrink the seed defect ~4x against the exact
-        # relation u(-dt) = u0 - dt u1 + dt^2/2 u_tt + O(dt^3).
+        # The seed is the Taylor expansion u(-dt) = u0 - dt u1 + dt^2/2 u_tt
+        # + O(dt^3), so its defect against the first-order u0 - dt u1 is the
+        # dt^2 term: halving dt on the same mesh shrinks it 4x, for v too.
         ex = Exponents(2.0, 2.0, 1)
-        s1 = init_state(ex, smooth_data(), 500, 5.0, cfl_factor=0.5)
-        s2 = init_state(ex, smooth_data(), 500, 5.0, cfl_factor=0.25)
-        lead1 = np.max(np.abs(s1.u_prev - (s1.u - s1.dt * s1.u)))
-        lead2 = np.max(np.abs(s2.u_prev - (s2.u - s2.dt * s2.u)))
-        assert lead1 > 0.0 and lead2 > 0.0
+        defects = []
+        for cfl in (0.5, 0.25):
+            state = init_state(ex, smooth_data(), 500, 5.0, cfl_factor=cfl)
+            u0, u1, v0, v1 = smooth_data().sample(state.r, ex.R)
+            defects.append([np.max(np.abs(state.u_prev - (u0 - state.dt * u1))),
+                            np.max(np.abs(state.v_prev - (v0 - state.dt * v1)))])
+        for coarse, fine in zip(*defects):
+            assert fine > 0.0
+            assert 3.9 <= coarse / fine <= 4.1
 
     def test_rejections(self):
         ex = Exponents(2.0, 2.0, 1)
@@ -178,10 +200,10 @@ class TestStep:
     def test_zero_state_is_fixed_point(self):
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 500, 5.0)
-        zero = replace(state, u=np.zeros_like(state.u),
-                       u_prev=np.zeros_like(state.u),
-                       v=np.zeros_like(state.v),
-                       v_prev=np.zeros_like(state.v))
+        zero = with_fields(state, u=np.zeros_like(state.u),
+                           u_prev=np.zeros_like(state.u),
+                           v=np.zeros_like(state.v),
+                           v_prev=np.zeros_like(state.v))
         out = step(zero)
         assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
 
@@ -208,7 +230,7 @@ class TestStep:
         # A peak above the threshold, which run records as blow-up.
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 500, 5.0)
-        big = replace(state, u=state.u * 1e13, u_prev=state.u_prev * 1e13)
+        big = with_fields(state, u=state.u * 1e13, u_prev=state.u_prev * 1e13)
         out = step(big)
         assert out.time == big.time + big.dt
         assert math.isfinite(out.peak) and out.peak > 1e12
@@ -218,14 +240,14 @@ class TestStep:
         # whatever its threshold.
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 500, 5.0)
-        huge = replace(state, u=state.u * 1e200, u_prev=state.u_prev * 1e200)
+        huge = with_fields(state, u=state.u * 1e200, u_prev=state.u_prev * 1e200)
         assert not math.isfinite(step(huge).peak)
 
     def test_causal_clip_conserves_mass(self):
         ex = Exponents(2.0, 2.0, 3)
         state = init_state(ex, smooth_data(), 800, 5.0, coupling=False)
         # The shell volumes V_i, scaled alike.
-        w = 1.0 / state.stencil[1]
+        w = 1.0 / plain_stencil(state)[1]
         before = np.dot(state.v, w)
         drift = np.dot(state.v, w) - np.dot(state.v_prev, w)
         for _ in range(200):
@@ -244,6 +266,12 @@ def radial_laplacian_oracle(f, stencil):
     lap = np.zeros_like(f)
     lap[:-1] = (flux[1:] - flux[:-1]) * inverse_volumes
     return lap
+
+
+def plain_stencil(state):
+    """The stencil rows of the mesh's nodes 0 .. N-1: the second half of
+    the mirrored rows."""
+    return state.stencil[:, state.r.size:]
 
 
 def shell_volumes(state):
@@ -303,8 +331,9 @@ def step_full_mesh(state):
     """
     dt = state.dt
     ex = state.exponents
-    lap_u = radial_laplacian_oracle(state.u, state.stencil)
-    lap_v = radial_laplacian_oracle(state.v, state.stencil)
+    stencil = plain_stencil(state)
+    lap_u = radial_laplacian_oracle(state.u, stencil)
+    lap_v = radial_laplacian_oracle(state.v, stencil)
     with np.errstate(over="ignore", invalid="ignore"):
         if state.coupling:
             f_u = np.abs(state.v) ** ex.p
@@ -322,14 +351,14 @@ def step_full_mesh(state):
     outside = np.searchsorted(state.r, t_next + ex.R + 2.0 * state.h, side="right")
     if outside < state.r.size:
         edge = outside - 1
-        w = 1.0 / state.stencil[1, edge:]
+        w = 1.0 / stencil[1, edge:]
         u_next[edge] += np.dot(u_next[outside:], w[1:]) / w[0]
         v_next[edge] += np.dot(v_next[outside:], w[1:]) / w[0]
         u_next[outside:] = 0.0
         v_next[outside:] = 0.0
     peak = np.maximum(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
-    return replace(state, time=t_next, u=u_next, u_prev=state.u,
-                   v=v_next, v_prev=state.v, peak=float(peak))
+    return with_fields(state, time=t_next, u=u_next, u_prev=state.u,
+                       v=v_next, v_prev=state.v, peak=float(peak))
 
 
 def peak_outcome(peak, blowup_threshold):
@@ -351,12 +380,12 @@ def step_beside_oracle(state, steps, blowup_threshold=1e12):
     oracle = state
     # Steps 2 and 3 write into the first state's levels, so the recycling
     # path starts from a copy and leaves the caller's state as it is.
-    recycled = replace(state, **{name: getattr(state, name).copy() for name in FIELDS})
-    spare = (np.zeros(state.r.size), np.zeros(state.r.size))
+    recycled = with_fields(state)
+    spare = np.zeros(2 * state.r.size)
     for _ in range(steps):
         oracle = step_full_mesh(oracle)
         state = step(state)
-        recycled, spare = step(recycled, out=spare), (recycled.u_prev, recycled.v_prev)
+        recycled, spare = step(recycled, out=spare), recycled.fields_prev
         outcome = peak_outcome(oracle.peak, blowup_threshold)
         for got in (state, recycled):
             assert got.time == oracle.time
@@ -401,6 +430,27 @@ class TestCausalWindow:
         # the window is a small prefix.
         assert last.time < (1.0 if n <= 3 else 1.5)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_runs_match_full_mesh_step(self, data):
+        # Any dimension, either coupling, amplitudes from 0 (uncoupled runs
+        # only) to 1e6, driven to blow-up or to a non-finite peak: the
+        # step into fresh buffers and into the level two back agree with
+        # the full-mesh oracle bit for bit.
+        n = data.draw(st.integers(1, 8), label="n")
+        coupling = data.draw(st.booleans(), label="coupling")
+        amplitude = st.floats(0.0, 1e6, exclude_min=coupling)
+        amplitudes = data.draw(st.lists(amplitude, min_size=4, max_size=4), label="amplitudes")
+        assume(max(amplitudes) > 0.0)
+        ex, cfl = dimension_case(n)
+        state = init_state(ex, InitialData(data.draw(st.sampled_from(list(Profile))),
+                                           *amplitudes),
+                           data.draw(st.integers(200, 400), label="grid"),
+                           data.draw(st.floats(0.5, 20.0), label="horizon"),
+                           cfl_factor=cfl, coupling=coupling)
+        step_beside_oracle(state, data.draw(st.integers(1, 200), label="steps"),
+                           blowup_threshold=data.draw(st.sampled_from([1e12, math.inf])))
+
     def test_input_state_unchanged(self):
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 400, 5.0)
@@ -409,29 +459,31 @@ class TestCausalWindow:
         before = {name: getattr(state, name).copy() for name in FIELDS}
         out = step(state)
         # Into arrays that hold 0.0 from the causal end on, but not before it.
-        dead = (np.full(state.r.size, 7.0), np.full(state.r.size, -7.0))
+        halves = (np.full(state.r.size, 7.0), np.full(state.r.size, -7.0))
         end = state.r.searchsorted(state.time + ex.R + 2.0 * state.h, side="right")
-        for array in dead:
+        for array in halves:
             array[end:] = 0.0
+        dead = mirrored(*halves)
         into = step(state, out=dead)
         for name in FIELDS:
             assert np.array_equal(getattr(state, name), before[name])
-        assert out.u is not state.u and out.v is not state.v
+        assert not np.shares_memory(out.fields, state.fields)
+        assert not np.shares_memory(out.fields, state.fields_prev)
         assert out.u.size == out.v.size == state.r.size
-        assert into.u is dead[0] and into.v is dead[1]
-        assert into.u_prev is state.u and into.v_prev is state.v
+        assert into.fields is dead
+        assert into.fields_prev is state.fields
         for name in (*FIELDS, "peak"):
             assert same_bits(getattr(into, name), getattr(out, name)), name
 
     def test_step_into_out_allocates_no_mesh_array(self):
         # A 16 000-node mesh with a causal window of about 160 nodes.
         # Stepping into the level two steps back allocates window-sized
-        # arrays only; a step without ``out`` allocates two mesh arrays,
-        # which shows the guard sees numpy's allocations.
+        # arrays only; a step without ``out`` allocates one buffer of two
+        # mesh lengths, which shows the guard sees numpy's allocations.
         state = init_state(Exponents(2.0, 2.0, 1), smooth_data(), 16000, 100.0)
-        spare = (np.zeros(state.r.size), np.zeros(state.r.size))
+        spare = np.zeros(2 * state.r.size)
         for _ in range(3):
-            state, spare = step(state, out=spare), (state.u_prev, state.v_prev)
+            state, spare = step(state, out=spare), state.fields_prev
         peaks = []
         tracemalloc.start()
         try:
@@ -454,8 +506,14 @@ class TestFullMeshOracles:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("size", [3, 4, 17, 1000])
     def test_radial_laplacian(self, n, size):
+        # Each field of a mirrored pair, over the first m nodes.  The v
+        # half is the oracle bit for bit on any input.  The u half takes
+        # every flux negated, so it is the oracle bit for bit on fields
+        # with no -0.0 and no NaN (as the solver's are), and equal in
+        # value, NaN where NaN, on any input.
         rng = np.random.default_rng(1000 * n + size)
         stencil = radial_stencil(size, 3.0 / (size - 1), n)
+        plain = stencil[:, size:]
         f = rng.standard_normal(size) * rng.choice([1e-300, 1e-3, 1.0, 1e150], size)
         f[::5] = 0.0
         f[1::7] = -0.0
@@ -463,8 +521,16 @@ class TestFullMeshOracles:
         with np.errstate(over="ignore", invalid="ignore"):
             for g in (f, f[: max(3, size // 2)], np.zeros(size), -np.zeros(size), extreme):
                 m = g.size
-                assert same_bits(radial_laplacian(g, *stencil[:, :m - 1]),
-                                 radial_laplacian_oracle(g, stencil[:, :m]))
+                rows = stencil[:, size - m:size + m]
+                clean = np.where(np.isnan(g), 1.0, g) + 0.0
+                for u, v in ((clean, g), (g, clean)):
+                    lap = radial_laplacian(mirrored(u, v), *rows)
+                    assert same_bits(lap[m:], radial_laplacian_oracle(v, plain[:, :m]))
+                    assert np.array_equal(lap[m - 1::-1], radial_laplacian_oracle(u, plain[:, :m]),
+                                          equal_nan=True)
+                lap = radial_laplacian(mirrored(clean, clean), *rows)
+                want = radial_laplacian_oracle(clean, plain[:, :m])
+                assert same_bits(lap[m - 1::-1], want) and same_bits(lap[m:], want)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("coupling", [True, False])
@@ -537,7 +603,7 @@ class TestSupportRadius:
     def test_zero_state(self):
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 500, 5.0)
-        zero = replace(state, u=np.zeros_like(state.u), v=np.zeros_like(state.v))
+        zero = with_fields(state, u=np.zeros_like(state.u), v=np.zeros_like(state.v))
         assert support_radius(zero) == 0.0
 
     def test_finite_propagation(self):
@@ -796,7 +862,8 @@ class TestCflLimits:
         for size in (200, 400):
             h = 1.0 / (size - 1)
             stencil = radial_stencil(size, h, n)
-            matrix = np.column_stack([radial_laplacian(e, *stencil[:, :-1])
+            # Each unit vector as the v half of a pair whose u half is 0.
+            matrix = np.column_stack([radial_laplacian(mirrored(0.0 * e, e), *stencil)[size:]
                                       for e in np.eye(size)]) * h**2
             eigenvalues = np.linalg.eigvals(matrix[:-1, :-1])
             assert np.max(np.abs(eigenvalues.imag)) <= 1e-9

@@ -197,9 +197,12 @@ class TestRadialLaplacian:
         # difference of r^n / n, at the origin cell too.  h = 1/64 keeps
         # r^2 and its differences exact.
         r = np.arange(301) / 64.0
-        lap = radial_laplacian(r**2, *radial_stencil(r.size, 1.0 / 64.0, n)[:, :-1])
-        assert lap[:-1] == pytest.approx(np.full(r.size - 1, 2.0 * n), rel=1e-12)
-        assert lap[-1] == 0.0
+        # r^2 as both fields of a mirrored pair; each half is its Laplacian.
+        pair = radial_laplacian(np.concatenate((r[::-1] ** 2, r**2)),
+                                *radial_stencil(r.size, 1.0 / 64.0, n))
+        for lap in (pair[r.size - 1::-1], pair[r.size:]):
+            assert lap[:-1] == pytest.approx(np.full(r.size - 1, 2.0 * n), rel=1e-12)
+            assert lap[-1] == 0.0
 
 
 class TestWaveIdentity:
