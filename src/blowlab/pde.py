@@ -244,18 +244,22 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     u0, u1, v0, v1 = data.sample(r, exponents.R)
     fields = np.concatenate((u0[::-1], v0))
     velocities = np.concatenate((u1[::-1], v1))
+    del u0, u1, v0, v1  # held by the buffers; the seed's peak memory stays low
     with np.errstate(over="ignore", invalid="ignore"):
-        # |v0|^p on the u half and |u0|^q on the v half.
-        if coupling:
-            sources = np.abs(fields[::-1])
-            sources[:grid_points] **= exponents.p
-            sources[grid_points:] **= exponents.q
-        else:
-            sources = 0.0
         accelerations = radial_laplacian(fields, *stencil)
         accelerations[:grid_points] -= velocities[:grid_points]
-        accelerations += sources
-        fields_prev = fields - dt * velocities + 0.5 * dt**2 * accelerations
+        # The previous level's buffer holds |v0|^p on the u half and |u0|^q
+        # on the v half until they are added, then fields - dt velocities
+        # + dt^2/2 accelerations, one operation at a time.
+        fields_prev = np.abs(fields[::-1])
+        if coupling:
+            fields_prev[:grid_points] **= exponents.p
+            fields_prev[grid_points:] **= exponents.q
+        accelerations += fields_prev if coupling else 0.0
+        np.multiply(velocities, dt, out=fields_prev)
+        np.subtract(fields, fields_prev, out=fields_prev)
+        accelerations *= 0.5 * dt**2
+        fields_prev += accelerations
     fields_prev[0] = fields_prev[-1] = 0.0
 
     return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r, stencil=stencil,

@@ -205,8 +205,13 @@ def radial_stencil(size: int, h: float, n: int) -> np.ndarray:
     k = np.arange(size) + 0.5
     faces = k ** (n - 1)
     inverse_volumes = n / (h * h * np.diff(k ** n, prepend=0.0))
-    return np.stack((np.concatenate((faces[-2::-1], [0.0], faces)),
-                     np.concatenate((inverse_volumes[::-1], inverse_volumes))))
+    rows = np.empty((2, 2 * size))
+    rows[0, :size - 1] = faces[-2::-1]
+    rows[0, size - 1] = 0.0
+    rows[0, size:] = faces
+    rows[1, :size] = inverse_volumes[::-1]
+    rows[1, size:] = inverse_volumes
+    return rows
 
 
 def radial_laplacian(f: np.ndarray, faces: np.ndarray, inverse_volumes: np.ndarray) -> np.ndarray:
