@@ -185,7 +185,8 @@ def _plan(mode: str, s: dict):
         return run_phi
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
     if mode == "kato":
-        # Loaded only here: simulate, audit and regions never run it.
+        # Loaded where it runs, here and in the audit; simulate and
+        # regions never load it.
         from . import comparison
 
         params = comparison.derive_params(ex, {k: s[k] for k in ("C3", "k2", "k4")})

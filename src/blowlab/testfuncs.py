@@ -192,16 +192,15 @@ def phi_asymptotic(r, n: int):
 
 
 def radial_stencil(size: int, h: float, n: int) -> np.ndarray:
-    """The two coefficient rows of :func:`radial_laplacian` on the mesh i h,
-    i < ``size``, mirrored about the origin over the 2 ``size`` positions
-    of a field pair (see :func:`radial_laplacian`): the faces row holds
-    (i + 1/2)^{n-1} = r_{i+1/2}^{n-1} / h^{n-1} at the face between node
-    i and node i + 1 of either field, and 0 at the centre face between
-    the two origins; the inverse-volumes row holds
-    n / (h^2 ((i + 1/2)^n - (i - 1/2)^n)) = h^{n-1} / (h V_i), with
-    V_0 = (h/2)^n / n, at node i of either field.  Row positions size - 1
-    - i and size + i belong to node i; the faces row's last entry, past
-    the mesh, is never read."""
+    """The two coefficient rows of :func:`radial_laplacian` over the 2
+    ``size`` positions of a mirrored field pair on the mesh i h, i < ``size``,
+    where node i of u sits at size - 1 - i and node i of v at size + i.
+    faces[j] belongs to the face between positions j and j + 1: it is
+    (i + 1/2)^{n-1} = r_{i+1/2}^{n-1} / h^{n-1} for the face between nodes
+    i and i + 1 of either field, 0 for the centre face between the two
+    origins, and past the mesh for the last j.  inverse_volumes holds
+    n / (h^2 ((i + 1/2)^n - (i - 1/2)^n)) = h^{n-1} / (h V_i) at node i of
+    either field, with V_0 = (h/2)^n / n."""
     k = np.arange(size) + 0.5
     faces = k ** (n - 1)
     inverse_volumes = n / (h * h * np.diff(k ** n, prepend=0.0))

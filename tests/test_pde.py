@@ -50,19 +50,18 @@ from blowlab.testfuncs import (
 FIELDS = ("u", "u_prev", "v", "v_prev")
 
 
+def mirrored(u, v):
+    """The fields u and v of one level as one fresh mirrored buffer."""
+    return np.concatenate((np.asarray(u)[::-1], v))
+
+
 def with_fields(state, **changes):
     """``state`` with the named fields of ``FIELDS`` replaced and the others
     copied, in freshly built mirrored buffers; every other keyword goes to
     ``replace`` as it is."""
     values = {name: changes.pop(name, getattr(state, name)) for name in FIELDS}
-    return replace(state, **changes,
-                   fields=np.concatenate((values["u"][::-1], values["v"])),
-                   fields_prev=np.concatenate((values["u_prev"][::-1], values["v_prev"])))
-
-
-def mirrored(u, v):
-    """The fields u and v of one level as one mirrored buffer."""
-    return np.concatenate((np.asarray(u)[::-1], v))
+    return replace(state, **changes, fields=mirrored(values["u"], values["v"]),
+                   fields_prev=mirrored(values["u_prev"], values["v_prev"]))
 
 
 def dimension_case(n):
