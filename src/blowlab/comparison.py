@@ -29,11 +29,10 @@ R + T9.  Both are validated against a numerical ODE oracle in the test
 suite.
 
 The system is integrated by this module's own numpy Dormand-Prince
-5(4) pair, so integrating it loads no scipy.  One Brent root finder,
-``_brent``, finds both the ODE's threshold event and the zero of the Y
-and Z brackets.  ``quad``, which only the closed-form Y and Z helpers
-use, is imported inside the function that calls it, so importing this
-module loads no scipy either.
+5(4) pair.  One Brent root finder, ``_brent``, finds both the ODE's
+threshold event and the zero of the Y and Z brackets, which integrate
+with ``testfuncs.gauss_panels`` over finite ranges, importing it where
+they call it: this module loads neither scipy nor the test functions.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -484,13 +484,17 @@ def _check_bernoulli_args(kappa, beta, **initial_value):
 
 
 def _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t):
-    """B(t) = Y0^{1-beta} - kappa (beta-1) int_{T6}^t e^{-nu s}(s+R)^{-alpha} ds;
-    t may be inf."""
-    from scipy.integrate import quad
+    """B(t) = Y0^{1-beta} - kappa (beta-1) int_{T6}^t e^{-nu s}(s+R)^{-alpha} ds,
+    t finite: panels at most 20/nu wide on pieces where s + R doubles, up
+    to s = 750/nu (e^{-nu s} is 0.0 past it; the stop caps the panels)."""
+    from .testfuncs import gauss_panels
 
-    integral, _ = quad(lambda s: math.exp(-nu * s) * (s + R) ** (-alpha), T6, t,
-                       limit=200)
-    return Y0 ** (1.0 - beta) - kappa * (beta - 1.0) * integral
+    end = min(t, 750.0 / nu) if nu > 0.0 else t
+    pieces = math.ceil(math.log2((end + R) / (T6 + R)))
+    edges = np.minimum(T6 + (T6 + R) * (2.0 ** np.arange(pieces + 1) - 1.0), end)
+    integral = gauss_panels(lambda s: np.exp(-nu * s) * (s + R) ** -alpha, edges,
+                            20.0 / nu if nu > 0.0 else math.inf).sum()
+    return Y0 ** (1.0 - beta) - kappa * (beta - 1.0) * float(integral)
 
 
 def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
@@ -503,45 +507,42 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
     """
     _check_bernoulli_args(kappa, beta, Y0=Y0)
     check_nonnegative(nu=nu)
-    if R <= 0.0 or t < T6:
-        raise ValueError("need R > 0 and t >= T6")
+    if R <= 0.0 or not T6 <= t < math.inf:
+        raise ValueError("need R > 0 and a finite t >= T6")
     B = _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t)
     if B <= 0.0:
         raise OverflowError(f"solution blew up at or before t = {t}")
     return B ** (-1.0 / (beta - 1.0))
 
 
-def _bracket_root(bracket, T_start):
-    """Root of a monotone decreasing bracket (to 1e-9 relative), or None
-    if it stays positive."""
-    b0 = bracket(T_start)
-    if b0 <= 0.0:
-        return float(T_start)
-    hi = max(1.0, abs(T_start) + 1.0)
-    lo = T_start
-    for _ in range(200):
-        if bracket(hi) <= 0.0:
-            return float(_brent(bracket, lo, hi, xtol=1e-14, rtol=1e-9))
-        lo, hi = hi, 2.0 * hi
-    return None
-
-
 def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
                   R: float, T6: float, Y0: float) -> float | None:
-    """First zero of the Y bracket, or None if Y stays finite forever.
+    """First zero of the Y bracket B, or None.
 
-    When the weight integral converges (nu > 0 or alpha > 1) the bracket
-    has a finite limit; a positive limit means no blow-up for this datum.
+    The search doubles its end hi from max(1, |T6| + 1), at most 200
+    times, and finds the zero by Brent's method (1e-9 relative) on the
+    first [lo, hi] with B(hi) <= 0.  None is proved when kappa = 0 or
+    B(hi) > kappa (beta-1) h(hi)/c, with h(s) = e^{-nu s}(s+R)^{1-alpha}
+    and c = nu (hi+R) + alpha - 1 > 0: -h' is the weight times a factor
+    that is c at hi and grows, so h(hi)/c bounds the weight's integral
+    past hi (exactly, for nu = 0).  For nu = 0 and alpha <= 1 the
+    integral diverges, and None means no zero within the 200 doublings.
     """
     _check_bernoulli_args(kappa, beta, Y0=Y0)
     check_nonnegative(nu=nu)
     if kappa == 0.0:
         return None
-    if ((nu > 0.0 or alpha > 1.0)
-            and _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, math.inf) > 0.0):
-        return None
-    return _bracket_root(lambda t: _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t),
-                         T6)
+    bracket = partial(_y_bracket, kappa, nu, alpha, beta, R, T6, Y0)
+    lo, hi = T6, max(1.0, abs(T6) + 1.0)
+    for _ in range(200):
+        b, s = bracket(hi), hi + R
+        if b <= 0.0:
+            return float(_brent(bracket, lo, hi, xtol=1e-14, rtol=1e-9))
+        c = nu * s + alpha - 1.0
+        if c > 0.0 and b > kappa * (beta - 1.0) * math.exp(-nu * hi) * s ** (1.0 - alpha) / c:
+            return None
+        lo, hi = hi, 2.0 * hi
+    return None
 
 
 def z_closed_form(kappa: float, gamma: float, alpha: float, beta: float,
@@ -569,8 +570,7 @@ def z_blowup_time(kappa: float, gamma: float, alpha: float, beta: float,
     """First zero of the Z bracket, or None if it stays positive.
 
     The shifted Y problem has nu = gamma + beta - 1 > 0, so its weight
-    integral always converges and the large-data threshold is explicit:
-    blow-up happens iff Z0^{1-beta} < kappa (beta-1) * (full integral)."""
+    integral converges and every None of :func:`y_blowup_time` is proved."""
     _check_bernoulli_args(kappa, beta, Z0=Z0)
     check_nonnegative(gamma=gamma)
     root = y_blowup_time(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,

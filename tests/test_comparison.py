@@ -9,11 +9,12 @@ at ln 2; the damped Z case with kappa = 10 vanishes at ln(10/9)).
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from blowlab.cli import parse_config, run_experiment
@@ -157,10 +158,9 @@ class TestDeriveParams:
 
 
 def bracket_root_brentq(bracket, T_start):
-    """``comparison._bracket_root`` with scipy's brentq as its root finder:
-    the oracle of the Y and Z blow-up times."""
-    if bracket(T_start) <= 0.0:
-        return float(T_start)
+    """The search of ``comparison.y_blowup_time`` with scipy's brentq as its
+    root finder and without its tail bound: the oracle of the Y and Z
+    blow-up times, and None only when no zero lies within 200 doublings."""
     lo, hi = T_start, max(1.0, abs(T_start) + 1.0)
     for _ in range(200):
         if bracket(hi) <= 0.0:
@@ -217,22 +217,21 @@ class TestBrent:
                     float(RNG.uniform(0.5, 5.0)))
             y_cases.append(case)
             z_cases.append(case)
+        # A None proved by the tail bound is one that the whole search
+        # confirms.
         roots = 0
         for kappa, nu, alpha, beta, R, T6, Y0 in y_cases:
             got = y_blowup_time(kappa, nu, alpha, beta, R, T6, Y0)
-            if got is not None:
-                want = bracket_root_brentq(
-                    lambda t: _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t), T6)
-                assert got == want
-                roots += 1
+            assert got == bracket_root_brentq(
+                lambda t: _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t), T6)
+            roots += got is not None
         for kappa, gamma, alpha, beta, R, T9, Z0 in z_cases:
             got = z_blowup_time(kappa, gamma, alpha, beta, R, T9, Z0)
-            if got is not None:
-                shifted = (kappa * math.exp(-gamma * T9), gamma + beta - 1.0, alpha, beta,
-                           R + T9, 0.0, Z0)
-                want = T9 + bracket_root_brentq(lambda t: _y_bracket(*shifted, t), 0.0)
-                assert got == want
-                roots += 1
+            shifted = (kappa * math.exp(-gamma * T9), gamma + beta - 1.0, alpha, beta,
+                       R + T9, 0.0, Z0)
+            want = bracket_root_brentq(lambda t: _y_bracket(*shifted, t), 0.0)
+            assert got == (None if want is None else T9 + want)
+            roots += got is not None
         assert roots >= 20
 
 
@@ -338,6 +337,53 @@ def _y_oracle(kappa, nu, alpha, beta, R, T6, Y0, t_eval):
     return sol.y[0]
 
 
+def weight_integral(nu, alpha, R, T6, t):
+    """int_{T6}^t e^{-nu s}(s+R)^{-alpha} ds as the Y bracket computes it:
+    Y0 = inf makes Y0^{1-beta} exactly 0, and kappa (beta-1) is 1."""
+    return -_y_bracket(1.0, nu, alpha, 2.0, R, T6, math.inf, t)
+
+
+def assert_zero_within_tolerance(case, t_star):
+    """The Y bracket of ``case`` changes sign within the search's Brent
+    tolerance, 1e-14 + 1e-9 T*, of T*."""
+    tol = 1e-14 + 1e-9 * t_star
+    assert _y_bracket(*case, t_star - tol) > 0.0 > _y_bracket(*case, t_star + tol)
+
+
+class TestYBracket:
+    def test_power_law_against_closed_form(self):
+        # nu = 0: ((t+R)^{1-alpha} - (T6+R)^{1-alpha})/(1-alpha), as
+        # (T6+R)^{1-alpha} expm1((1-alpha) L)/(1-alpha) with
+        # L = log1p((t-T6)/(T6+R)), and L itself for alpha = 1.
+        for _ in range(300):
+            alpha = 1.0 if RNG.random() < 0.2 else float(RNG.uniform(-1.0, 3.0))
+            R, T6 = float(RNG.uniform(0.5, 2.0)), float(RNG.uniform(0.0, 5.0))
+            t = T6 + 10.0 ** RNG.uniform(-3.0, 12.0)
+            L = math.log1p((t - T6) / (T6 + R))
+            exact = (L if alpha == 1.0
+                     else (T6 + R) ** (1.0 - alpha) * math.expm1((1.0 - alpha) * L) / (1.0 - alpha))
+            assert weight_integral(0.0, alpha, R, T6, t) == pytest.approx(exact, rel=1e-12)
+
+    def test_exponential_against_closed_form(self):
+        # alpha = 0: e^{-nu T6}(1 - e^{-nu(t-T6)})/nu, through expm1; the
+        # plain difference of the two exponentials cancels at small nu.
+        for _ in range(300):
+            nu = 10.0 ** RNG.uniform(-8.0, 1.0)
+            R, T6 = float(RNG.uniform(0.5, 2.0)), float(RNG.uniform(0.0, 5.0))
+            t = T6 + 10.0 ** RNG.uniform(-3.0, 12.0)
+            exact = -math.exp(-nu * T6) * math.expm1(-nu * (t - T6)) / nu
+            assert weight_integral(nu, 0.0, R, T6, t) == pytest.approx(exact, rel=1e-12)
+
+    def test_against_quad_on_finite_ranges(self):
+        for _ in range(300):
+            nu, alpha = float(RNG.uniform(0.0, 2.0)), float(RNG.uniform(-1.0, 3.0))
+            R, T6 = float(RNG.uniform(0.5, 2.0)), float(RNG.uniform(0.0, 5.0))
+            t = T6 + float(RNG.uniform(0.0, 50.0))
+            oracle, _ = quad(lambda s: math.exp(-nu * s) * (s + R) ** -alpha, T6, t,
+                             epsabs=0.0, epsrel=1e-13, limit=200)
+            assert weight_integral(nu, alpha, R, T6, t) == pytest.approx(oracle, rel=1e-12)
+
+
 class TestYClosedForm:
     def test_against_ode_oracle(self):
         cases = [
@@ -382,6 +428,35 @@ class TestYBlowupTime:
         # With nu = 1 the full weight integral is 1; kappa = 1/2 < 1/Y0.
         assert y_blowup_time(0.5, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0) is None
         assert y_blowup_time(0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0) is None
+
+    @pytest.mark.parametrize("nu, alpha, R, T6, full", [
+        # alpha = 0: the full weight integral is e^{-nu T6}/nu.
+        (1.0, 0.0, 1.0, 0.0, 1.0),
+        (1e-3, 0.0, 2.0, 0.5, math.exp(-5e-4) / 1e-3),
+        # alpha = -1: e^{-nu T6}((T6+R)/nu + 1/nu^2).
+        (0.5, -1.0, 1.0, 0.2, math.exp(-0.1) * (1.2 / 0.5 + 1.0 / 0.25)),
+        # nu = 0, alpha = 2: (T6+R)^{1-alpha}/(alpha-1).
+        (0.0, 2.0, 1.0, 0.5, 1.0 / 1.5),
+    ])
+    def test_full_integral_threshold(self, nu, alpha, R, T6, full):
+        # With beta = 2 and Y0 = 1, Y blows up iff kappa * full > 1.
+        assert y_blowup_time(0.99 / full, nu, alpha, 2.0, R, T6, 1.0) is None
+        case = (1.01 / full, nu, alpha, 2.0, R, T6, 1.0)
+        t_star = y_blowup_time(*case)
+        assert t_star is not None
+        assert_zero_within_tolerance(case, t_star)
+
+    def test_slow_decay_blows_up(self):
+        # At nu = 1.4e-6, quad over [T6, inf) misjudged this bracket's limit
+        # as positive, with an IntegrationWarning; the bracket is -4.5 at
+        # t = 10.
+        case = (0.692345484802751, 1.3601257419226798e-06, 0.0604275084486785,
+                1.8219771873047506, 1.1264804788122413, 0.6015702312396175, 4.9146377782597)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_star = y_blowup_time(*case)
+        assert t_star == pytest.approx(1.0961306563645956, rel=1e-12)
+        assert_zero_within_tolerance(case, t_star)
 
     def test_monotonicity_properties(self):
         for _ in range(50):

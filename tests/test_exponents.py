@@ -4,12 +4,12 @@ The domain rules (n in [1, 8], p, q > 1, the theorem's bounds) live in
 ``blowlab.exponents``, which loads no other blowlab module, numpy or
 scipy.  So the critical-curve layer loads neither the solver nor scipy.
 The comparison layer integrates its ODE with its own numpy
-Dormand-Prince 5(4) pair and its own Brent root finder, and imports
-scipy's ``quad`` only inside the closed-form Y and Z helpers, which no
-CLI mode calls;
-``testfuncs.phi`` sums its power series in numpy.  So the test
-functions, the simulator and the CLI load no scipy module at all, and
-neither does a run of any mode, ``kato`` included.
+Dormand-Prince 5(4) pair and its own Brent root finder, and its Y and Z
+brackets with ``testfuncs.gauss_panels``; ``testfuncs.phi`` sums its
+power series in numpy.  So the test functions, the simulator and the
+CLI load no scipy module at all, and neither does a run of any mode,
+``kato`` included, nor a call of a Y or Z helper: each runs with scipy's
+import blocked.
 Each import is checked in a fresh interpreter, since this process has
 loaded them all.
 """
@@ -109,16 +109,37 @@ NONNEGATIVE = {
 }
 
 
-def modules_after_import(module: str, then: str = "") -> set:
-    """The modules loaded after importing ``module`` and running ``then``."""
-    code = f"import sys, {module}\n{then}\nprint('\\n'.join(sys.modules))"
+def fresh_python(code: str, *args: str) -> str:
+    """The standard output of ``code``, run with ``args`` in a fresh
+    interpreter that imports this blowlab."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    loaded = set(out.stdout.split())
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def modules_after_import(module: str, then: str = "") -> set:
+    """The modules loaded after importing ``module`` and running ``then``."""
+    loaded = set(fresh_python(
+        f"import sys, {module}\n{then}\nprint('\\n'.join(sys.modules))").split())
     assert module in loaded
     return loaded
+
+
+# Every CLI mode's default run, into the directory argv[1], and the four
+# Bernoulli helpers, with scipy's import blocked: the exit statuses and
+# the helpers' values, as JSON on the last line.
+SCIPY_BLOCKED = """\
+import json, sys
+sys.modules["scipy"] = None
+from blowlab.cli import MODES, main
+from blowlab.comparison import y_blowup_time, y_closed_form, z_blowup_time, z_closed_form
+statuses = [main([mode, "--out", f"{sys.argv[1]}/{mode}"]) for mode in MODES]
+print(json.dumps([statuses, y_closed_form(1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0, 0.5),
+                  y_blowup_time(1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0),
+                  z_closed_form(10.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0, 0.05),
+                  z_blowup_time(10.0, 0.0, 0.0, 2.0, 1.0, 0.0, 1.0)]))
+"""
 
 
 def scipy_modules(loaded: set) -> list:
@@ -138,7 +159,6 @@ class TestImportGraph:
         assert scipy_modules(loaded) == []
 
     def test_cli_loads_no_ode_solver(self):
-        # comparison imports quad where it calls it.
         loaded = modules_after_import("blowlab.cli")
         assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
@@ -194,6 +214,18 @@ class TestImportGraph:
         assert "blowlab.comparison" in loaded
         assert scipy_modules(loaded) == []
         assert json.loads((tmp_path / "summary.json").read_text())["outcome"] == "blowup"
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # A blocked import raises, so this also catches an import made
+        # inside a function.  Y = 1/(1 - t) and Z = e^{-t}/(1 - 10(1 - e^{-t})).
+        statuses, y, t_y, z, t_z = json.loads(
+            fresh_python(SCIPY_BLOCKED, str(tmp_path)).splitlines()[-1])
+        assert statuses == [0] * 5
+        assert y == pytest.approx(2.0, rel=1e-12)
+        assert t_y == pytest.approx(1.0, abs=1e-9)
+        assert z == pytest.approx(math.exp(-0.05) / (1.0 + 10.0 * math.expm1(-0.05)),
+                                  rel=1e-12)
+        assert t_z == pytest.approx(math.log(10.0 / 9.0), abs=1e-9)
 
     def test_comparison_loads_no_solver(self):
         loaded = modules_after_import("blowlab.comparison")
