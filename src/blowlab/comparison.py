@@ -476,11 +476,19 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
                                      else TerminalReason.BLOWUP))
 
 
-def _check_bernoulli_args(kappa, beta, **initial_value):
+def _check_bernoulli_args(kappa, beta, R, rate, start, initial_value):
+    """Raise ValueError unless a Y or Z problem is well posed: beta > 1,
+    kappa and the rate nonnegative, R > 0, a start T with T + R > 0 (the
+    weight's (s+R)^{-alpha} is real from T on) and a positive initial
+    value.  ``rate``, ``start`` and ``initial_value`` are (name, value)
+    pairs: nu, T6, Y0 for Y and gamma, T9, Z0 for Z."""
     if beta <= 1.0:
         raise ValueError(f"superlinear power required: beta > 1, got {beta}")
-    check_nonnegative(kappa=kappa)
-    check_positive(**initial_value)
+    check_nonnegative(kappa=kappa, **dict([rate]))
+    check_positive(**dict([initial_value]))
+    name, T = start
+    if not (R > 0.0 and T + R > 0.0):
+        raise ValueError(f"need R > 0 and {name} + R > 0, got R={R}, {name}={T}")
 
 
 def _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t):
@@ -505,10 +513,9 @@ def y_closed_form(kappa: float, nu: float, alpha: float, beta: float,
     :class:`OverflowError` carrying the blow-up signal when B(t) <= 0
     (the solution has already escaped to infinity at or before t).
     """
-    _check_bernoulli_args(kappa, beta, Y0=Y0)
-    check_nonnegative(nu=nu)
-    if R <= 0.0 or not T6 <= t < math.inf:
-        raise ValueError("need R > 0 and a finite t >= T6")
+    _check_bernoulli_args(kappa, beta, R, ("nu", nu), ("T6", T6), ("Y0", Y0))
+    if not T6 <= t < math.inf:
+        raise ValueError(f"need a finite t >= T6, got t={t}, T6={T6}")
     B = _y_bracket(kappa, nu, alpha, beta, R, T6, Y0, t)
     if B <= 0.0:
         raise OverflowError(f"solution blew up at or before t = {t}")
@@ -528,8 +535,7 @@ def y_blowup_time(kappa: float, nu: float, alpha: float, beta: float,
     past hi (exactly, for nu = 0).  For nu = 0 and alpha <= 1 the
     integral diverges, and None means no zero within the 200 doublings.
     """
-    _check_bernoulli_args(kappa, beta, Y0=Y0)
-    check_nonnegative(nu=nu)
+    _check_bernoulli_args(kappa, beta, R, ("nu", nu), ("T6", T6), ("Y0", Y0))
     if kappa == 0.0:
         return None
     bracket = partial(_y_bracket, kappa, nu, alpha, beta, R, T6, Y0)
@@ -553,10 +559,9 @@ def z_closed_form(kappa: float, gamma: float, alpha: float, beta: float,
     W' = kappa e^{-gamma T9} e^{-(gamma+beta-1) s} (s+R+T9)^{-alpha} W^beta,
     W(0) = Z0.  Raises :class:`OverflowError` when the bracket has hit zero.
     """
-    _check_bernoulli_args(kappa, beta, Z0=Z0)
-    check_nonnegative(gamma=gamma)
-    if R <= 0.0 or t < T9:
-        raise ValueError("need R > 0 and t >= T9")
+    _check_bernoulli_args(kappa, beta, R, ("gamma", gamma), ("T9", T9), ("Z0", Z0))
+    if not t >= T9:
+        raise ValueError(f"need t >= T9, got t={t}, T9={T9}")
     try:
         W = y_closed_form(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
                           alpha, beta, R + T9, 0.0, Z0, t - T9)
@@ -571,8 +576,7 @@ def z_blowup_time(kappa: float, gamma: float, alpha: float, beta: float,
 
     The shifted Y problem has nu = gamma + beta - 1 > 0, so its weight
     integral converges and every None of :func:`y_blowup_time` is proved."""
-    _check_bernoulli_args(kappa, beta, Z0=Z0)
-    check_nonnegative(gamma=gamma)
+    _check_bernoulli_args(kappa, beta, R, ("gamma", gamma), ("T9", T9), ("Z0", Z0))
     root = y_blowup_time(kappa * math.exp(-gamma * T9), gamma + beta - 1.0,
                          alpha, beta, R + T9, 0.0, Z0)
     return None if root is None else T9 + root

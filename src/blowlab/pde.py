@@ -126,26 +126,20 @@ class InitialData:
         return tuple(getattr(self, key) * base for key in AMPLITUDE_KEYS)
 
 
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
-
-
 @dataclass
 class CoupledState:
     """Two time levels of the discretized radial fields.
 
-    Each level is one buffer of 2N doubles for the N mesh nodes, holding
-    both fields mirrored about the origin: ``[u_{N-1} ... u_1, u_0, v_0,
-    v_1 ... v_{N-1}]``, so that the nodes within a radius form one
-    contiguous slice for both fields.  ``fields`` is the level at
-    ``time`` and ``fields_prev`` the level at ``time - dt``; ``u``, ``v``,
-    ``u_prev`` and ``v_prev`` are read-only views of their halves, in
-    mesh order.  ``stencil`` holds the mesh's mirrored
-    :func:`radial_stencil` rows, and ``volumes`` the measure
-    |S^{n-1}| V_i of each node's cell, by which every mesh integral is a
-    sum.  ``peak`` is max(|u|, |v|) over the mesh at ``time``, NaN if
-    either field holds a NaN.
+    Every array of the N mesh nodes is held in one mirrored layout of 2N
+    doubles, ``[x_{N-1} ... x_1, x_0, x_0, x_1 ... x_{N-1}]``, so that the
+    nodes within a radius form one contiguous slice.  A level holds u in
+    its first half and v in its second, ``[u_{N-1} ... u_0, v_0 ...
+    v_{N-1}]``: ``fields`` is the level at ``time`` and ``fields_prev``
+    the level at ``time - dt``.  ``stencil`` holds the mesh's
+    :func:`radial_stencil` rows, ``volumes`` the measure |S^{n-1}| V_i of
+    each node's cell, by which every mesh integral is a sum, and
+    ``phi_mesh`` phi at each node.  ``peak`` is max(|u|, |v|) over the
+    mesh at ``time``, NaN if either field holds a NaN.
     """
 
     exponents: Exponents
@@ -155,26 +149,11 @@ class CoupledState:
     r: np.ndarray
     stencil: np.ndarray
     volumes: np.ndarray
+    phi_mesh: np.ndarray
     fields: np.ndarray
     fields_prev: np.ndarray
     peak: float
     coupling: bool = True
-
-    @property
-    def u(self) -> np.ndarray:
-        return _read_only(self.fields[self.r.size - 1::-1])
-
-    @property
-    def v(self) -> np.ndarray:
-        return _read_only(self.fields[self.r.size:])
-
-    @property
-    def u_prev(self) -> np.ndarray:
-        return _read_only(self.fields_prev[self.r.size - 1::-1])
-
-    @property
-    def v_prev(self) -> np.ndarray:
-        return _read_only(self.fields_prev[self.r.size:])
 
     @cached_property
     def causal_end(self) -> int:
@@ -226,12 +205,13 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
                coupling: bool = True) -> CoupledState:
     """Sample the data on the mesh and seed the previous time level.
 
-    The backward level at -dt comes from a second-order Taylor expansion
-    using u_t(0) = u1 and u_tt(0) = Laplace(u0) - u1 + |v0|^p (and the
-    undamped analogue for v), so the first leapfrog step is second-order
-    accurate; both fields are seeded at once, in the mirrored layout.  As
-    in :func:`step`, a seed level beyond the float range is left for
-    ``run`` to report.
+    The mesh's stencil rows, cell volumes and phi are built here, once
+    per run, in the fields' mirrored layout.  The backward level at -dt
+    comes from a second-order Taylor expansion using u_t(0) = u1 and
+    u_tt(0) = Laplace(u0) - u1 + |v0|^p (and the undamped analogue for
+    v), so the first leapfrog step is second-order accurate; both fields
+    are seeded at once.  As in :func:`step`, a seed level beyond the
+    float range is left for ``run`` to report.
     """
     r = np.linspace(0.0, check_init_args(exponents, data, grid_points, horizon,
                                          cfl_factor, coupling), grid_points)
@@ -239,7 +219,7 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     dt = cfl_factor * h
     stencil = radial_stencil(grid_points, h, exponents.n)
     # |S^{n-1}| V_i, from the stencil's h^{n-1} / (h V_i); V_0 = (h/2)^n / n.
-    volumes = sphere_area(exponents.n) * h ** (exponents.n - 2) / stencil[1, grid_points:]
+    volumes = sphere_area(exponents.n) * h ** (exponents.n - 2) / stencil[1]
 
     u0, u1, v0, v1 = data.sample(r, exponents.R)
     fields = np.concatenate((u0[::-1], v0))
@@ -261,10 +241,14 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
         accelerations *= 0.5 * dt**2
         fields_prev += accelerations
     fields_prev[0] = fields_prev[-1] = 0.0
+    del velocities, accelerations  # so that phi's temporaries do not raise the peak
+    phi_r = phi(r, exponents.n)
+    phi_mesh = np.concatenate((phi_r[::-1], phi_r))
 
     return CoupledState(exponents=exponents, time=0.0, h=h, dt=dt, r=r, stencil=stencil,
-                        volumes=volumes, fields=fields, fields_prev=fields_prev,
-                        peak=float(np.max(np.abs(fields))), coupling=coupling)
+                        volumes=volumes, phi_mesh=phi_mesh, fields=fields,
+                        fields_prev=fields_prev, peak=float(np.max(np.abs(fields))),
+                        coupling=coupling)
 
 
 def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
@@ -315,8 +299,8 @@ def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
     lap = radial_laplacian(w, state.stencil[0, lo:top], state.stencil[1, lo:top])
     fields = np.zeros(2 * size) if out is None else out
     # The update, written in place into the window of the output:
-    #   u_next = (2 u - (1 - dt/2) u_prev + dt^2 (lap_u + |v|^p)) / (1 + dt/2),
-    #   v_next = 2 v - v_prev + dt^2 (lap_v + |u|^q),
+    #   u^{k+1} = (2 u^k - (1 - dt/2) u^{k-1} + dt^2 (lap u^k + |v^k|^p)) / (1 + dt/2),
+    #   v^{k+1} = 2 v^k - v^{k-1} + dt^2 (lap v^k + |u^k|^q),
     # one operation at a time, in the order Python evaluates these.  The
     # output window serves as scratch for |v|^p and |u|^q, which the
     # reversed window puts on the halves they feed.
@@ -353,8 +337,9 @@ def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
     peak = np.maximum.reduce(np.abs(new, out=lap))
 
     return CoupledState(exponents=ex, time=t_next, h=state.h, dt=dt, r=state.r,
-                        stencil=state.stencil, volumes=state.volumes, fields=fields,
-                        fields_prev=state.fields, peak=float(peak), coupling=state.coupling)
+                        stencil=state.stencil, volumes=state.volumes, phi_mesh=state.phi_mesh,
+                        fields=fields, fields_prev=state.fields, peak=float(peak),
+                        coupling=state.coupling)
 
 
 def _causal_end(state: CoupledState, time: float) -> int:
@@ -367,10 +352,10 @@ def _causal_end(state: CoupledState, time: float) -> int:
                                     side="right"))
 
 
-def _window_magnitudes(state: CoupledState) -> np.ndarray:
-    """|u| and |v| over the causal window, mirrored as the fields are."""
+def _causal_window(state: CoupledState) -> slice:
+    """The mirrored positions of the nodes inside the causal radius."""
     size, end = state.r.size, state.causal_end
-    return np.abs(state.fields[size - end:size + end])
+    return slice(size - end, size + end)
 
 
 def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) -> float:
@@ -384,7 +369,7 @@ def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) ->
     as ``magnitudes``.
     """
     if magnitudes is None:
-        magnitudes = _window_magnitudes(state)
+        magnitudes = np.abs(state.fields[_causal_window(state)])
     end = magnitudes.size // 2
     peak = float(np.max(magnitudes))
     if peak == 0.0:
@@ -395,8 +380,8 @@ def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) ->
     return float(state.r[max(end - 1 - idx[0], idx[-1] - end)])
 
 
-def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
-    """F1-F4 of one state, given phi on the mesh.
+def functionals(state: CoupledState) -> dict:
+    """F1-F4 of one state.
 
     Each integral is the sum of its integrand over the nodes, weighted by
     ``state.volumes``: the measure whose mass sum the stencil and its
@@ -404,16 +389,22 @@ def functionals(state: CoupledState, phi_mesh: np.ndarray) -> dict:
     thread count).  The field is multiplied by phi before the volumes,
     each finite and positive, so no 0 * inf arises.  Like :func:`step`,
     this reads only the nodes inside the causal radius state.time + R + 2h,
-    beyond which every state that ``init_state`` and ``step`` return vanishes.
+    beyond which every state that ``init_state`` and ``step`` return
+    vanishes: one mirrored window of the fields, the volumes and phi.
+    Each u half is summed through a reversed view, in mesh order as the
+    v half is.
     """
-    end = state.causal_end
-    u, v, phi_w, vol = state.u[:end], state.v[:end], phi_mesh[:end], state.volumes[:end]
-    t = state.time
+    window, end, t = _causal_window(state), state.causal_end, state.time
+    w, vol = state.fields[window], state.volumes[window]
     with np.errstate(over="ignore", invalid="ignore"):
-        return {"F1": float(np.add.reduce(u * vol)), "F2": float(np.add.reduce(v * vol)),
-                "F3": math.exp(-t) * float(np.add.reduce(v * phi_w * vol)),
+        mass = w * vol
+        weighted = w * state.phi_mesh[window]
+        weighted *= vol
+        return {"F1": float(np.add.reduce(mass[end - 1::-1])),
+                "F2": float(np.add.reduce(mass[end:])),
+                "F3": math.exp(-t) * float(np.add.reduce(weighted[end:])),
                 "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t)
-                * float(np.add.reduce(u * phi_w * vol))}
+                * float(np.add.reduce(weighted[end - 1::-1]))}
 
 
 @dataclass
@@ -477,11 +468,13 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     state = init_state(exponents, data, grid_points, horizon,
                        cfl_factor=cfl_factor, coupling=coupling)
     n = exponents.n
-    phi_mesh = phi(state.r, n)
-    # Sums like F1-F4; an integral beyond the float range is inf, silently.
+    size = state.r.size
+    phi_r, vol = state.phi_mesh[size:], state.volumes[size:]
+    # Sums like F1-F4, over the mesh half of phi and the volumes; an
+    # integral beyond the float range is inf, silently.
     with np.errstate(over="ignore"):
         data_integrals = {
-            key.replace("amplitude", "int_phi"): float(np.add.reduce(f * phi_mesh * state.volumes))
+            key.replace("amplitude", "int_phi"): float(np.add.reduce(f * phi_r * vol))
             for key, f in zip(AMPLITUDE_KEYS, data.sample(state.r, exponents.R))
         }
 
@@ -489,11 +482,11 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
 
     def record(s: CoupledState) -> bool:
         # False, recording nothing, if one of F1-F4 is negative.
-        f = functionals(s, phi_mesh)
+        f = functionals(s)
         if min(f.values()) < 0.0:
             return False
         # One pass over the causal window gives the peaks and the support.
-        magnitudes = _window_magnitudes(s)
+        magnitudes = np.abs(s.fields[_causal_window(s)])
         end = magnitudes.size // 2
         rows.append({"times": s.time, **f, "support_r": support_radius(s, magnitudes),
                      "max_abs_u": float(np.max(magnitudes[:end])),
@@ -504,7 +497,7 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     outcome = "blowup" if state.peak > blowup_threshold else "completed"
     n_steps = int(math.ceil(horizon / state.dt)) if outcome == "completed" else 0
     # Each step writes into the level two steps back, which no later step reads.
-    spare = np.zeros(2 * state.r.size)
+    spare = np.zeros(2 * size)
     for k in range(1, n_steps + 1):
         state, spare = step(state, out=spare), state.fields_prev
         if not math.isfinite(state.peak):

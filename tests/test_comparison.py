@@ -413,6 +413,25 @@ class TestYClosedForm:
             y_closed_form(1.0, 0.0, 0.0, 2.0, 1.0, 1.0, 1.0, 0.5)
 
 
+class TestBernoulliArgs:
+    # A start T with T + R <= 0, or R <= 0, leaves (s + R)^{-alpha} not
+    # real on [T, t]: one check rejects it in all four helpers, naming R
+    # and the start, before the bracket's log2 of (t + R) / (T + R).
+    @pytest.mark.parametrize("function, args, names", [
+        (y_blowup_time, (1, 0, 0, 2, -1, 0, 1), "R=-1, T6=0"),
+        (y_blowup_time, (1, 0, 0.5, 2, -1, 0, 1), "R=-1, T6=0"),
+        (z_blowup_time, (1, 0, 0.5, 2, -1, 0, 1), "R=-1, T9=0"),
+        (z_blowup_time, (1, 0, 0.5, 2, 1, -3, 1), "R=1, T9=-3"),
+        (y_closed_form, (1, 0, 0.5, 2, 1, -2, 1, 0.5), "R=1, T6=-2"),
+        (z_closed_form, (1, 0, 0.5, 2, 0, 0, 1, 0.5), "R=0, T9=0"),
+        (y_blowup_time, (1, 0, 0.5, 2, math.nan, 0, 1), "R=nan, T6=0"),
+    ])
+    def test_start_beyond_minus_R_rejected(self, function, args, names):
+        start = "T6" if function in (y_blowup_time, y_closed_form) else "T9"
+        with pytest.raises(ValueError, match=rf"^need R > 0 and {start} \+ R > 0, got {names}$"):
+            function(*args)
+
+
 class TestYBlowupTime:
     def test_riccati_frozen(self):
         # Y' = Y^2, Y(0) = 1 blows up at exactly t = 1.
