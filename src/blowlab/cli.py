@@ -7,8 +7,9 @@ configuration, so identical configs reproduce byte-identical outputs.
 
 Detected blow-up is a scientific result, not an error: the process exits
 0 for completed runs and for blow-up, 1 for numerical instability, and 2
-for configuration errors (found before anything is written) or a tripped
-weight-integral overflow guard.
+for configuration errors (found before anything is written), an output
+directory that cannot be written, or a tripped weight-integral overflow
+guard.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
 
 def _plan(mode: str, s: dict):
     """The run of a mode: a function of the output directory that writes
-    the mode's artifacts and returns ``(outcome, blowup_time, dt, files)``.
+    the mode's artifacts and returns ``(fields, files)``, ``fields`` being
+    its own ``summary.json`` entries: ``outcome``, ``blowup_time``, ``dt``.
 
     Each range is checked first, by the library code that owns it (a
     domain constructor or an entry point's check function), on the very
@@ -165,7 +167,7 @@ def _plan(mode: str, s: dict):
         check_dimension(s["n"])
 
         def run_regions(out: Path):
-            return "completed", None, None, _write_regions(
+            return {"outcome": "completed"}, _write_regions(
                 *window, s["n"], s["resolution"], out, s["svg"])
         return run_regions
     if mode == "phi":
@@ -180,7 +182,7 @@ def _plan(mode: str, s: dict):
             asym = np.empty_like(r)
             asym[0] = math.nan
             asym[1:] = phi_asymptotic(r[1:], s["n"])
-            return "completed", None, None, [_write_table(
+            return {"outcome": "completed"}, [_write_table(
                 out / "phi.csv", r=r, phi=phi(r, s["n"]), phi_asymptotic=asym)]
         return run_phi
     ex = Exponents(p=float(s["p"]), q=float(s["q"]), n=s["n"], R=float(s["R"]))
@@ -205,7 +207,8 @@ def _plan(mode: str, s: dict):
             files.append(_write_table(out / "ode_trace.csv", t=trace.times, F1=trace.F1,
                                       dF1=trace.dF1, F2=trace.F2, dF2=trace.dF2))
             # blowup_time is None unless the outcome is blowup.
-            return trace.terminal_reason.value, trace.blowup_time, None, files
+            return {"outcome": trace.terminal_reason.value,
+                    "blowup_time": trace.blowup_time}, files
         return run_kato
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
@@ -227,7 +230,8 @@ def _plan(mode: str, s: dict):
         if mode == "audit" and trace.outcome != "instability":
             report = pde.audit_inequalities(trace, ex, T0_fraction=s["T0_fraction"])
             files.append(_write(out / "audit.json", _json_text(asdict(report))))
-        return trace.outcome, trace.blowup_time, trace.dt, files
+        return {"outcome": trace.outcome, "blowup_time": trace.blowup_time,
+                "dt": trace.dt}, files
     return run_pde
 
 
@@ -259,14 +263,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
     t_start = time.perf_counter()
     s = config.settings
     echo = _write(out / "config_echo.json", config.echo_text())
-    outcome, blowup_time, dt, files = _plan(config.mode, s)(out)
+    fields, files = _plan(config.mode, s)(out)
     wall = time.perf_counter() - t_start
-    summary = {"mode": config.mode, "outcome": outcome, "blowup_time": blowup_time,
-               "dt": dt, "wall_time": round(wall, 3),
+    summary = {"mode": config.mode, "blowup_time": None, "dt": None, **fields,
+               "wall_time": round(wall, 3),
                **{key: s.get(key) for key in ("grid_points", "p", "q", "n", "R")}}
     files = [echo, *files, _write(out / "summary.json", _json_text(summary))]
-    return RunSummary(wall_time=wall, outcome=outcome,
-                      blowup_time=blowup_time, files=files)
+    return RunSummary(wall_time=wall, outcome=summary["outcome"],
+                      blowup_time=summary["blowup_time"], files=files)
 
 
 _ALPHA_FIELDS = ("alpha_new", "alpha_nakao_wakasugi", "alpha_wave", "alpha_damped")
@@ -310,24 +314,35 @@ def _block_map(workers: int):
     builtin ``map`` for fewer than two workers, or in a daemonic process
     (a pool worker, say), which may not have children.  The pool ends
     with the ``with`` block, also when a worker raises; the exception
-    reaches the caller.
+    reaches the caller.  It is closed and joined, never terminated (a
+    worker killed while it puts a result holds the result queue's lock,
+    and the shutdown waits on it for ever), and its workers ignore
+    SIGINT, so an interrupt reaches the caller and the join waits only
+    for the blocks in flight.
     """
     if workers >= 2:
-        # Imported here, so that only a pooled run pays for the import.
+        # Imported here, so that only a pooled run pays for the imports.
         import multiprocessing
+        import signal
 
         if not multiprocessing.current_process().daemon:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                def bounded_map(fn, blocks):
-                    pending = collections.deque()
-                    for block in blocks:
-                        pending.append(pool.apply_async(fn, (block,)))
-                        if len(pending) == 2 * workers:
-                            yield pending.popleft().get()
-                    while pending:
-                        yield pending.popleft().get()
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
 
+            def bounded_map(fn, blocks):
+                pending = collections.deque()
+                for block in blocks:
+                    pending.append(pool.apply_async(fn, (block,)))
+                    if len(pending) == 2 * workers:
+                        yield pending.popleft().get()
+                while pending:
+                    yield pending.popleft().get()
+
+            try:
                 yield bounded_map
+            finally:
+                pool.close()
+                pool.join()
             return
     yield map
 
@@ -354,9 +369,10 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
     pass over the dimension-``n`` grid of the window; return their paths.
 
     The main thread scans the grid in bands of about ``_BAND_CELLS``
-    cells, q ascending, and writes each band's SVG rows.  The bands' CSV
-    lines are formatted on every usable CPU, a grid of ``_POOL_MIN_CELLS``
-    or more on a fork pool (``_block_map``), and written in grid order.
+    cells, q ascending, and writes each band's SVG rows with
+    ``emit_region_svg``.  The bands' CSV lines are formatted on every
+    usable CPU, a grid of ``_POOL_MIN_CELLS`` or more on a fork pool
+    (``_block_map``), and written in grid order.
     Only a few bands are held at a time, never the whole grid, so memory
     does not grow with the resolution, and both files are the same on any
     number of CPUs.
@@ -383,7 +399,7 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
             for rows in bands:
                 band = criticality.scan(p_range, q_range, n, resolution, rows=rows)
                 if svg:
-                    svg_map.write_rows(svg_fh, band, rows.start)
+                    emit_region_svg(svg_fh, svg_map, band, rows.start)
                 p_text = p_text or ["%.17g" % p for p in band[0]["p"].tolist()]
                 yield p_text, band
 
@@ -418,7 +434,7 @@ class _SvgMap:
     """The 800x800 SVG heat map of the comparison-ODE label of an
     ``n_p`` x ``n_q`` dimension-``n`` scan of the window ``p_range`` x
     ``q_range``: its ``head``, then the cells of every grid row, written
-    by ``write_rows`` in any number of calls, then its ``tail``.
+    by ``emit_region_svg`` in any number of calls, then its ``tail``.
 
     The plot area spans the window, so axis ticks are placed from it.
     Each cell is one ``<rect>``.
@@ -469,34 +485,15 @@ class _SvgMap:
         parts.append("</svg>")
         self.tail = "\n".join(parts) + "\n"
 
-    def write_rows(self, fh, rows, j0: int) -> None:
-        """Write the cells of grid rows ``j0, j0 + 1, ...``, one row per write."""
-        for j, row in enumerate(rows, start=j0):
-            # q grows upward: row j sits at the bottom for j = 0.
-            y = f"{self.y1 - (j + 1) * self.ch:.2f}"
-            fh.write("".join([head + y + self.tails[c] for head, c in
-                              zip(self.heads, _svg_categories(row, self.n).tolist())]))
 
-
-def emit_region_svg(grid: list, p_range: tuple, q_range: tuple, n: int,
-                    path) -> Path:
-    """Deterministic 800x800 SVG heat map of the comparison-ODE label.
-
-    ``grid`` is the dimension-``n`` scan of the window ``p_range`` x
-    ``q_range``, rows q ascending; the plot area spans that window, so
-    axis ticks are placed from it.  Each cell is one ``<rect>``.  The
-    ``regions`` mode writes the same bytes band by band, with the same
-    ``_SvgMap``, and never holds the whole grid.
-    """
-    if not grid or not len(grid[0]):
-        raise ValueError("cannot render an empty grid")
-    path = Path(path)
-    svg_map = _SvgMap(p_range, q_range, n, len(grid[0]), len(grid))
-    with path.open("w") as fh:
-        fh.write(svg_map.head)
-        svg_map.write_rows(fh, grid, 0)
-        fh.write(svg_map.tail)
-    return path
+def emit_region_svg(fh, svg_map: _SvgMap, rows, j0: int) -> None:
+    """Write the cells of scanned grid rows ``j0, j0 + 1, ...`` of ``svg_map``
+    to the open file ``fh``, one ``<rect>`` per cell and one row per write."""
+    for j, row in enumerate(rows, start=j0):
+        # q grows upward: row j sits at the bottom for j = 0.
+        y = f"{svg_map.y1 - (j + 1) * svg_map.ch:.2f}"
+        fh.write("".join([head + y + svg_map.tails[c] for head, c in
+                          zip(svg_map.heads, _svg_categories(row, svg_map.n).tolist())]))
 
 
 def _apply_sweep(config: ExperimentConfig, sweep: str) -> list:
@@ -548,7 +545,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    # The one error left at run time is the weight integral's overflow guard.
+    # Run-time exits 2: an unusable output directory, the weight guard.
     try:
         if args.sweep:
             worst = 0
@@ -565,7 +562,7 @@ def main(argv=None) -> int:
         for f in summary.files:
             print(f"wrote {f}")
         return 1 if summary.outcome == "instability" else 0
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -181,11 +181,13 @@ def phi_asymptotic(r, n: int):
 
     The constant follows from Laplace's method applied to the polar-angle
     integral (and reduces to the elementary expansions for n = 1, 3).
+    Near r = 0, where r^{-(n-1)/2} leaves the float range, it is inf.
     """
     check_dimension(n)
     arr = check_radius(r, positive=True)
     c_n = (2.0 * math.pi) ** ((n - 1) / 2.0)
-    out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)
+    with np.errstate(over="ignore"):
+        out = c_n * arr ** (-(n - 1) / 2.0) * np.exp(arr)
     if np.ndim(r) == 0:
         return float(out)
     return out

@@ -31,7 +31,6 @@ from blowlab.cli import (
     MODES,
     ConfigError,
     _svg_categories,
-    emit_region_svg,
     main,
     parse_config,
     run_experiment,
@@ -166,18 +165,20 @@ def _svg_category(report) -> str:
     return "undetermined"
 
 
+def cell_centers(lo, hi, resolution) -> list:
+    """The centres of ``resolution`` equal cells of [lo, hi]."""
+    width = (hi - lo) / resolution
+    return [lo + (i + 0.5) * width for i in range(resolution)]
+
+
 def regions_csv_per_cell(p_range, q_range, n, resolution) -> str:
     """regions.csv as the per-cell writer produced it, from a row-major
     grid of classify reports at the cell centres: the oracle of the
     row-streamed writer."""
-    def centers(lo, hi):
-        width = (hi - lo) / resolution
-        return [lo + (i + 0.5) * width for i in range(resolution)]
-
     rows = ["p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
             "label_new,label_NW,label_W,label_DW"]
-    for qv in centers(*q_range):
-        for c in [classify(pv, qv, n) for pv in centers(*p_range)]:
+    for qv in cell_centers(*q_range, resolution):
+        for c in [classify(pv, qv, n) for pv in cell_centers(*p_range, resolution)]:
             rows.append(",".join([
                 f"{c.p:.17g}", f"{c.q:.17g}",
                 f"{c.alpha_new:.17g}", f"{c.alpha_nakao_wakasugi:.17g}",
@@ -186,6 +187,44 @@ def regions_csv_per_cell(p_range, q_range, n, resolution) -> str:
                 c.label_wave.value, c.label_damped.value,
             ]))
     return "\n".join(rows) + "\n"
+
+
+def regions_svg_cells_per_cell(p_range, q_range, n, resolution) -> list:
+    """The cell lines of regions.svg, one ``<rect>`` per cell in grid
+    order, q ascending: the plot area [70, 760] x [40, 730] cut into
+    ``resolution`` columns and rows, row j at the bottom for j = 0, each
+    filled with the category of a classify report at the cell centre.
+    The oracle of the band writer ``emit_region_svg``."""
+    colors = dict(_SVG_CATEGORIES)
+    size = 690.0 / resolution
+    return [f'<rect x="{70.0 + i * size:.2f}" y="{730.0 - (j + 1) * size:.2f}" '
+            f'width="{size:.2f}" height="{size:.2f}" '
+            f'fill="{colors[_svg_category(classify(pv, qv, n))]}"/>'
+            for j, qv in enumerate(cell_centers(*q_range, resolution))
+            for i, pv in enumerate(cell_centers(*p_range, resolution))]
+
+
+def svg_cell_lines(path, resolution) -> list:
+    """The cell lines of a regions.svg: after the root and the white
+    background, before the frame."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[1] == '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>'
+    assert 'fill="none"' in lines[2 + resolution ** 2]
+    return lines[2:2 + resolution ** 2]
+
+
+def render_regions_svg(out, p_range, q_range, n, resolution) -> Path:
+    """regions.svg of the dimension-``n`` window, as ``regions`` writes it."""
+    out.mkdir(parents=True, exist_ok=True)
+    return cli._write_regions(p_range, q_range, n, resolution, out, True)[1]
+
+
+def package_env() -> dict:
+    """This environment, with the tested package first on PYTHONPATH, for
+    a child interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def spy_block_map(monkeypatch) -> list:
@@ -413,6 +452,9 @@ class TestParseConfig:
         @settings(max_examples=60, deadline=None)
         @example({"R": 1e200})
         @example({"horizon": 1e200})
+        # phi_asymptotic(r_max) is inf: r^{-(n-1)/2} leaves the float range.
+        @example({"r_max": 5e-324})
+        @example({"n": 8, "r_max": 1e-100})
         @given(st.dictionaries(st.sampled_from(keys), JSON_VALUES))
         def parses_or_config_error(doc):
             try:
@@ -438,6 +480,22 @@ class TestRunExperiment:
                             "dt", "p", "q", "n", "R"}
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == "t,F1,F2,F3,F4,J1,J2,J3,J4,max_u,max_v,support_r"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_summary_keys(self, tmp_path, mode):
+        # Every mode writes the same keys: its own outcome, blowup_time and
+        # dt (null where it has none), the wall time and five settings
+        # (null where the mode has no such key).
+        doc = json.dumps({"simulate": FAST_SIM, "audit": FAST_SIM,
+                          "regions": {"resolution": 4}}.get(mode, {}))
+        summary = run_experiment(parse_config(doc, mode=mode), tmp_path)
+        got = json.loads((tmp_path / "summary.json").read_text())
+        assert set(got) == {"mode", "outcome", "blowup_time", "dt", "wall_time",
+                            "grid_points", "p", "q", "n", "R"}
+        assert (got["mode"], got["outcome"], got["blowup_time"]) == \
+            (mode, summary.outcome, summary.blowup_time)
+        assert (got["dt"] is None) == (mode in ("kato", "regions", "phi"))
+        assert (got["p"] is None) == (mode in ("regions", "phi"))
 
     def test_audit_artifacts(self, tmp_path):
         cfg = parse_config(json.dumps({**FAST_SIM, "amplitudes": 5.0}),
@@ -532,12 +590,10 @@ class TestRunExperiment:
             run_experiment(cfg, tmp_path / str(cpus))
             assert (tmp_path / str(cpus) / "regions.csv").read_text() == want
         assert workers == [min(2, math.ceil(resolution / 16)), 1]
-        # The streamed SVG is the whole-grid writer's.
-        window = (p_min, p_max), (q_min, q_max)
-        emit_region_svg(scan(*window, n, resolution), *window, n, tmp_path / "map.svg")
+        # The streamed SVG draws every cell where and as the oracle does.
+        want = regions_svg_cells_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
         for cpus in (2, 1):
-            assert (tmp_path / str(cpus) / "regions.svg").read_bytes() == \
-                (tmp_path / "map.svg").read_bytes()
+            assert svg_cell_lines(tmp_path / str(cpus) / "regions.svg", resolution) == want
 
     @pytest.mark.parametrize("resolution, cpus, workers", [
         (100, 2, 1), (200, 2, 2), (200, 1, 1), (200, 3, 3)])
@@ -563,8 +619,10 @@ class TestRunExperiment:
             assert (tmp_path / "daemon" / name).read_bytes() == \
                 (tmp_path / "main" / name).read_bytes()
 
-    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
-        calls = spy_block_map(monkeypatch)
+    @staticmethod
+    def break_middle_band(monkeypatch):
+        """Pool a resolution-40 map in three bands on two workers, and
+        make the worker that formats the middle band raise."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
         monkeypatch.setattr(cli, "_BAND_CELLS", 16 * 40)
@@ -578,12 +636,52 @@ class TestRunExperiment:
             return band
 
         monkeypatch.setattr(criticality, "scan", broken_middle_band)
+
+    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
+        calls = spy_block_map(monkeypatch)
+        self.break_middle_band(monkeypatch)
         with pytest.raises(ValueError, match="no field of name label_new") as raised:
             cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, 40, tmp_path, False)
         assert calls == [2]
         # Raised in a worker: the pool chains the worker's traceback.
         assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
         assert multiprocessing.active_children() == []
+
+    def test_pool_is_joined_not_terminated(self, tmp_path, monkeypatch):
+        # Terminating the pool after a worker raised can kill a worker that
+        # holds the result queue's lock; the pool's shutdown then waits on
+        # that lock for ever.
+        terminated = []
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
+                            lambda pool: terminated.append(pool))
+        self.break_middle_band(monkeypatch)
+        with pytest.raises(ValueError, match="no field of name label_new"):
+            cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, 40, tmp_path, False)
+        assert terminated == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="signals a process group")
+    def test_interrupt_ends_a_pooled_map(self):
+        # Ctrl-C sends SIGINT to the whole process group, workers included.
+        # A worker killed in a block never returns it, and the pool's join
+        # would wait for it for ever; the workers ignore SIGINT instead.
+        code = ("import os, signal, time\n"
+                "from blowlab import cli\n"
+                "def work(k):\n"
+                "    time.sleep(0.05)\n"
+                "    return k\n"
+                "def blocks():\n"
+                "    for k in range(1000):\n"
+                "        if k == 8:\n"
+                "            os.killpg(0, signal.SIGINT)\n"
+                "        yield k\n"
+                "with cli._block_map(2) as map_blocks:\n"
+                "    for _ in map_blocks(work, blocks()):\n"
+                "        pass\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), start_new_session=True, timeout=60)
+        assert proc.returncode != 0
+        assert proc.stderr.rstrip().endswith("KeyboardInterrupt")
 
     def test_byte_identical_reproducibility(self, tmp_path):
         cfg = parse_config('{"resolution": 6, "svg": true}', mode="regions")
@@ -614,11 +712,8 @@ def regions_peak_rss_mb(tmp_path, doc: dict) -> float:
     tmp_path.mkdir()
     config = tmp_path / "regions.json"
     config.write_text(json.dumps(doc))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
-                          capture_output=True, text=True, check=True, env=env)
+                          capture_output=True, text=True, check=True, env=package_env())
     # The resolution-1000 map writes 180 MB.
     shutil.rmtree(tmp_path / "out")
     return int(proc.stdout.split()[-1]) * 1024 / 1e6
@@ -636,13 +731,8 @@ def test_region_map_memory_does_not_grow_with_resolution(tmp_path):
 
 
 class TestSvg:
-    def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="empty grid"):
-            emit_region_svg([], (1.5, 2.5), (1.5, 2.5), 1, tmp_path / "x.svg")
-
     def test_small_grid(self, tmp_path):
-        grid = scan((1.5, 2.5), (1.5, 2.5), 1, 2)
-        path = emit_region_svg(grid, (1.5, 2.5), (1.5, 2.5), 1, tmp_path / "map.svg")
+        path = render_regions_svg(tmp_path, (1.5, 2.5), (1.5, 2.5), 1, 2)
         text = path.read_text()
         assert text.count("<rect") >= 4 + 2
         assert "blowup" in text and "undetermined" in text
@@ -655,7 +745,8 @@ class TestSvg:
         for p_range, q_range, resolution in (((1.1, 4.0), (1.05, 4.0), 12),
                                              ((1.5, 2.5), (1.5, 2.5), 1)):
             grid = scan(p_range, q_range, 3, resolution)
-            path = emit_region_svg(grid, p_range, q_range, 3, tmp_path / "map.svg")
+            path = render_regions_svg(tmp_path / str(resolution), p_range, q_range, 3,
+                                      resolution)
             # Legend swatches are 14 wide; every other coloured rect is a cell.
             drawn += Counter(fills[el.get("fill")]
                              for el in ET.parse(path).getroot().iter()
@@ -696,8 +787,7 @@ class TestSvg:
         # The plot area [70, 760] x [40, 730] spans the scanned window, so
         # tick k sits at its place in the window, whatever the resolution.
         p_range, q_range = (1.1, 10.0), (1.5, 4.2)
-        grid = scan(p_range, q_range, 1, resolution)
-        path = emit_region_svg(grid, p_range, q_range, 1, tmp_path / "map.svg")
+        path = render_regions_svg(tmp_path, p_range, q_range, 1, resolution)
         lines = [el.attrib for el in ET.parse(path).getroot().iter()
                  if el.tag.endswith("line")]
         p_ticks = [float(a["x1"]) for a in lines if a["y1"] == "730.00"]
@@ -775,6 +865,20 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot read {config!r}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [("phi", "--out", "file"),
+                                      ("phi", "--out", "file/run"),
+                                      ("phi", "--out", "file", "--sweep", "samples=3,4")])
+    def test_exit_two_on_unusable_out(self, tmp_path, capsys, monkeypatch, argv):
+        # An output directory that cannot be created is one error line,
+        # not a traceback, and leaves the file in its way as it was.
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("kept\n")
+        code = main(list(argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'file" in err
+        assert Path("file").read_text() == "kept\n"
 
     def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys):
         # The conjugate-power weight integral guards s'(t + R) > 700, which
