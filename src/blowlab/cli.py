@@ -31,7 +31,7 @@ from . import criticality, pde
 from .criticality import Label
 from .exponents import Exponents, check_dimension
 from .pde import AMPLITUDE_KEYS, InitialData, Profile
-from .testfuncs import phi, phi_asymptotic
+from .testfuncs import OverflowGuardError, phi, phi_asymptotic
 
 __all__ = [
     "ConfigError",
@@ -382,7 +382,7 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
     pooled = resolution * resolution >= _POOL_MIN_CELLS
     workers = min(_usable_cpus(), len(bands)) if pooled else 1
     paths = [out / "regions.csv", *([out / "regions.svg"] if svg else [])]
-    svg_map = _SvgMap(p_range, q_range, n, resolution, resolution) if svg else None
+    svg_map = _SvgMap(p_range, q_range, n, resolution) if svg else None
     with contextlib.ExitStack() as stack:
         csv_fh = stack.enter_context(paths[0].open("w"))
         svg_fh = stack.enter_context(paths[1].open("w")) if svg else None
@@ -431,10 +431,11 @@ def _svg_categories(row, n: int) -> np.ndarray:
 
 
 class _SvgMap:
-    """The 800x800 SVG heat map of the comparison-ODE label of an
-    ``n_p`` x ``n_q`` dimension-``n`` scan of the window ``p_range`` x
-    ``q_range``: its ``head``, then the cells of every grid row, written
-    by ``emit_region_svg`` in any number of calls, then its ``tail``.
+    """The 800x800 SVG heat map of the comparison-ODE label of a
+    ``resolution`` x ``resolution`` dimension-``n`` scan of the window
+    ``p_range`` x ``q_range``: its ``head``, then the cells of every grid
+    row, written by ``emit_region_svg`` in any number of calls, then its
+    ``tail``.
 
     The plot area spans the window, so axis ticks are placed from it.
     Each cell is one ``<rect>``.
@@ -446,13 +447,13 @@ class _SvgMap:
             'viewBox="0 0 800 800">\n'
             '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n')
 
-    def __init__(self, p_range: tuple, q_range: tuple, n: int, n_p: int, n_q: int):
+    def __init__(self, p_range: tuple, q_range: tuple, n: int, resolution: int):
         x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
         self.n = n
-        self.ch = (y1 - y0) / n_q
-        cw = (x1 - x0) / n_p
+        self.ch = (y1 - y0) / resolution
+        cw = (x1 - x0) / resolution
         # A cell's line is its column's head, its row's y and its color's tail.
-        self.heads = [f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(n_p)]
+        self.heads = [f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(resolution)]
         self.tails = [f'" width="{cw:.2f}" height="{self.ch:.2f}" fill="{color}"/>\n'
                       for _, color in _SVG_CATEGORIES]
 
@@ -562,7 +563,7 @@ def main(argv=None) -> int:
         for f in summary.files:
             print(f"wrote {f}")
         return 1 if summary.outcome == "instability" else 0
-    except (OSError, ValueError) as e:
+    except (OSError, OverflowGuardError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

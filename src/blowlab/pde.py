@@ -675,7 +675,7 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
         note = ("C2tilde (fitted from the J4 weight) stands in for C2 in the "
                 "exponentially weighted envelope; second-order constants are "
                 "unit-ball Hoelder floors, with the trace-supported best "
-                "constants reported as fitted_k2/fitted_k4")
+                "ones in constants.k2/constants.k4")
 
     return AuditReport(
         constants={key: float(value) if math.isfinite(value)

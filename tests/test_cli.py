@@ -105,6 +105,15 @@ ENV4_OVERFLOW = {"n": 7, "p": 1.2, "q": 1.007, "R": 0.05, "amplitudes": 500,
                  "grid_points": 400, "horizon": 1.6, "cfl_factor": 0.45,
                  "sample_every": 1, "blowup_threshold": 2e6}
 
+# The simulator runs in every dimension: an n = 5 run on the
+# undetermined side of the critical curve.
+N5 = {"n": 5, "p": 1.9, "q": 1.6, "amplitudes": 1.0, "grid_points": 1000,
+      "horizon": 5.0, "cfl_factor": 0.45}
+
+# An audit whose C3, k2 and k4 seed a kato config that blows up.
+CHAIN = {"p": 1.5, "q": 1.5, "n": 2, "amplitudes": 1.0, "grid_points": 300,
+         "horizon": 5.0}
+
 # Data near the float maximum, whose phi-weighted integrals F3, F4 and C0, C1
 # read inf.
 DATA_NEAR_MAX = {"amplitudes": 1e308, "grid_points": 300, "horizon": 3}
@@ -151,6 +160,17 @@ REJECTED = [
     ("phi", json.dumps({"samples": MAX_PHI_SAMPLES + 1}), ()),
     ("simulate", '{"grid_points": 250, "horizon": 2.0}',
      ("--sweep", "grid_points=250,10")),
+    # One out-of-range setting per mode.
+    ("simulate", '{"sample_every": 0}', ()),
+    ("audit", '{"T0_fraction": 1.0}', ()),
+    ("kato", '{"ode_threshold": -1}', ()),
+    ("regions", '{"resolution": 0}', ()),
+    ("phi", '{"samples": 1}', ()),
+    # cfl_factor 0.8 lies just above the n = 3 limit 0.7926, and the
+    # default 0.5 above the n = 8 limit 0.4999.
+    ("simulate", '{"n": 3, "cfl_factor": 0.9}', ()),
+    ("simulate", '{"n": 3, "cfl_factor": 0.8}', ()),
+    ("simulate", '{"n": 8}', ()),
 ]
 
 
@@ -505,6 +525,11 @@ class TestRunExperiment:
         assert len(doc["inequalities"]) == 5
         assert all(item["passed"] for item in doc["inequalities"])
         assert doc["min_passing_T0"] is not None
+        # The note of a conclusive audit names the fitted k2 and k4 by
+        # their keys in the document.
+        named = re.findall(r"\bconstants\.(\w+)", doc["note"])
+        assert doc["inconclusive"] is False and named
+        assert set(named) <= set(doc["constants"])
 
     def test_audit_json_is_the_report(self, tmp_path):
         # audit.json is the audit's report as a dict: its fields are the
@@ -799,10 +824,21 @@ class TestSvg:
 
 
 class TestMain:
-    def test_exit_zero_on_completed(self, tmp_path, capsys):
-        code = main(["phi", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("mode, doc", [
+        pytest.param("phi", {}, id="phi-default"),
+        pytest.param("simulate", N5, id="n5-simulate"),
+        pytest.param("audit", N5, id="n5-audit"),
+        # phi's largest series terms sit near 1e304 at the guard edge r = 700.
+        pytest.param("phi", {"n": 1, "r_max": 700, "samples": 4000}, id="phi-n1"),
+        pytest.param("phi", {"n": 8, "r_max": 700, "samples": 4000}, id="phi-n8"),
+    ])
+    def test_exit_zero_on_completed(self, tmp_path, capsys, mode, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "outcome=completed" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out.startswith("outcome=completed ") and err == ""
 
     def test_exit_zero_on_blowup(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -880,19 +916,35 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1 and "'file" in err
         assert Path("file").read_text() == "kept\n"
 
-    def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode, doc, message", [
         # The conjugate-power weight integral guards s'(t + R) > 700, which
-        # this long uncoupled run reaches, after the echo is written.
+        # this long uncoupled run reaches.
+        pytest.param("simulate", {"p": 1.1, "q": 1.1, "amplitudes": 0.01, "coupling": False,
+                                  "horizon": 80, "grid_points": 300},
+                     "exponent argument 708 exceeds the overflow guard 700", id="exponent"),
+        # W2 leaves the float range while s'(t + R) stays inside the guard.
+        pytest.param("audit", W2_OVERFLOW, "overflow guard: the weight at t=0 is beyond "
+                     "the float range", id="weight"),
+    ])
+    def test_exit_two_on_tripped_overflow_guard(self, tmp_path, capsys, mode, doc, message):
+        # The guard trips after the echo is written, and is one error line
+        # with no warning.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(
-            {"p": 1.1, "q": 1.1, "amplitudes": 0.01, "coupling": False,
-             "horizon": 80, "grid_points": 300}))
-        code = main(["simulate", "--config", str(config),
-                     "--out", str(tmp_path / "out")])
+        config.write_text(json.dumps(doc))
+        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "overflow guard" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert (tmp_path / "out" / "config_echo.json").exists()
+
+    def test_other_errors_are_not_usage_errors(self, tmp_path, monkeypatch):
+        # The guard and an unusable --out are the only run-time exits 2:
+        # any other error of a run is a fault, and keeps its traceback.
+        def broken_run(*args, **kwargs):
+            raise ValueError("a fault")
+
+        monkeypatch.setattr(pde, "run", broken_run)
+        with pytest.raises(ValueError, match="^a fault$"):
+            main(["simulate", "--out", str(tmp_path / "out")])
 
     def test_sweep(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -967,6 +1019,22 @@ class TestMain:
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
         assert doc["constants"]["C2tilde"] == pytest.approx(5.6284, rel=1e-4)
+
+    def test_audit_seeds_a_kato_blowup(self, tmp_path, capsys):
+        # The audit's C3, k2 and k4 make a kato config that blows up, with
+        # no warning on stderr in either run.
+        config = tmp_path / "audit.json"
+        config.write_text(json.dumps(CHAIN))
+        assert main(["audit", "--config", str(config), "--out", str(tmp_path / "audit")]) == 0
+        assert capsys.readouterr().err == ""
+        constants = json.loads((tmp_path / "audit" / "audit.json").read_text(),
+                               parse_constant=reject_constant)["constants"]
+        config = tmp_path / "kato.json"
+        config.write_text(json.dumps({**{k: CHAIN[k] for k in ("p", "q", "n")},
+                                      **{k: constants[k] for k in ("C3", "k2", "k4")}}))
+        assert main(["kato", "--config", str(config), "--out", str(tmp_path / "kato")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("outcome=blowup ") and err == ""
 
     @pytest.mark.parametrize("mode", ["simulate", "audit"])
     def test_powers_beyond_float_range_are_inf(self, tmp_path, capsys, mode):
@@ -1370,7 +1438,7 @@ class TestKatoAgainstScipy:
         pytest.param({"p": 200, "q": 200}, 0.0, 1, id="200"),
         pytest.param({"p": 5000, "q": 5000}, 0.0, 1, id="5000"),
         # The constants of the audit-n2 audit (amplitude 1, grid 1000) and
-        # of the CI chain's audit (grid 300).
+        # of an earlier audit of CHAIN (grid 300).
         pytest.param({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07241886135849035,
                       "k2": 0.6103393946639272, "k4": 1.5424272975524305},
                      1.211162661294748, 279, id="audit-n2"),

@@ -888,13 +888,15 @@ class TestRun:
         # OpenBLAS splits a dot of more than 10 000 elements across its
         # threads, which rounds differently.  With R = 10 the causal window
         # holds 11 400 of 12 000 nodes from t = 0, so every sum of this run
-        # is that long; the run must not depend on the thread count.
-        code = ("from blowlab.exponents import Exponents\n"
-                "from blowlab.pde import AMPLITUDE_KEYS, InitialData, run\n"
+        # is that long; the run and its audit must not depend on the
+        # thread count.
+        code = ("from dataclasses import asdict\n"
+                "from blowlab.exponents import Exponents\n"
+                "from blowlab.pde import AMPLITUDE_KEYS, InitialData, audit_inequalities, run\n"
+                "ex = Exponents(2.0, 2.0, 1, R=10.0)\n"
                 "data = InitialData(**dict.fromkeys(AMPLITUDE_KEYS, 0.01))\n"
-                "trace = run(Exponents(2.0, 2.0, 1, R=10.0), data, grid_points=12000,\n"
-                "            horizon=0.05, sample_every=5)\n"
-                "for value in vars(trace).values():\n"
+                "trace = run(ex, data, grid_points=12000, horizon=0.05, sample_every=5)\n"
+                "for value in [*vars(trace).values(), asdict(audit_inequalities(trace, ex))]:\n"
                 "    print(value.tobytes().hex() if hasattr(value, 'tobytes') else repr(value))\n")
         src = str(Path(blowlab.__file__).resolve().parents[1])
         caps = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
