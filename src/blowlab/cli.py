@@ -15,11 +15,10 @@ guard.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
+import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -248,12 +247,133 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+# Cells per band of the region map, and rows per block of a CSV table:
+# what is formatted at once, so memory does not grow with the output.
+_BAND_CELLS = 2_000
+
+
+@functools.cache
+def _group_texts() -> np.ndarray:
+    """The 4-digit groups of '%.17g' texts, uint32s of four text bytes, NUL
+    for a digit not written.  Rows of 10 000: every digit; no leading zeros
+    (0 writes nothing); no leading zeros (0 writes "0"); no trailing zeros."""
+    digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                      axis=-1).reshape(-1, 4)
+    leading = np.logical_or.accumulate(digits != 48, axis=1)
+    return (digits * np.stack([
+        leading | True, leading, leading | [False, False, False, True],
+        np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]])).view(np.uint32).ravel()
+
+
+# The point and the i - 1 zeros after it at index i, nothing at 0.
+_DOTS = np.array([b"", b".", b".0", b".00", b".000"], "S4").view(np.uint32)
+_MINUS = np.array([b"", b"-"], "S4").view(np.uint32)
+# The powers of ten that are exact doubles or int64s.
+_P10 = np.array([float(10 ** j) for j in range(22)])
+_P10_INT = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _split(v):
+    """Dekker's split of v into halves of 26 bits: v = hi + lo exactly."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _round17(a, k):
+    """round(a * 10**(16 - k)), ties to even, exactly: Dekker's two-product
+    with the exact double 10**(16 - k) gives p + e = a * 10**(16 - k)."""
+    b = _P10[16 - k]
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    # p >= 1e16 > 2**53 is an even integer, so rint(e) rounds p + e to even.
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _groups(v, n: int) -> list:
+    """The n 4-digit groups of the int64 array v < 10**(4n), high first."""
+    low = []
+    for _ in range(n - 1):
+        top = v // 10_000
+        low.append(v - top * 10_000)
+        v = top
+    return [v, *reversed(low)]
+
+
+def _g17(x) -> np.ndarray:
+    """The text ``'%.17g' % v`` of every v in the float array ``x``, as a
+    uint8 array of shape ``x.shape + (width,)``: each text's bytes in
+    order, with NUL bytes between and after them.
+
+    Byte for byte CPython's text, whose 17 digits are correctly rounded,
+    ties to even.  For 1e-4 <= |v| < 1e16 they are D = round(|v| *
+    10**(16 - k)) with k = floor(log10 |v|), from ``_round17``; D must lie
+    in [10**16, 10**17), else k was one too small.  Python formats every
+    other value (0, subnormal, small, large, inf, nan) one at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x).ravel()
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    # floor((e - 1) log10 2) for a in [2**(e - 1), 2**e): k or k - 1.
+    k = (np.frexp(a)[1].astype(np.int64) - 1) * 78913 >> 18
+    digits = _round17(a, k)
+    up = np.flatnonzero(digits >= 10 ** 17)
+    k[up] += 1
+    digits[up] = _round17(a[up], k[up])
+    # The digits of floor(a), then 16 digits after the point (with the
+    # first significant digit apart when a < 1).  A double below 1e16 is
+    # never rounded up to the next integer at 17 digits.
+    whole = a.astype(np.int64)
+    frac = (digits - whole * _P10_INT[np.minimum(16 - k, 17)]) * _P10_INT[np.maximum(k, 0)]
+    lead = frac // 10 ** 16
+    frac -= lead * 10 ** 16
+    n = -(-len(str(whole.max(initial=0))) // 4)
+    table = _group_texts()
+    minus = x.ravel() < 0
+    words = [_MINUS[minus.view(np.uint8)]] if minus.any() else []
+    words += [table[g + (whole < 10 ** (4 * (n - i))) * (20_000 if i == n - 1 else 10_000)]
+              for i, g in enumerate(_groups(whole, n))]
+    words.append(_DOTS[np.where((frac | lead) != 0, np.maximum(-k, 1), 0)])
+    if (k < 0).any():
+        words.append(table[lead + 10_000])
+    rest_zero, tail = np.ones(a.shape, bool), []
+    for g in reversed(_groups(frac, 4)):
+        tail.append(table[g + 30_000 * rest_zero])
+        rest_zero &= g == 0
+    out = np.stack(words + tail[::-1], axis=-1).view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [b"%.17g" % v for v in x.ravel()[slow].tolist()]
+        width = max(out.shape[1], *map(len, texts))
+        out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
+        out[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+    return out.reshape(*x.shape, out.shape[-1])
+
+
+def _csv_lines(*fields) -> bytes:
+    """CSV lines of the texts ``fields``, NUL-padded uint8 arrays of shape
+    ``(..., width)`` as ``_g17`` makes them: one line per entry of their
+    broadcast leading shape, its fields joined by commas."""
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    parts = []
+    for f, sep in zip(fields, [","] * (len(fields) - 1) + ["\n"]):
+        parts += [np.broadcast_to(f, shape + f.shape[-1:]),
+                  np.broadcast_to(np.uint8(ord(sep)), shape + (1,))]
+    return np.concatenate(parts, axis=-1).tobytes().translate(None, b"\0")
+
+
 def _write_table(path: Path, **columns) -> Path:
     """A CSV float table: a header of the column names, then one row per
-    sample with each number to 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(column.tolist() for column in columns.values()))
-    return _write(path, ",".join(columns) + "\n" + "".join(map(row.__mod__, rows)))
+    sample with each number to 17 significant digits.  It is formatted
+    ``_BAND_CELLS`` rows at a time."""
+    with path.open("wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for j in range(0, len(next(iter(columns.values()))), _BAND_CELLS):
+            block = np.stack([c[j:j + _BAND_CELLS] for c in columns.values()], axis=-1)
+            fh.write(_csv_lines(*np.moveaxis(_g17(block), 1, 0)))
+    return path
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
@@ -275,92 +395,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
 
 _ALPHA_FIELDS = ("alpha_new", "alpha_nakao_wakasugi", "alpha_wave", "alpha_damped")
 
-# The four label columns of a cell, indexed by its BlowUp masks read as
-# a 4-bit number, label_new the high bit.
-_LABEL_COLUMNS = np.array(
+# The four label columns of a cell, as text, indexed by its BlowUp masks
+# read as a 4-bit number, label_new the high bit.
+_LABEL_TEXT = np.array(
     [",".join((Label.BLOW_UP if k >> bit & 1 else Label.UNDETERMINED).value
-              for bit in (3, 2, 1, 0)) for k in range(16)], dtype=object)
-
-
-# Cells per band.  The main thread scans a band and writes its SVG rows;
-# a pool worker formats its CSV lines.  Bands are sized in cells, not rows,
-# so what is held at once does not grow with the resolution; 8 000 cells
-# are 16 rows at resolution 500.
-_BAND_CELLS = 8_000
-# The fewest cells worth a process pool.  Starting one (the forks, then
-# the workers' copy-on-write faults on their first blocks) cost about
-# 40 ms on a 2-vCPU VM, as much as formatting 10 000 cells; below about
-# 40 000 cells two workers did not win it back.
-_POOL_MIN_CELLS = 40_000
-
-
-def _usable_cpus() -> int:
-    """The CPUs in this process's affinity mask; 1 on a platform without
-    one (where ``fork`` is not assured either)."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-@contextlib.contextmanager
-def _block_map(workers: int):
-    """An ordered, lazy ``map`` over independent blocks.
-
-    On a fork process pool of ``workers`` processes, it takes the next
-    block from its input, in the calling thread, only while fewer than
-    ``2 * workers`` blocks are in flight, so a generator of blocks runs in
-    that thread and at most that many blocks and results are held at once.
-    (``Pool.imap`` would drain its input in a pool thread.)  It is the
-    builtin ``map`` for fewer than two workers, or in a daemonic process
-    (a pool worker, say), which may not have children.  The pool ends
-    with the ``with`` block, also when a worker raises; the exception
-    reaches the caller.  It is closed and joined, never terminated (a
-    worker killed while it puts a result holds the result queue's lock,
-    and the shutdown waits on it for ever), and its workers ignore
-    SIGINT, so an interrupt reaches the caller and the join waits only
-    for the blocks in flight.
-    """
-    if workers >= 2:
-        # Imported here, so that only a pooled run pays for the imports.
-        import multiprocessing
-        import signal
-
-        if not multiprocessing.current_process().daemon:
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-
-            def bounded_map(fn, blocks):
-                pending = collections.deque()
-                for block in blocks:
-                    pending.append(pool.apply_async(fn, (block,)))
-                    if len(pending) == 2 * workers:
-                        yield pending.popleft().get()
-                while pending:
-                    yield pending.popleft().get()
-
-            try:
-                yield bounded_map
-            finally:
-                pool.close()
-                pool.join()
-            return
-    yield map
-
-
-def _format_csv_block(block) -> list:
-    """The regions.csv text of a block ``(p_text, rows)`` of grid rows,
-    one string per row: one line per cell, alphas to 17 significant
-    digits.  The rows are not joined, which would copy the block's text."""
-    p_text, rows = block
-    text = []
-    for row in rows:
-        line = "%s," + "%.17g" % row["q"][0] + ",%.17g,%.17g,%.17g,%.17g,%s\n"
-        labels = (8 * row["label_new"] + 4 * row["label_nakao_wakasugi"]
-                  + 2 * row["label_wave"] + row["label_damped"])
-        text.append("".join(map(line.__mod__, zip(
-            p_text, *(row[key].tolist() for key in _ALPHA_FIELDS),
-            _LABEL_COLUMNS[labels].tolist()))))
-    return text
+              for bit in (3, 2, 1, 0)).encode() for k in range(16)]).view(np.uint8).reshape(16, -1)
 
 
 def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
@@ -368,43 +407,34 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
     """Write regions.csv, and with ``svg`` regions.svg, in one streaming
     pass over the dimension-``n`` grid of the window; return their paths.
 
-    The main thread scans the grid in bands of about ``_BAND_CELLS``
-    cells, q ascending, and writes each band's SVG rows with
-    ``emit_region_svg``.  The bands' CSV lines are formatted on every
-    usable CPU, a grid of ``_POOL_MIN_CELLS`` or more on a fork pool
-    (``_block_map``), and written in grid order.
-    Only a few bands are held at a time, never the whole grid, so memory
-    does not grow with the resolution, and both files are the same on any
-    number of CPUs.
+    The grid is scanned in bands of about ``_BAND_CELLS`` cells, q
+    ascending.  Each band's CSV lines, alphas to 17 significant digits,
+    and its SVG rows (``emit_region_svg``) are written before the next
+    band is scanned, so memory does not grow with the resolution.
     """
     band_rows = max(1, _BAND_CELLS // resolution)
-    bands = [range(resolution)[j:j + band_rows] for j in range(0, resolution, band_rows)]
-    pooled = resolution * resolution >= _POOL_MIN_CELLS
-    workers = min(_usable_cpus(), len(bands)) if pooled else 1
     paths = [out / "regions.csv", *([out / "regions.svg"] if svg else [])]
     svg_map = _SvgMap(p_range, q_range, n, resolution) if svg else None
     with contextlib.ExitStack() as stack:
-        csv_fh = stack.enter_context(paths[0].open("w"))
+        csv_fh = stack.enter_context(paths[0].open("wb"))
         svg_fh = stack.enter_context(paths[1].open("w")) if svg else None
-        map_blocks = stack.enter_context(_block_map(workers))
-        csv_fh.write("p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
-                     "label_new,label_NW,label_W,label_DW\n")
+        csv_fh.write(b"p,q,alpha_new,alpha_NW,alpha_W,alpha_DW,"
+                     b"label_new,label_NW,label_W,label_DW\n")
         if svg:
             svg_fh.write(svg_map.head)
-
-        def blocks():
-            # Drawn by map_blocks in this thread, so each band's SVG rows
-            # are written as it is scanned, in grid order.
-            p_text = None
-            for rows in bands:
-                band = criticality.scan(p_range, q_range, n, resolution, rows=rows)
-                if svg:
-                    emit_region_svg(svg_fh, svg_map, band, rows.start)
-                p_text = p_text or ["%.17g" % p for p in band[0]["p"].tolist()]
-                yield p_text, band
-
-        for text in map_blocks(_format_csv_block, blocks()):
-            csv_fh.writelines(text)
+        for j in range(0, resolution, band_rows):
+            band = criticality.scan(p_range, q_range, n, resolution,
+                                    rows=range(j, min(j + band_rows, resolution)))
+            if svg:
+                emit_region_svg(svg_fh, svg_map, band, j)
+            cells = np.stack(band)
+            if j == 0:
+                p_text = _g17(cells["p"][0])
+            labels = _LABEL_TEXT[8 * cells["label_new"] + 4 * cells["label_nakao_wakasugi"]
+                                 + 2 * cells["label_wave"] + cells["label_damped"]]
+            csv_fh.write(_csv_lines(
+                p_text, _g17(cells["q"][:, :1]),
+                *_g17(np.stack([cells[key] for key in _ALPHA_FIELDS])), labels))
         if svg:
             svg_fh.write(svg_map.tail)
     return paths

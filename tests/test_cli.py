@@ -5,13 +5,13 @@ configuration errors are 2)."""
 
 import json
 import math
-import multiprocessing.pool
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict
@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from blowlab import cli, comparison, criticality, pde
+from blowlab import cli, comparison, pde
 from blowlab.cli import (
     _DEFAULTS,
     _SVG_CATEGORIES,
@@ -245,19 +245,6 @@ def package_env() -> dict:
     src = str(Path(cli.__file__).resolve().parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
-def spy_block_map(monkeypatch) -> list:
-    """Record the worker count of every ``cli._block_map`` call."""
-    calls = []
-    block_map = cli._block_map
-
-    def spy(workers):
-        calls.append(workers)
-        return block_map(workers)
-
-    monkeypatch.setattr(cli, "_block_map", spy)
-    return calls
 
 
 def reject_constant(name):
@@ -605,108 +592,13 @@ class TestRunExperiment:
             {"n": n, "resolution": resolution, "p_min": p_min, "p_max": p_max,
              "q_min": q_min, "q_max": q_max, "svg": True}), mode="regions")
         want = regions_csv_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
-        # In bands of 16 rows on a pool of two workers, whatever the grid
-        # size and the CPUs of this machine, then inline, as on one CPU.
-        workers = spy_block_map(monkeypatch)
-        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
+        # In bands of 16 rows, whatever the grid size.
         monkeypatch.setattr(cli, "_BAND_CELLS", 16 * resolution)
-        for cpus in (2, 1):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-            run_experiment(cfg, tmp_path / str(cpus))
-            assert (tmp_path / str(cpus) / "regions.csv").read_text() == want
-        assert workers == [min(2, math.ceil(resolution / 16)), 1]
+        run_experiment(cfg, tmp_path)
+        assert (tmp_path / "regions.csv").read_text() == want
         # The streamed SVG draws every cell where and as the oracle does.
         want = regions_svg_cells_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
-        for cpus in (2, 1):
-            assert svg_cell_lines(tmp_path / str(cpus) / "regions.svg", resolution) == want
-
-    @pytest.mark.parametrize("resolution, cpus, workers", [
-        (100, 2, 1), (200, 2, 2), (200, 1, 1), (200, 3, 3)])
-    def test_pool_only_for_large_grids(self, tmp_path, monkeypatch,
-                                       resolution, cpus, workers):
-        calls = spy_block_map(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, resolution, tmp_path, False)
-        assert calls == [workers]
-
-    def test_inline_in_a_daemonic_process(self, tmp_path, monkeypatch):
-        # A pool worker may not start a pool of its own.
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_BAND_CELLS", 16 * 40)
-        args = (1.1, 10.0), (1.1, 10.0), 3, 40
-        for name in ("daemon", "main"):
-            (tmp_path / name).mkdir()
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            pool.apply(cli._write_regions, (*args, tmp_path / "daemon", True))
-        cli._write_regions(*args, tmp_path / "main", True)
-        for name in ("regions.csv", "regions.svg"):
-            assert (tmp_path / "daemon" / name).read_bytes() == \
-                (tmp_path / "main" / name).read_bytes()
-
-    @staticmethod
-    def break_middle_band(monkeypatch):
-        """Pool a resolution-40 map in three bands on two workers, and
-        make the worker that formats the middle band raise."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_BAND_CELLS", 16 * 40)
-        scan_band = criticality.scan
-
-        def broken_middle_band(*args, rows):
-            band = scan_band(*args, rows=rows)
-            # The middle band's last row holds only p and q.
-            if rows.start == 16:
-                band[-1] = band[-1][["p", "q"]]
-            return band
-
-        monkeypatch.setattr(criticality, "scan", broken_middle_band)
-
-    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
-        calls = spy_block_map(monkeypatch)
-        self.break_middle_band(monkeypatch)
-        with pytest.raises(ValueError, match="no field of name label_new") as raised:
-            cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, 40, tmp_path, False)
-        assert calls == [2]
-        # Raised in a worker: the pool chains the worker's traceback.
-        assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
-        assert multiprocessing.active_children() == []
-
-    def test_pool_is_joined_not_terminated(self, tmp_path, monkeypatch):
-        # Terminating the pool after a worker raised can kill a worker that
-        # holds the result queue's lock; the pool's shutdown then waits on
-        # that lock for ever.
-        terminated = []
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
-                            lambda pool: terminated.append(pool))
-        self.break_middle_band(monkeypatch)
-        with pytest.raises(ValueError, match="no field of name label_new"):
-            cli._write_regions((1.1, 10.0), (1.1, 10.0), 3, 40, tmp_path, False)
-        assert terminated == []
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="signals a process group")
-    def test_interrupt_ends_a_pooled_map(self):
-        # Ctrl-C sends SIGINT to the whole process group, workers included.
-        # A worker killed in a block never returns it, and the pool's join
-        # would wait for it for ever; the workers ignore SIGINT instead.
-        code = ("import os, signal, time\n"
-                "from blowlab import cli\n"
-                "def work(k):\n"
-                "    time.sleep(0.05)\n"
-                "    return k\n"
-                "def blocks():\n"
-                "    for k in range(1000):\n"
-                "        if k == 8:\n"
-                "            os.killpg(0, signal.SIGINT)\n"
-                "        yield k\n"
-                "with cli._block_map(2) as map_blocks:\n"
-                "    for _ in map_blocks(work, blocks()):\n"
-                "        pass\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=package_env(), start_new_session=True, timeout=60)
-        assert proc.returncode != 0
-        assert proc.stderr.rstrip().endswith("KeyboardInterrupt")
+        assert svg_cell_lines(tmp_path / "regions.svg", resolution) == want
 
     def test_byte_identical_reproducibility(self, tmp_path):
         cfg = parse_config('{"resolution": 6, "svg": true}', mode="regions")
@@ -753,6 +645,114 @@ def test_region_map_memory_does_not_grow_with_resolution(tmp_path):
     small = regions_peak_rss_mb(tmp_path / "small", {"resolution": 100})
     large = regions_peak_rss_mb(tmp_path / "large", {"resolution": 1000, "svg": True})
     assert large - small <= 15.0, (small, large)
+
+
+def g17_lines(x) -> bytes:
+    """The texts of cli._g17 over the array x, one line each."""
+    return cli._csv_lines(cli._g17(np.asarray(x, dtype=float)))
+
+
+def percent_lines(x) -> bytes:
+    """The same lines from Python's ``'%.17g' % v``, the oracle."""
+    return "".join(f"{v:.17g}\n" for v in np.ravel(x).tolist()).encode()
+
+
+def assert_g17_exact(x):
+    got, want = g17_lines(x), percent_lines(x)
+    if got != want:
+        for v, g, w in zip(np.ravel(x).tolist(), got.split(b"\n"), want.split(b"\n")):
+            assert g == w, repr(v)
+        pytest.fail("line counts differ")
+
+
+class TestG17:
+    """cli._g17, the '%.17g' kernel of every CSV table, against Python."""
+
+    @staticmethod
+    def sweep() -> np.ndarray:
+        rng = np.random.default_rng(20)
+        parts = []
+        for k in range(-4, 16):
+            # Uniform in the decade, and uniform in its logarithm.
+            parts += [rng.uniform(10.0 ** k, 10.0 ** (k + 1), 15_000),
+                      10.0 ** rng.uniform(k, k + 1, 10_000)]
+            # Exact ties at 17 digits: j / 2**(17 - k) with j odd is
+            # halfway between two 17-digit decimals.
+            lo, hi = 10 ** k * 2.0 ** (17 - k), min(10 ** (k + 1) * 2.0 ** (17 - k), 2.0 ** 53)
+            parts.append((rng.integers(lo // 2, hi // 2, 2_000) * 2 + 1) / 2.0 ** (17 - k))
+        # Ties in the top decade: fractions .25, .5 and .75 in [1e15, 1e16).
+        parts.append(rng.integers(10 ** 15, 10 ** 16, 20_000)
+                     + rng.choice([0.25, 0.5, 0.75], 20_000))
+        # 1 to 3 ulps either side of every power of ten, and the powers
+        # themselves: where k from the binary exponent is one too small,
+        # the first D of 10**j is exactly 10**17.
+        for j in range(-4, 17):
+            ulps = [10.0 ** j]
+            for _ in range(3):
+                ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], np.inf)]
+            parts.append(np.array(ulps))
+        # Outside [1e-4, 1e16), formatted by Python.
+        parts += [10.0 ** rng.uniform(-320, -4, 2_000), 10.0 ** rng.uniform(16, 308, 2_000),
+                  np.array([0.0, 1e-4, 1e16, 5e-324, 2.2250738585072009e-308,
+                            np.inf, np.nan, sys.float_info.max])]
+        x = np.concatenate(parts)
+        return np.concatenate([x, -x])
+
+    def test_sweep_equals_percent_format(self):
+        x = self.sweep()
+        assert x.size >= 10 ** 6
+        assert_g17_exact(x)
+
+    def test_sweep_reaches_every_branch(self):
+        x = self.sweep()
+        a = np.abs(x)
+        fast = (a >= 1e-4) & (a < 1e16)
+        assert np.isnan(x).any() and np.isinf(x).any() and (x == 0).any()
+        assert ((a > 0) & (a < sys.float_info.min)).any()
+        # Every decade of [1e-4, 1e16).
+        decades = np.searchsorted(10.0 ** np.arange(-3, 16), a[fast], side="right")
+        assert np.array_equal(np.unique(decades), np.arange(20))
+        # A k one too small gives D = 10**17 exactly for a power of ten.
+        assert cli._round17(np.array([10.0, 1e15]), np.array([0, 14])).tolist() == [10 ** 17] * 2
+        # Ties go to the even neighbour, both ways.
+        ties = np.array([1e15 + 0.25, 1e15 + 0.75])
+        assert cli._round17(ties, np.array([15, 15])).tolist() == [
+            10 ** 16 + 2, 10 ** 16 + 8]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert_g17_exact(np.array(values))
+
+    def test_shape(self):
+        assert cli._g17(np.ones((2, 3))).shape[:2] == (2, 3)
+        assert cli._g17(np.zeros(0)).shape[0] == 0
+
+    def test_table_equals_percent_rows(self, tmp_path, monkeypatch):
+        # Across blocks, with Python-formatted values among the others.
+        monkeypatch.setattr(cli, "_BAND_CELLS", 7)
+        rng = np.random.default_rng(3)
+        columns = {"a": rng.normal(size=30) * 10.0 ** rng.integers(-8, 20, 30),
+                   "b": np.array([0.0, np.inf, -np.nan, 1e300] * 7 + [1.5, 2.0])}
+        path = cli._write_table(tmp_path / "t.csv", **columns)
+        rows = zip(*(c.tolist() for c in columns.values()))
+        assert path.read_text() == "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows)
+
+    def test_table_memory_does_not_grow_with_rows(self, tmp_path):
+        # Formatted _BAND_CELLS rows at a time: a 200 000-row table of a
+        # phi-like mix peaked at 49 MB when formatted whole.
+        rng = np.random.default_rng(4)
+        peaks = []
+        for rows in (20_000, 200_000):
+            r = np.linspace(0.0, 700.0, rows)
+            columns = {"r": r, "phi": np.exp(r) / (r + 1.0), "x": rng.normal(size=rows)}
+            tracemalloc.start()
+            try:
+                cli._write_table(tmp_path / "t.csv", **columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3e6, peaks
 
 
 class TestSvg:
