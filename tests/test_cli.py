@@ -738,6 +738,32 @@ class TestG17:
         rows = zip(*(c.tolist() for c in columns.values()))
         assert path.read_text() == "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows)
 
+    # No rows, one row, and two whole blocks of seven.
+    @pytest.mark.parametrize("rows", [0, 1, 14])
+    def test_table_block_edges(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_BAND_CELLS", 7)
+        a = np.linspace(0.5, 2.0, rows)
+        path = cli._write_table(tmp_path / "t.csv", a=a, b=-a / 3.0)
+        assert path.read_text() == "a,b\n" + "".join(
+            f"{v:.17g},{-v / 3.0:.17g}\n" for v in a.tolist())
+
+    def test_group_texts(self):
+        # The four texts of each group 0000..9999, NUL where a digit is
+        # not written: every digit, no leading zeros, no leading zeros but
+        # "0" for 0, no trailing zeros.
+        table = cli._group_texts().view(np.uint8).reshape(4, 10_000, 4)
+        for g in range(10_000):
+            text = f"{g:04d}"
+            assert [t.tobytes().replace(b"\0", b"").decode() for t in table[:, g]] == [
+                text, text.lstrip("0"), str(g), text.rstrip("0")], g
+
+    def test_label_text_rows(self):
+        # Row 8 new + 4 NW + 2 W + DW, one bit per BlowUp label.
+        columns = (Label.UNDETERMINED.value, Label.BLOW_UP.value)
+        for k in range(16):
+            want = ",".join(columns[k >> bit & 1] for bit in (3, 2, 1, 0)).encode()
+            assert cli._LABEL_TEXT[k].tobytes().rstrip(b"\0") == want, k
+
     def test_table_memory_does_not_grow_with_rows(self, tmp_path):
         # Formatted _BAND_CELLS rows at a time: a 200 000-row table of a
         # phi-like mix peaked at 49 MB when formatted whole.
