@@ -371,8 +371,8 @@ def _write_table(path: Path, **columns) -> Path:
     with path.open("wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for j in range(0, len(next(iter(columns.values()))), _BAND_CELLS):
-            block = np.stack([c[j:j + _BAND_CELLS] for c in columns.values()], axis=-1)
-            fh.write(_csv_lines(*np.moveaxis(_g17(block), 1, 0)))
+            fh.write(_csv_lines(*_g17(np.stack([c[j:j + _BAND_CELLS]
+                                                for c in columns.values()]))))
     return path
 
 
@@ -414,7 +414,7 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
     """
     band_rows = max(1, _BAND_CELLS // resolution)
     paths = [out / "regions.csv", *([out / "regions.svg"] if svg else [])]
-    svg_map = _SvgMap(p_range, q_range, n, resolution) if svg else None
+    svg_map = _SvgMap(p_range, q_range, resolution) if svg else None
     with contextlib.ExitStack() as stack:
         csv_fh = stack.enter_context(paths[0].open("wb"))
         svg_fh = stack.enter_context(paths[1].open("w")) if svg else None
@@ -423,11 +423,10 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
         if svg:
             svg_fh.write(svg_map.head)
         for j in range(0, resolution, band_rows):
-            band = criticality.scan(p_range, q_range, n, resolution,
-                                    rows=range(j, min(j + band_rows, resolution)))
+            cells = np.stack(criticality.scan(p_range, q_range, n, resolution,
+                                              rows=range(j, min(j + band_rows, resolution))))
             if svg:
-                emit_region_svg(svg_fh, svg_map, band, j)
-            cells = np.stack(band)
+                emit_region_svg(svg_fh, svg_map, _svg_categories(cells, n), j)
             if j == 0:
                 p_text = _g17(cells["p"][0])
             labels = _LABEL_TEXT[8 * cells["label_new"] + 4 * cells["label_nakao_wakasugi"]
@@ -450,19 +449,19 @@ _SVG_CATEGORIES = (
 )
 
 
-def _svg_categories(row, n: int) -> np.ndarray:
-    """The _SVG_CATEGORIES index of each cell in a row of a dimension-n scan."""
+def _svg_categories(cells, n: int) -> np.ndarray:
+    """The _SVG_CATEGORIES index of each cell of a dimension-n scan."""
     threshold = (n - 1) / 2.0
-    alpha = row["alpha_new"]
+    alpha = cells["alpha_new"]
     on_curve = np.abs(alpha - threshold) <= 1e-12
-    hypothesis_failed = (alpha >= threshold) & ~row["hypotheses_ok"]
-    return np.where(row["label_new"], np.where(on_curve, 1, 0),
+    hypothesis_failed = (alpha >= threshold) & ~cells["hypotheses_ok"]
+    return np.where(cells["label_new"], np.where(on_curve, 1, 0),
                     np.where(hypothesis_failed, 3, 2))
 
 
 class _SvgMap:
     """The 800x800 SVG heat map of the comparison-ODE label of a
-    ``resolution`` x ``resolution`` dimension-``n`` scan of the window
+    ``resolution`` x ``resolution`` scan of the window
     ``p_range`` x ``q_range``: its ``head``, then the cells of every grid
     row, written by ``emit_region_svg`` in any number of calls, then its
     ``tail``.
@@ -477,9 +476,8 @@ class _SvgMap:
             'viewBox="0 0 800 800">\n'
             '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n')
 
-    def __init__(self, p_range: tuple, q_range: tuple, n: int, resolution: int):
+    def __init__(self, p_range: tuple, q_range: tuple, resolution: int):
         x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
-        self.n = n
         self.ch = (y1 - y0) / resolution
         cw = (x1 - x0) / resolution
         # A cell's line is its column's head, its row's y and its color's tail.
@@ -517,14 +515,15 @@ class _SvgMap:
         self.tail = "\n".join(parts) + "\n"
 
 
-def emit_region_svg(fh, svg_map: _SvgMap, rows, j0: int) -> None:
-    """Write the cells of scanned grid rows ``j0, j0 + 1, ...`` of ``svg_map``
-    to the open file ``fh``, one ``<rect>`` per cell and one row per write."""
-    for j, row in enumerate(rows, start=j0):
+def emit_region_svg(fh, svg_map: _SvgMap, categories, j0: int) -> None:
+    """Write grid rows ``j0, j0 + 1, ...`` of ``svg_map``, given as rows of
+    _SVG_CATEGORIES indices, to the open file ``fh``, one ``<rect>`` per
+    cell and one row per write."""
+    for j, row in enumerate(categories.tolist(), start=j0):
         # q grows upward: row j sits at the bottom for j = 0.
         y = f"{svg_map.y1 - (j + 1) * svg_map.ch:.2f}"
-        fh.write("".join([head + y + svg_map.tails[c] for head, c in
-                          zip(svg_map.heads, _svg_categories(row, svg_map.n).tolist())]))
+        fh.write("".join([head + y + svg_map.tails[c]
+                          for head, c in zip(svg_map.heads, row)]))
 
 
 def _apply_sweep(config: ExperimentConfig, sweep: str) -> list:

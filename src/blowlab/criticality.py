@@ -166,14 +166,15 @@ def scan(p_range: tuple, q_range: tuple, n: int, resolution: int,
 
     Returns the q rows ``rows`` (by default every row, ``range(resolution)``)
     of the ``resolution`` x ``resolution`` grid, q ascending; each is a
-    1-D record array of CELL_DTYPE over p ascending, so ``scan(...)[j][i]``
-    holds what ``classify`` reports at the cell, with labels as BlowUp
-    masks.  With resolution 1 the single cell sits at the range midpoint;
-    otherwise cells are placed at cell centers ``lo + (i + 0.5) width``,
-    so range endpoints on the open boundary p, q = 1 are never evaluated.
-    A row is computed from its global index, so a band of rows is bit for
-    bit the same rows of the full scan: a caller can scan the grid band by
-    band and never hold all of it.
+    1-D structured array of CELL_DTYPE over p ascending, so
+    ``scan(...)[j][i][key]`` holds what ``classify`` reports at the cell,
+    with labels as BlowUp masks.  With resolution 1 the single cell sits
+    at the range midpoint; otherwise cells are placed at cell centers
+    ``lo + (i + 0.5) width``, so range endpoints on the open boundary
+    p, q = 1 are never evaluated.  A row is computed from its global
+    index, so a band of rows is bit for bit the same rows of the full
+    scan: a caller can scan the grid band by band and never hold all of
+    it, and the band bounds the curves' temporaries.
     """
     check_window(p_range, q_range, resolution)
     check_dimension(n)
@@ -189,12 +190,9 @@ def scan(p_range: tuple, q_range: tuple, n: int, resolution: int,
 
     p = centers(*p_range, range(resolution))[np.newaxis, :]
     q = centers(*q_range, rows)[:, np.newaxis]
-    grid = np.recarray((len(rows), resolution), dtype=CELL_DTYPE)
+    grid = np.empty((len(rows), resolution), dtype=CELL_DTYPE)
     grid["p"] = p
     grid["q"] = q
-    # Sixteen rows at a time, so the curves' temporaries are bounded by
-    # a block, not by the band.
-    for j in range(0, len(rows), 16):
-        for key, value in _evaluate(p, q[j:j + 16], n).items():
-            grid[key][j:j + 16] = value
+    for key, value in _evaluate(p, q, n).items():
+        grid[key] = value
     return list(grid)

@@ -36,10 +36,7 @@ class DomainError(ValueError):
 
 def check_dimension(n) -> None:
     """The dimension must be an integer in [1, MAX_DIMENSION]."""
-    # type(n) is int first: phi, sphere_area and weighted_power_integral
-    # call this hundreds of times per simulation, and the ABC check costs
-    # about 40 times as much as the type test.
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"dimension must be an integer, got {n!r}")
     if not 1 <= n <= MAX_DIMENSION:
         raise DomainError(f"n={n} must lie in [1, {MAX_DIMENSION}]")

@@ -362,7 +362,8 @@ def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) ->
     """Largest mesh radius where either field exceeds the support tolerance.
 
     The tolerance is 1e-12 relative to the current peak field value; a
-    zero state has support radius 0.  Like :func:`functionals`, this
+    zero state has support radius 0, and a state whose peak is NaN or
+    infinite has none: ValueError.  Like :func:`functionals`, this
     reads only the nodes inside the causal radius, beyond which every
     state that ``init_state`` and ``step`` return vanishes: the mirrored
     window of both fields, whose magnitudes a caller that has them passes
@@ -374,6 +375,8 @@ def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) ->
     peak = float(np.max(magnitudes))
     if peak == 0.0:
         return 0.0
+    if not math.isfinite(peak):
+        raise ValueError(f"support radius of a state with non-finite peak {peak}")
     # The outermost node above the tolerance: the first position of the
     # window (u, reversed) or the last (v).
     idx = np.nonzero(magnitudes > 1e-12 * peak)[0]

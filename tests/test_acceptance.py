@@ -240,7 +240,7 @@ def test_criterion_08_comparison_system_blowup(report, audit_run):
 def test_criterion_09_region_map_facts(report):
     grid = scan((1.1, 10.0), (1.1, 10.0), 1, 100)
     cells = [c for row in grid for c in row]
-    frac = sum(bool(c.label_new) for c in cells) / len(cells)
+    frac = sum(bool(c["label_new"]) for c in cells) / len(cells)
     boundary = classify(2.0, 2.0, 3)
     ok = (frac == 1.0
           and boundary.label_new is Label.BLOW_UP

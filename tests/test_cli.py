@@ -805,10 +805,10 @@ class TestSvg:
                              and el.get("width") != "14")
             threshold_wavelike = 1.0  # (n - 1)/2 for n = 3
             for cell in (c for row in grid for c in row):
-                on_curve = abs(cell.alpha_new - threshold_wavelike) <= 1e-12
-                if cell.label_new:
+                on_curve = abs(cell["alpha_new"] - threshold_wavelike) <= 1e-12
+                if cell["label_new"]:
                     expected["boundary" if on_curve else "blowup"] += 1
-                elif cell.alpha_new >= threshold_wavelike:
+                elif cell["alpha_new"] >= threshold_wavelike:
                     expected["hypothesis-failed"] += 1
                 else:
                     expected["undetermined"] += 1
@@ -823,11 +823,12 @@ class TestSvg:
         for p_range, q_range, resolution in (((1.1, 4.0), (1.05, 4.0), 12),
                                              ((1.1, 10.0), (1.1, 10.0), 25),
                                              ((1.5, 2.5), (1.5, 2.5), 1)):
-            for row in scan(p_range, q_range, n, resolution):
-                for cell, k in zip(row, _svg_categories(row, n).tolist()):
-                    want = _svg_category(classify(float(cell.p), float(cell.q), n))
-                    assert names[k] == want, (cell.p, cell.q, n)
-                    seen.add(want)
+            # One call over the whole grid, as the map makes one per band.
+            grid = np.stack(scan(p_range, q_range, n, resolution))
+            for cell, k in zip(grid.ravel(), _svg_categories(grid, n).ravel().tolist()):
+                p, q = float(cell["p"]), float(cell["q"])
+                assert names[k] == _svg_category(classify(p, q, n)), (p, q, n)
+                seen.add(names[k])
         # Every n reaches blowup; n = 3 also reaches the other three.
         assert "blowup" in seen
         if n == 3:

@@ -134,19 +134,21 @@ class TestClassify:
 class TestScan:
     def test_grid_shape_and_centers(self):
         grid = scan((1.5, 2.5), (3.0, 5.0), 2, 4)
+        # A list, whose truth a caller may test, of plain structured rows.
+        assert type(grid) is list and type(grid[0]) is np.ndarray
         assert len(grid) == 4 and len(grid[0]) == 4
-        assert grid[0][0].p == pytest.approx(1.625, abs=1e-15)
-        assert grid[0][0].q == pytest.approx(3.25, abs=1e-15)
-        assert grid[-1][-1].p == pytest.approx(2.375, abs=1e-15)
-        assert grid[-1][-1].q == pytest.approx(4.75, abs=1e-15)
+        assert grid[0][0]["p"] == pytest.approx(1.625, abs=1e-15)
+        assert grid[0][0]["q"] == pytest.approx(3.25, abs=1e-15)
+        assert grid[-1][-1]["p"] == pytest.approx(2.375, abs=1e-15)
+        assert grid[-1][-1]["q"] == pytest.approx(4.75, abs=1e-15)
 
     def test_resolution_one_is_midpoint(self):
         grid = scan((1.5, 2.5), (1.5, 2.5), 1, 1)
-        assert grid[0][0].p == pytest.approx(2.0, abs=1e-15)
+        assert grid[0][0]["p"] == pytest.approx(2.0, abs=1e-15)
 
-    def test_evaluates_sixteen_rows_at_a_time(self, monkeypatch):
-        # Bounds the curves' temporaries by a block; TestScanOracle's
-        # resolutions 25 and 30 end on a partial block.
+    def test_evaluates_the_band_at_once(self, monkeypatch):
+        # The caller's band bounds the curves' temporaries: scan makes one
+        # _evaluate call over every row it is asked for.
         rows = []
         evaluate = criticality._evaluate
 
@@ -156,12 +158,13 @@ class TestScan:
 
         monkeypatch.setattr(criticality, "_evaluate", spy)
         assert len(scan((1.1, 10.0), (1.1, 10.0), 3, 40)) == 40
-        assert rows == [16, 16, 8]
+        assert len(scan((1.1, 10.0), (1.1, 10.0), 3, 40, rows=range(5, 25))) == 20
+        assert rows == [40, 20]
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("resolution", [1, 16, 17, 40, 500])
     def test_bands_are_rows_of_the_full_scan(self, n, resolution):
-        # Bands of 16 rows, as the region map scans resolution 500, and of
+        # Bands of 16 rows, as the region map scans resolution 125, and of
         # 7: 17, 40 and 500 rows end on a partial band.
         window = (1.1, 10.0), (1.05, 4.0)
         full = np.array(scan(*window, n, resolution))
@@ -215,7 +218,7 @@ class TestScanOracle:
                 for i, cell in enumerate(row):
                     p = p_range[0] + (i + 0.5) * width_p
                     q = q_range[0] + (j + 0.5) * width_q
-                    assert (cell.p, cell.q) == (p, q)
+                    assert (cell["p"], cell["q"]) == (p, q)
                     rep = classify(p, q, n)
                     for key in CELL_DTYPE.names:
                         want = getattr(rep, key)

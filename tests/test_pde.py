@@ -640,6 +640,16 @@ class TestSupportRadius:
         zero = with_fields(state, u=np.zeros(state.r.size), v=np.zeros(state.r.size))
         assert support_radius(zero) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state(self, bad):
+        ex = Exponents(2.0, 2.0, 1)
+        state = init_state(ex, smooth_data(), 500, 5.0)
+        v = mesh_order(state).v.copy()
+        v[3] = bad
+        state = with_fields(state, v=v)
+        with pytest.raises(ValueError, match=f"non-finite peak {abs(bad)}"):
+            support_radius(state)
+
     def test_finite_propagation(self):
         ex = Exponents(2.0, 2.0, 1)
         state = init_state(ex, smooth_data(), 600, 5.0)
