@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from . import criticality, pde
 from .criticality import Label
 from .exponents import Exponents, check_dimension
 from .pde import AMPLITUDE_KEYS, InitialData, Profile
-from .testfuncs import OverflowGuardError, phi, phi_asymptotic
+from .testfuncs import OverflowGuardError, check_radius, phi, phi_asymptotic
 
 __all__ = [
     "ConfigError",
@@ -84,6 +85,8 @@ _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "stri
 class ExperimentConfig:
     mode: str
     settings: dict = field(hash=False)
+    # The mode's run, planned once by parse_config (see _plan).
+    run: Callable = field(compare=False, repr=False)
 
     def echo_text(self) -> str:
         return _json_text({"mode": self.mode, **self.settings})
@@ -106,7 +109,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     config round-trips through its own echo.  Parameter ranges are
     checked by the library code that owns them, on the arguments of the
     run's library calls, so a config that parses runs to a recorded
-    outcome.
+    outcome.  The config keeps the run that its plan returned.
     """
     try:
         doc = json.loads(text)
@@ -144,10 +147,10 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
             doc.setdefault(key, a)
     settings = {**defaults, **doc}
     try:
-        _plan(doc_mode, settings)
+        run = _plan(doc_mode, settings)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return ExperimentConfig(mode=doc_mode, settings=settings)
+    return ExperimentConfig(mode=doc_mode, settings=settings, run=run)
 
 
 def _plan(mode: str, s: dict):
@@ -172,9 +175,8 @@ def _plan(mode: str, s: dict):
     if mode == "phi":
         if not 2 <= s["samples"] <= MAX_PHI_SAMPLES:
             raise ConfigError(f"samples={s['samples']} must lie in [2, {MAX_PHI_SAMPLES}]")
-        # Checks n, and r_max against phi's overflow guard, without
-        # evaluating phi on the table.
-        phi_asymptotic(s["r_max"], s["n"])
+        check_dimension(s["n"])
+        check_radius(s["r_max"], positive=True)
 
         def run_phi(out: Path):
             r = np.linspace(0.0, s["r_max"], s["samples"])
@@ -206,8 +208,7 @@ def _plan(mode: str, s: dict):
             files.append(_write_table(out / "ode_trace.csv", t=trace.times, F1=trace.F1,
                                       dF1=trace.dF1, F2=trace.F2, dF2=trace.dF2))
             # blowup_time is None unless the outcome is blowup.
-            return {"outcome": trace.terminal_reason.value,
-                    "blowup_time": trace.blowup_time}, files
+            return {"outcome": trace.outcome, "blowup_time": trace.blowup_time}, files
         return run_kato
     data = InitialData(Profile(s["profile"]),
                        **{k: float(s[k]) for k in AMPLITUDE_KEYS})
@@ -377,13 +378,13 @@ def _write_table(path: Path, **columns) -> Path:
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> RunSummary:
-    """Run the config's plan and write all artifacts."""
+    """Run the config's planned run and write all artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     s = config.settings
     echo = _write(out / "config_echo.json", config.echo_text())
-    fields, files = _plan(config.mode, s)(out)
+    fields, files = config.run(out)
     wall = time.perf_counter() - t_start
     summary = {"mode": config.mode, "blowup_time": None, "dt": None, **fields,
                "wall_time": round(wall, 3),
@@ -454,9 +455,10 @@ def _svg_categories(cells, n: int) -> np.ndarray:
     threshold = (n - 1) / 2.0
     alpha = cells["alpha_new"]
     on_curve = np.abs(alpha - threshold) <= 1e-12
-    hypothesis_failed = (alpha >= threshold) & ~cells["hypotheses_ok"]
+    # label_new is alpha >= threshold and the hypotheses: where it is
+    # False, an alpha at or above the threshold failed the hypotheses.
     return np.where(cells["label_new"], np.where(on_curve, 1, 0),
-                    np.where(hypothesis_failed, 3, 2))
+                    np.where(alpha >= threshold, 3, 2))
 
 
 class _SvgMap:
@@ -533,7 +535,8 @@ def _apply_sweep(config: ExperimentConfig, sweep: str) -> list:
         raise ConfigError(f"malformed sweep spec {sweep!r}; expected key=v1,v2,...")
     values = raw.split(",")
     base = {"mode": config.mode, **config.settings}
-    if key == "amplitudes":
+    # The amplitudes shorthand sweeps the modes that have amplitude keys.
+    if key == "amplitudes" and "amplitude_u0" in config.settings:
         base = {k: v for k, v in base.items() if not k.startswith("amplitude_")}
     elif key not in config.settings:
         raise ConfigError(f"sweep key {key!r} is not a config key for {config.mode!r}")

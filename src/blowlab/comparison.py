@@ -37,7 +37,6 @@ they call it: this module loads neither scipy nor the test functions.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -49,7 +48,6 @@ from .exponents import Exponents, check_nonnegative, check_positive, check_power
 __all__ = [
     "KatoParams",
     "Condition",
-    "TerminalReason",
     "OdeTrace",
     "check_conditions",
     "derive_params",
@@ -219,11 +217,6 @@ def reduction_equiv_check(p: float, q: float, n: int) -> bool:
                for cond, x in zip(conditions, closed))
 
 
-class TerminalReason(enum.Enum):
-    HORIZON = "horizon"
-    BLOWUP = "blowup"
-
-
 @dataclass
 class OdeTrace:
     times: np.ndarray
@@ -232,7 +225,7 @@ class OdeTrace:
     F2: np.ndarray
     dF2: np.ndarray
     blowup_time: float | None
-    terminal_reason: TerminalReason
+    outcome: str                      # horizon | blowup
 
 
 def check_comparison_args(params: KatoParams, F1_0: float, dF1_0: float,
@@ -438,11 +431,11 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     float range at T0 (for example F2_0^p = inf), is blow-up at T0: the
     trace then holds the initial row alone and the solver is not called.
 
-    The run ends in one of two ways.  It is ``HORIZON`` when the solver
-    reaches the horizon, and ``BLOWUP`` otherwise, at the last time of
-    the trace: the event time, or the last accepted time when a step
-    fails.  With positive data F1 and F2 only grow, so a step fails only
-    where the solution leaves the float range within the resolution of t.
+    The run's ``outcome`` is ``"horizon"`` when the solver reaches the
+    horizon, and ``"blowup"`` otherwise, at the last time of the trace:
+    the event time, or the last accepted time when a step fails.  With
+    positive data F1 and F2 only grow, so a step fails only where the
+    solution leaves the float range within the resolution of t.
     """
     check_comparison_args(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold)
 
@@ -472,8 +465,7 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
     times, rows = np.array(times), np.vstack(rows).T
     return OdeTrace(times=times, F1=rows[0], dF1=rows[1], F2=rows[2], dF2=rows[3],
                     blowup_time=None if horizon_reached else float(times[-1]),
-                    terminal_reason=(TerminalReason.HORIZON if horizon_reached
-                                     else TerminalReason.BLOWUP))
+                    outcome="horizon" if horizon_reached else "blowup")
 
 
 def _check_bernoulli_args(kappa, beta, R, rate, start, initial_value):

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from blowlab.comparison import (
-    TerminalReason,
     derive_params,
     integrate_comparison,
     reduction_equiv_check,
@@ -228,10 +227,10 @@ def test_criterion_08_comparison_system_blowup(report, audit_run):
     t2 = integrate_comparison(params, 2e3, 2e2, 2e3, 2e2, horizon=50.0)
     damped = replace(params, beta3=1e3)
     t3 = integrate_comparison(damped, 1.0, 0.1, 1.0, 0.1, horizon=50.0)
-    ok = (t1.terminal_reason is TerminalReason.BLOWUP
-          and t2.terminal_reason is TerminalReason.BLOWUP
+    ok = (t1.outcome == "blowup"
+          and t2.outcome == "blowup"
           and t2.blowup_time < t1.blowup_time
-          and t3.terminal_reason is TerminalReason.HORIZON)
+          and t3.outcome == "horizon")
     assert report(8, ok, "comparison system blows up at "
                   f"T*={t1.blowup_time:.4f} (doubled data: "
                   f"{t2.blowup_time:.4f}); beta3=1e3 run reaches the horizon")

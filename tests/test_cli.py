@@ -459,7 +459,7 @@ class TestParseConfig:
         @settings(max_examples=60, deadline=None)
         @example({"R": 1e200})
         @example({"horizon": 1e200})
-        # phi_asymptotic(r_max) is inf: r^{-(n-1)/2} leaves the float range.
+        # Radii at which phi_asymptotic is inf: r^{-(n-1)/2} leaves the float range.
         @example({"r_max": 5e-324})
         @example({"n": 8, "r_max": 1e-100})
         @given(st.dictionaries(st.sampled_from(keys), JSON_VALUES))
@@ -599,6 +599,28 @@ class TestRunExperiment:
         # The streamed SVG draws every cell where and as the oracle does.
         want = regions_svg_cells_per_cell((p_min, p_max), (q_min, q_max), n, resolution)
         assert svg_cell_lines(tmp_path / "regions.svg", resolution) == want
+
+    @pytest.mark.parametrize("mode,doc,names", [
+        ("simulate", FAST_SIM, {"trace.csv"}),
+        ("audit", FAST_SIM, {"trace.csv", "audit.json"}),
+        ("kato", {}, {"conditions.txt", "ode_trace.csv"}),
+        ("regions", {"resolution": 4, "svg": True}, {"regions.csv", "regions.svg"}),
+        ("phi", {"samples": 10}, {"phi.csv"}),
+    ])
+    def test_config_is_planned_once(self, tmp_path, monkeypatch, mode, doc, names):
+        # parse_config plans the run and the config keeps it, so
+        # run_experiment writes every artifact without planning again.
+        cfg = parse_config(json.dumps(doc), mode=mode)
+
+        def no_plan(*args):
+            raise AssertionError("the config was planned again")
+
+        monkeypatch.setattr(cli, "_plan", no_plan)
+        summary = run_experiment(cfg, tmp_path)
+        names = names | {"config_echo.json", "summary.json"}
+        assert {f.name for f in summary.files} == names
+        assert {f.name for f in tmp_path.iterdir()} == names
+        assert all(f.stat().st_size > 0 for f in summary.files)
 
     def test_byte_identical_reproducibility(self, tmp_path):
         cfg = parse_config('{"resolution": 6, "svg": true}', mode="regions")
@@ -1404,6 +1426,17 @@ class TestMain:
         code = main(["phi", "--out", str(tmp_path), "--sweep", "bogus=1,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["kato", "regions", "phi"])
+    def test_amplitudes_sweep_needs_amplitude_keys(self, tmp_path, capsys, mode):
+        # The shorthand stands for the data amplitudes of simulate and
+        # audit; the other modes have none to sweep.
+        out = tmp_path / "out"
+        code = main([mode, "--out", str(out), "--sweep", "amplitudes=1,2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep key 'amplitudes' is not a config key for {mode!r}\n")
+        assert not out.exists()
+
 
 def rk45_oracle(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold):
     """``integrate_comparison`` as scipy's ``solve_ivp`` runs it: RK45 at
@@ -1422,16 +1455,14 @@ def rk45_oracle(params, F1_0, dF1_0, F2_0, dF2_0, horizon, ode_threshold):
     if (max(F1_0, F2_0) >= ode_threshold
             or not np.all(np.isfinite(rhs(params.T0, y0)))):
         return comparison.OdeTrace(np.array([params.T0]), *y0[:, np.newaxis],
-                                   blowup_time=params.T0,
-                                   terminal_reason=comparison.TerminalReason.BLOWUP)
+                                   blowup_time=params.T0, outcome="blowup")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (params.T0, horizon), y0, method="RK45",
                         rtol=1e-8, atol=1e-10, events=hit_threshold)
     horizon_reached = sol.status == 0
     return comparison.OdeTrace(
         sol.t, *sol.y, blowup_time=None if horizon_reached else float(sol.t[-1]),
-        terminal_reason=(comparison.TerminalReason.HORIZON if horizon_reached
-                         else comparison.TerminalReason.BLOWUP))
+        outcome="horizon" if horizon_reached else "blowup")
 
 
 def kato_traces(doc):
@@ -1448,7 +1479,7 @@ def kato_traces(doc):
 def assert_same_solve(trace, oracle):
     # The numpy Dormand-Prince port takes scipy's steps in scipy's numpy
     # operations, so every value agrees bit for bit.
-    assert trace.terminal_reason is oracle.terminal_reason
+    assert trace.outcome == oracle.outcome
     assert trace.times.size == oracle.times.size
     if oracle.blowup_time is None:
         assert trace.blowup_time is None
@@ -1477,7 +1508,7 @@ class TestKatoAgainstScipy:
     def test_measured_configs(self, doc, blowup_time, rows):
         trace, oracle = kato_traces(doc)
         assert_same_solve(trace, oracle)
-        assert trace.terminal_reason is comparison.TerminalReason.BLOWUP
+        assert trace.outcome == "blowup"
         assert trace.blowup_time == pytest.approx(blowup_time, rel=1e-9)
         assert trace.times.size == rows
 

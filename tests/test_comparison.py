@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from blowlab.cli import parse_config, run_experiment
 from blowlab.comparison import (
     KatoParams,
-    TerminalReason,
     _brent,
     _y_bracket,
     check_conditions,
@@ -240,14 +239,14 @@ class TestIntegrateComparison:
         params = derive_params(Exponents(2.0, 2.0, 1))
         t1 = integrate_comparison(params, 1e3, 1e2, 1e3, 1e2, horizon=50.0)
         t2 = integrate_comparison(params, 2e3, 2e2, 2e3, 2e2, horizon=50.0)
-        assert t1.terminal_reason is TerminalReason.BLOWUP
-        assert t2.terminal_reason is TerminalReason.BLOWUP
+        assert t1.outcome == "blowup"
+        assert t2.outcome == "blowup"
         assert t2.blowup_time < t1.blowup_time
 
     def test_strong_decay_reaches_horizon(self):
         params = replace(derive_params(Exponents(2.0, 2.0, 1)), beta3=1e3)
         trace = integrate_comparison(params, 1.0, 0.1, 1.0, 0.1, horizon=50.0)
-        assert trace.terminal_reason is TerminalReason.HORIZON
+        assert trace.outcome == "horizon"
         assert trace.blowup_time is None
 
     @pytest.mark.parametrize("T0", [0.0, 2.0])
@@ -255,7 +254,7 @@ class TestIntegrateComparison:
         # F2_0^p = 1000^200 = inf: the solution escapes at once.
         params = replace(derive_params(Exponents(200.0, 200.0, 1)), T0=T0)
         trace = integrate_comparison(params, 1e3, 1e2, 1e3, 1e2, horizon=50.0)
-        assert trace.terminal_reason is TerminalReason.BLOWUP
+        assert trace.outcome == "blowup"
         assert trace.blowup_time == T0
         assert [trace.times.tolist(), trace.F1.tolist(), trace.dF1.tolist(),
                 trace.F2.tolist(), trace.dF2.tolist()] == [[T0], [1e3], [1e2], [1e3], [1e2]]
@@ -270,14 +269,14 @@ class TestIntegrateComparison:
         params = replace(derive_params(Exponents(2.0, 2.0, 1)), T0=T0)
         trace = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
                                      ode_threshold=threshold)
-        assert trace.terminal_reason is TerminalReason.BLOWUP
+        assert trace.outcome == "blowup"
         assert trace.blowup_time == T0
         assert [trace.times.tolist(), trace.F1.tolist(), trace.dF1.tolist(),
                 trace.F2.tolist(), trace.dF2.tolist()] == [[T0], [F1_0], [1e2], [F2_0], [1e2]]
         # Just above the initial data, the threshold is crossed later.
         later = integrate_comparison(params, F1_0, 1e2, F2_0, 1e2, horizon=50.0,
                                      ode_threshold=np.nextafter(max(F1_0, F2_0), math.inf))
-        assert later.terminal_reason is TerminalReason.BLOWUP
+        assert later.outcome == "blowup"
         assert later.blowup_time > T0 and later.times.size > 1
 
     def test_csv_schema(self, tmp_path):
