@@ -180,9 +180,8 @@ def _plan(mode: str, s: dict):
 
         def run_phi(out: Path):
             r = np.linspace(0.0, s["r_max"], s["samples"])
-            asym = np.empty_like(r)
-            asym[0] = math.nan
-            asym[1:] = phi_asymptotic(r[1:], s["n"])
+            asym = np.full_like(r, math.nan)
+            asym[r > 0.0] = phi_asymptotic(r[r > 0.0], s["n"])
             return {"outcome": "completed"}, [_write_table(
                 out / "phi.csv", r=r, phi=phi(r, s["n"]), phi_asymptotic=asym)]
         return run_phi

@@ -265,17 +265,18 @@ _DP_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+_RTOL, _ATOL = 1e-8, 1e-10  # the step control's tolerances
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
+def _first_step(fun, t0, y0, f0, t_bound):
     """The starting step of Hairer, Norsett & Wanner (Solving ODEs I,
     II.4) for an error estimator of order 4, capped at t_bound - t0."""
     interval = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = _ATOL + np.abs(y0) * _RTOL
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
@@ -352,12 +353,12 @@ def _brent(f, a, b, xtol, rtol):
     raise RuntimeError(f"Brent's method did not converge after 100 iterations, at {xcur}")
 
 
-def _dormand_prince(fun, t0, y0, t_bound, event, rtol, atol):
+def _dormand_prince(fun, t0, y0, t_bound, event):
     """Integrate y' = fun(t, y) from (t0, y0) towards t_bound by adaptive
     Dormand-Prince 5(4) steps, until event(y) changes sign.
 
     The step control is that of Hairer, Norsett & Wanner (Solving ODEs I,
-    II.4): the error is the RMS of the error estimate over atol + rtol
+    II.4): the error is the RMS of the error estimate over _ATOL + _RTOL
     max(|y|, |y_new|), a step is accepted when it is below 1, and the
     next step is scaled by 0.9 error^(-1/5) within [0.2, 10], by at most
     1 right after a rejection.  A step below 10 spacings of t fails.
@@ -373,7 +374,7 @@ def _dormand_prince(fun, t0, y0, t_bound, event, rtol, atol):
     times and states, bit for bit.
     """
     t, y, f, g = t0, y0, fun(t0, y0), event(y0)
-    h_abs = _first_step(fun, t0, y0, f, t_bound, rtol, atol)
+    h_abs = _first_step(fun, t0, y0, f, t_bound)
     K = np.empty((_DP_C.size + 1, y0.size))
     times, states = [t0], [y0]
     while t < t_bound:
@@ -388,7 +389,7 @@ def _dormand_prince(fun, t0, y0, t_bound, event, rtol, atol):
             h = t_new - t
             h_abs = np.abs(h)
             y_new, f_new = _dp_step(fun, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
             error = _rms(np.dot(K.T, _DP_E) * h / scale)
             if error < 1:
                 break
@@ -457,8 +458,7 @@ def integrate_comparison(params: KatoParams, F1_0: float, dF1_0: float,
         # leaves the float range fails, which is blow-up, silently.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             times, rows, status = _dormand_prince(
-                rhs, float(params.T0), y0, float(horizon), hit_threshold,
-                rtol=1e-8, atol=1e-10)
+                rhs, float(params.T0), y0, float(horizon), hit_threshold)
         # status 0: the horizon; 1: the event, whose time ends the times;
         # -1: a failed step, after the last accepted time.
         horizon_reached = status == 0

@@ -139,7 +139,8 @@ class CoupledState:
     :func:`radial_stencil` rows, ``volumes`` the measure |S^{n-1}| V_i of
     each node's cell, by which every mesh integral is a sum, and
     ``phi_mesh`` phi at each node.  ``peak`` is max(|u|, |v|) over the
-    mesh at ``time``, NaN if either field holds a NaN.
+    mesh at ``time``, NaN if either field holds a NaN.  Every per-sample
+    quantity reads the cached ``causal_window`` and its ``magnitudes``.
     """
 
     exponents: Exponents
@@ -156,10 +157,16 @@ class CoupledState:
     coupling: bool = True
 
     @cached_property
-    def causal_end(self) -> int:
-        """Index of the first node beyond the causal radius at ``time``,
-        from which a state that ``init_state`` or ``step`` returns vanishes."""
-        return _causal_end(self, self.time)
+    def causal_window(self) -> slice:
+        """The mirrored positions of the nodes inside the causal radius at
+        ``time``, outside which a state of ``init_state`` or ``step`` vanishes."""
+        size, end = self.r.size, _causal_end(self, self.time)
+        return slice(size - end, size + end)
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|u| and |v| on the causal window, in the mirrored layout."""
+        return np.abs(self.fields[self.causal_window])
 
 
 def check_init_args(exponents: Exponents, data: InitialData, grid_points: int,
@@ -352,25 +359,17 @@ def _causal_end(state: CoupledState, time: float) -> int:
                                     side="right"))
 
 
-def _causal_window(state: CoupledState) -> slice:
-    """The mirrored positions of the nodes inside the causal radius."""
-    size, end = state.r.size, state.causal_end
-    return slice(size - end, size + end)
-
-
-def support_radius(state: CoupledState, magnitudes: np.ndarray | None = None) -> float:
+def support_radius(state: CoupledState) -> float:
     """Largest mesh radius where either field exceeds the support tolerance.
 
     The tolerance is 1e-12 relative to the current peak field value; a
     zero state has support radius 0, and a state whose peak is NaN or
     infinite has none: ValueError.  Like :func:`functionals`, this
     reads only the nodes inside the causal radius, beyond which every
-    state that ``init_state`` and ``step`` return vanishes: the mirrored
-    window of both fields, whose magnitudes a caller that has them passes
-    as ``magnitudes``.
+    state that ``init_state`` and ``step`` return vanishes: the state's
+    ``magnitudes``.
     """
-    if magnitudes is None:
-        magnitudes = np.abs(state.fields[_causal_window(state)])
+    magnitudes = state.magnitudes
     end = magnitudes.size // 2
     peak = float(np.max(magnitudes))
     if peak == 0.0:
@@ -397,8 +396,9 @@ def functionals(state: CoupledState) -> dict:
     Each u half is summed through a reversed view, in mesh order as the
     v half is.
     """
-    window, end, t = _causal_window(state), state.causal_end, state.time
+    window, t = state.causal_window, state.time
     w, vol = state.fields[window], state.volumes[window]
+    end = w.size // 2
     with np.errstate(over="ignore", invalid="ignore"):
         mass = w * vol
         weighted = w * state.phi_mesh[window]
@@ -489,11 +489,10 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
         if min(f.values()) < 0.0:
             return False
         # One pass over the causal window gives the peaks and the support.
-        magnitudes = np.abs(s.fields[_causal_window(s)])
-        end = magnitudes.size // 2
-        rows.append({"times": s.time, **f, "support_r": support_radius(s, magnitudes),
-                     "max_abs_u": float(np.max(magnitudes[:end])),
-                     "max_abs_v": float(np.max(magnitudes[end:]))})
+        end = s.magnitudes.size // 2
+        rows.append({"times": s.time, **f, "support_r": support_radius(s),
+                     "max_abs_u": float(np.max(s.magnitudes[:end])),
+                     "max_abs_v": float(np.max(s.magnitudes[end:]))})
         return True
 
     record(state)

@@ -1385,6 +1385,34 @@ class TestMain:
 
         finite_outcome()
 
+    def test_every_accepted_phi_config_runs(self, capsys):
+        # phi_asymptotic has no value at r = 0, so the table holds nan
+        # there, at every radius that linspace rounds to 0: with r_max
+        # 5e-324 that is the first 100 of 200.
+        @settings(max_examples=60, deadline=None)
+        @given(st.fixed_dictionaries({
+            "n": st.integers(1, 8),
+            "r_max": st.one_of(st.floats(0.0, 1e-300), st.floats(0.0, 720.0)),
+            "samples": st.integers(2, 300)}))
+        @example({"r_max": 5e-324})
+        def runs(doc):
+            try:
+                parsed = parse_config(json.dumps(doc), mode="phi").settings
+            except ConfigError:
+                assume(False)
+            with tempfile.TemporaryDirectory() as tmp:
+                config = f"{tmp}/cfg.json"
+                with open(config, "w") as fh:
+                    json.dump(doc, fh)
+                assert main(["phi", "--config", config, "--out", f"{tmp}/out"]) == 0
+                with open(f"{tmp}/out/phi.csv") as fh:
+                    rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            capsys.readouterr()
+            assert len(rows) == parsed["samples"]
+            assert all((float(r) == 0.0) == (asym == "nan") for r, _, asym in rows), rows
+
+        runs()
+
     def test_every_accepted_simulation_config_ends_cleanly(self, capsys):
         # Exit 0 or 1, or 2 on the weight integral's overflow guard alone;
         # the suite's filter makes a RuntimeWarning an error.
