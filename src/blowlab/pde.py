@@ -383,7 +383,7 @@ def support_radius(state: CoupledState) -> float:
 
 
 def functionals(state: CoupledState) -> dict:
-    """F1-F4 of one state.
+    """F1-F4 of one state, and the sources and centred rates of F1, F2.
 
     Each integral is the sum of its integrand over the nodes, weighted by
     ``state.volumes``: the measure whose mass sum the stencil and its
@@ -394,29 +394,43 @@ def functionals(state: CoupledState) -> dict:
     beyond which every state that ``init_state`` and ``step`` return
     vanishes: one mirrored window of the fields, the volumes and phi.
     Each u half is summed through a reversed view, in mesh order as the
-    v half is.
+    v half is.  ``int_v_p`` and ``int_u_q`` are the sources that the step
+    from this state adds, 0 in an uncoupled run.  The Laplacian sums to 0,
+    so the levels keep F1'' + F1' = int_v_p and F2'' = int_u_q exactly,
+    and ``dF1``, ``dF2`` are (F^{k+1} - F^{k-1}) / (2 dt) by these identities.
     """
-    window, t = state.causal_window, state.time
+    window, t, dt, ex = state.causal_window, state.time, state.dt, state.exponents
     w, vol = state.fields[window], state.volumes[window]
     end = w.size // 2
+
+    def halves(x):
+        x *= vol
+        return float(np.add.reduce(x[end - 1::-1])), float(np.add.reduce(x[end:]))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = w * vol
-        weighted = w * state.phi_mesh[window]
-        weighted *= vol
-        return {"F1": float(np.add.reduce(mass[end - 1::-1])),
-                "F2": float(np.add.reduce(mass[end:])),
-                "F3": math.exp(-t) * float(np.add.reduce(weighted[end:])),
-                "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t)
-                * float(np.add.reduce(weighted[end - 1::-1]))}
+        F1, F2 = halves(w.copy())
+        G4, G3 = halves(w * state.phi_mesh[window])
+        du, dv = halves(w - state.fields_prev[window])
+        int_u_q = int_v_p = 0.0
+        if state.coupling:
+            powers = state.magnitudes.copy()
+            powers[:end] **= ex.q
+            powers[end:] **= ex.p
+            int_u_q, int_v_p = halves(powers)
+        return {"F1": F1, "F2": F2, "F3": math.exp(-t) * G3,
+                "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * G4,
+                "dF1": (du + dt**2 / 2.0 * int_v_p) / (dt * (1.0 + dt / 2.0)),
+                "dF2": dv / dt + dt / 2.0 * int_u_q, "int_v_p": int_v_p, "int_u_q": int_u_q}
 
 
 @dataclass
 class FunctionalTrace:
     """Time series of the tracked functionals plus solver diagnostics.
 
-    ``W2`` and ``W4`` are the weights, the integrals that J2 and J4 are
-    powers of, which the audit reads.  A power beyond the float range is
-    inf.
+    ``dF1``, ``dF2``, ``int_v_p`` and ``int_u_q`` are those of
+    :func:`functionals`.  ``W2`` and ``W4`` are the weights, the integrals
+    that J2 and J4 are powers of, which the audit reads.  A power beyond
+    the float range is inf.
     """
 
     times: np.ndarray
@@ -424,6 +438,10 @@ class FunctionalTrace:
     F2: np.ndarray
     F3: np.ndarray
     F4: np.ndarray
+    dF1: np.ndarray
+    dF2: np.ndarray
+    int_v_p: np.ndarray
+    int_u_q: np.ndarray
     J1: np.ndarray
     J2: np.ndarray
     J3: np.ndarray
@@ -486,7 +504,7 @@ def run(exponents: Exponents, data: InitialData, grid_points: int = 2000,
     def record(s: CoupledState) -> bool:
         # False, recording nothing, if one of F1-F4 is negative.
         f = functionals(s)
-        if min(f.values()) < 0.0:
+        if min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0:
             return False
         # One pass over the causal window gives the peaks and the support.
         end = s.magnitudes.size // 2
@@ -587,14 +605,12 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     that overflows at a sample gives that sample the ratio 0, below its
     true ratio.
 
-    Derivatives of the F-traces are one-pass central differences; the
-    last three samples are excluded from the audit window because the
-    end-of-trace derivative estimates are unreliable (one-sided stencils
-    on a possibly exploding signal), so a trace of at most three samples
-    is inconclusive.  So is an audit whose C3 leaves the float range,
-    and one whose C3 or a Hoelder floor is 0 in float64, which the
-    system rejects; an inconclusive audit fits no k2 or k4.  A margin
-    passes down to -1e-9 times max |lhs|.
+    The left sides are the trace's F1, dF1 + F1, int_v_p, F2 and int_u_q,
+    the identities of :func:`functionals`, over the window from T0 to the
+    last sample.  An audit whose C3 leaves the float range is
+    inconclusive, and so is one whose C3 or a Hoelder floor is 0 in
+    float64, which the system rejects; an inconclusive audit fits no k2
+    or k4.  A margin passes down to -1e-9 times max |lhs|.
     """
     from .comparison import derive_params
 
@@ -626,23 +642,18 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
     zero = [key for key, value in floors.items() if not value > 0.0]
 
     mask = t >= T0
-    mask[-3:] = False
     note = ("C3 = C0^p C2^{-(p-1)} / (8 alpha1) leaves the float range"
             if not math.isfinite(C3)
             else f"{zero[0]} is 0 in float64, but the comparison system needs "
                  "C3, k2 and k4 positive" if zero
-            else f"audit window empty: every sample at or after T0 = {T0:.6g} "
-                 "is among the last three, which are excluded" if not mask.any()
             else "")
     inconclusive = bool(note)
     records, window, min_T0 = [], (T0, float(t[-1])), None
     if not inconclusive:
         system = derive_params(exponents, floors)
-        dF1 = np.gradient(trace.F1, t)
-        dF2 = np.gradient(trace.F2, t)
-        lhs = {"F1_lower": trace.F1, "F1_first_order": dF1 + trace.F1,
-               "F1_second_order": np.gradient(dF1, t) + dF1, "F2_lower": trace.F2,
-               "F2_second_order": np.gradient(dF2, t)}
+        lhs = {"F1_lower": trace.F1, "F1_first_order": trace.dF1 + trace.F1,
+               "F1_second_order": trace.int_v_p, "F2_lower": trace.F2,
+               "F2_second_order": trace.int_u_q}
 
         # The fitted k2 and k4: least ratios against the second-order
         # bounds with unit constants, over the window samples whose bound
@@ -668,9 +679,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
                                             passed=margin_min >= -1e-9 * scale))
 
         # Smallest T0 from which every margin stays nonnegative through the
-        # end of the (trimmed) window.
-        last = np.nonzero(mask)[0][-1]
-        ok_suffix = np.logical_and.accumulate(pointwise_ok[last::-1])[::-1]
+        # last sample.
+        ok_suffix = np.logical_and.accumulate(pointwise_ok[::-1])[::-1]
         first = np.nonzero(ok_suffix)[0]
         min_T0 = float(t[first[0]]) if first.size else None
         window = (float(t[mask][0]), float(t[mask][-1]))

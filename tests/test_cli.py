@@ -114,6 +114,11 @@ N5 = {"n": 5, "p": 1.9, "q": 1.6, "amplitudes": 1.0, "grid_points": 1000,
 CHAIN = {"p": 1.5, "q": 1.5, "n": 2, "amplitudes": 1.0, "grid_points": 300,
          "horizon": 5.0}
 
+# Small data in n = 1, whose F1 second-order margin is 6.4e-8 of a
+# 3.9e-7 scale and whose fitted k2 is 0.298.
+SMALL_DATA = {"p": 3, "q": 3, "n": 1, "amplitudes": 0.005, "grid_points": 300,
+              "horizon": 5}
+
 # Data near the float maximum, whose phi-weighted integrals F3, F4 and C0, C1
 # read inf.
 DATA_NEAR_MAX = {"amplitudes": 1e308, "grid_points": 300, "horizon": 3}
@@ -1032,7 +1037,7 @@ class TestMain:
 
     def test_audit_of_first_step_blowup(self, tmp_path, capsys):
         # The initial peak is above the threshold, so the run blows up at
-        # t = 0 and the trace holds one sample.
+        # t = 0 and the trace holds one sample, which the audit reads.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"amplitudes": 1e13, "grid_points": 250, "horizon": 2.0}))
@@ -1043,13 +1048,12 @@ class TestMain:
         # Valid JSON: no NaN or Infinity literal, which parse_constant sees.
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
-        assert doc["inconclusive"] is True
-        assert doc["constants"]["k2"] is None and doc["constants"]["k4"] is None
-        # T0 = 0.3 t[-1] = 0; the window is empty because the last three
-        # samples are excluded.
-        assert doc["note"] == ("audit window empty: every sample at or after "
-                               "T0 = 0 is among the last three, which are "
-                               "excluded")
+        # T0 = 0.3 t[-1] = 0, so the window is that sample.  The data's
+        # C3 (7.6e24) dwarfs F1 (1.2e13), so the two first-order F1 bounds
+        # fail; the fitted k2 and k4 are both 0.675.
+        assert doc["inconclusive"] is False and doc["window"] == [0.0, 0.0]
+        assert [r["passed"] for r in doc["inequalities"]] == [False, False, True, True, True]
+        assert doc["constants"]["k2"] == doc["constants"]["k4"] == pytest.approx(0.6751, rel=1e-4)
         assert (tmp_path / "out" / "summary.json").exists()
 
     def test_audit_with_underflowed_weight(self, tmp_path, capsys):
@@ -1069,17 +1073,18 @@ class TestMain:
                          parse_constant=reject_constant)
         assert doc["constants"]["C2tilde"] == pytest.approx(5.6284, rel=1e-4)
 
-    def test_audit_seeds_a_kato_blowup(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [CHAIN, SMALL_DATA], ids=["chain", "small-data"])
+    def test_audit_seeds_a_kato_blowup(self, tmp_path, capsys, doc):
         # The audit's C3, k2 and k4 make a kato config that blows up, with
         # no warning on stderr in either run.
         config = tmp_path / "audit.json"
-        config.write_text(json.dumps(CHAIN))
+        config.write_text(json.dumps(doc))
         assert main(["audit", "--config", str(config), "--out", str(tmp_path / "audit")]) == 0
         assert capsys.readouterr().err == ""
         constants = json.loads((tmp_path / "audit" / "audit.json").read_text(),
                                parse_constant=reject_constant)["constants"]
         config = tmp_path / "kato.json"
-        config.write_text(json.dumps({**{k: CHAIN[k] for k in ("p", "q", "n")},
+        config.write_text(json.dumps({**{k: doc[k] for k in ("p", "q", "n")},
                                       **{k: constants[k] for k in ("C3", "k2", "k4")}}))
         assert main(["kato", "--config", str(config), "--out", str(tmp_path / "kato")]) == 0
         out, err = capsys.readouterr()
@@ -1113,12 +1118,13 @@ class TestMain:
         if mode == "audit":
             doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                              parse_constant=reject_constant)
-            # Its least F2 second-order ratio is finite but negative (about
-            # -4.9e277): k4 reads null, and the record keeps the failed margin.
+            # Its least F2 second-order ratio, int |u|^q over a shape of
+            # about 1e-152, is 4.4e129, finite and positive, and the bound
+            # holds.
             assert 0.0 < doc["constants"]["k2"] < math.inf
-            assert doc["constants"]["k4"] is None
+            assert doc["constants"]["k4"] == pytest.approx(4.4146e129, rel=1e-4)
             record = doc["inequalities"][4]
-            assert record["name"] == "F2_second_order" and not record["passed"]
+            assert record["name"] == "F2_second_order" and record["passed"]
 
     def test_audit_with_fitted_k_beyond_float_range(self, tmp_path, capsys):
         # One window sample's ratio lhs / shape leaves the float range; it
@@ -1130,9 +1136,8 @@ class TestMain:
         assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
-        # k4 is a least ratio of second differences of F2, which amplify
-        # F2's rounding: this pin holds for one summation order of F2 only.
-        assert doc["constants"]["k4"] == 2.6234106448750723e+106
+        # k4 is the least ratio of the recorded int |u|^q to its shape.
+        assert doc["constants"]["k4"] == 2.4713454681399676e+106
 
     def test_simulate_data_beyond_float_powers(self, tmp_path, capsys):
         # |v0|^p = 1e400 leaves the float range in the seed level: no
@@ -1178,23 +1183,41 @@ class TestMain:
         assert doc["note"].startswith("C3 is 0 in float64")
 
     def test_audit_of_negative_least_ratio(self, tmp_path, capsys):
-        # The least F1 second-order ratio of this run is -3.74, which the
-        # comparison system rejects as k2: it reads null, and the record
-        # keeps the failed margin.
+        # Second differences of the sampled F1 made this run's least F1
+        # second-order ratio -3.74, and k2 null.  The recorded source
+        # int |v|^p is positive, so the least ratio is too: k2 is 0.298
+        # and the record passes.
         config = tmp_path / "cfg.json"
-        config.write_text('{"p": 3, "q": 3, "n": 1, "amplitudes": 0.005, '
-                          '"grid_points": 300, "horizon": 5}')
+        config.write_text(json.dumps(SMALL_DATA))
         code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 0
         assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
                          parse_constant=reject_constant)
-        assert doc["constants"]["k2"] is None
+        assert doc["constants"]["k2"] == pytest.approx(0.29811, rel=1e-4)
         assert 0.0 < doc["constants"]["k4"] < math.inf
         assert doc["inconclusive"] is False
         record = doc["inequalities"][2]
-        assert record["name"] == "F1_second_order" and not record["passed"]
-        assert record["margin_min"] < 0.0
+        assert record["name"] == "F1_second_order" and record["passed"]
+        assert record["margin_min"] > 0.0
+
+    def test_audit_of_an_uncoupled_run(self, tmp_path, capsys):
+        # With no coupling the step adds no source, so the recorded
+        # int |v|^p and int |u|^q are 0: both second-order bounds fail,
+        # and their fitted k2 and k4, least ratios of 0, read null.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"coupling": false, "horizon": 5}')
+        code = main(["audit", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                         parse_constant=reject_constant)
+        assert doc["inconclusive"] is False
+        assert doc["constants"]["k2"] is None and doc["constants"]["k4"] is None
+        assert [r["passed"] for r in doc["inequalities"]] == [True, True, False, True, False]
+        for record in (doc["inequalities"][2], doc["inequalities"][4]):
+            # The scale max |lhs| of a left side that is 0 throughout is 1.
+            assert record["scale"] == 1.0 and record["margin_min"] < 0.0
 
     def test_audit_of_C2tilde_beyond_float_range(self, tmp_path, capsys):
         # W4 / env4 leaves the float range at every sample (q = 1.0087), so
@@ -1523,8 +1546,9 @@ class TestKatoAgainstScipy:
         pytest.param({"p": 4, "q": 4}, 4.554606335710942e-05, 531, id="p4"),
         pytest.param({"p": 200, "q": 200}, 0.0, 1, id="200"),
         pytest.param({"p": 5000, "q": 5000}, 0.0, 1, id="5000"),
-        # The constants of the audit-n2 audit (amplitude 1, grid 1000) and
-        # of an earlier audit of CHAIN (grid 300).
+        # The constants that the audit-n2 audit (amplitude 1, grid 1000)
+        # and an audit of CHAIN (grid 300) gave when the audit fitted
+        # finite differences of the trace.
         pytest.param({"p": 1.5, "q": 1.5, "n": 2, "C3": 0.07241886135849035,
                       "k2": 0.6103393946639272, "k4": 1.5424272975524305},
                      1.211162661294748, 279, id="audit-n2"),

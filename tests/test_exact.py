@@ -22,7 +22,8 @@ and from u1 = 0 the weighted mean F4 = e^{-d t} G, d = (sqrt 5 - 1)/2, is
 
     F4(t) = G0 ((1 - d / sqrt 5) + (d / sqrt 5) e^{-sqrt 5 t}),
 
-with G0 the same integral of u0 = v0.  The runs are stepped with
+with G0 the same integral of u0 = v0.  F3 and F4 are checked in n = 1,
+3 and 5, the field v in n = 1 and 3.  The runs are stepped with
 ``init_state`` and ``step`` as ``run`` steps them, and compared at the
 state's own time, which lies within dt of the horizon.
 """
@@ -42,9 +43,12 @@ GRIDS = (500, 1000, 2000, 4000)
 # u0 = v0, at rest.
 DATA = InitialData(amplitude_u0=1.0, amplitude_u1=0.0, amplitude_v0=1.0, amplitude_v1=0.0)
 # |S^{n-1}| and phi(r) r^{n-1}, from phi's closed forms 2 cosh r in
-# n = 1 and 4 pi sinh(r) / r in n = 3.
+# n = 1, 4 pi sinh(r) / r in n = 3 and 8 pi^2 (r cosh r - sinh r) / r^3
+# in n = 5.
 MEASURES = {1: (2.0, lambda r: 2.0 * math.cosh(r)),
-            3: (4.0 * math.pi, lambda r: 4.0 * math.pi * r * math.sinh(r))}
+            3: (4.0 * math.pi, lambda r: 4.0 * math.pi * r * math.sinh(r)),
+            5: (8.0 * math.pi**2 / 3.0,
+                lambda r: 8.0 * math.pi**2 * r * (r * math.cosh(r) - math.sinh(r)))}
 
 
 def bump(s):
@@ -88,15 +92,20 @@ def F4_exact(t, n):
 
 
 def errors(n, grid_points):
-    """max |v - v_exact| over the mesh, |F3 / F3_exact - 1| and
-    |F4 / F4_exact - 1| after ceil(HORIZON / dt) steps."""
-    state = init_state(Exponents(1.5, 2.5, n), DATA, grid_points, HORIZON, coupling=False)
+    """|F3 / F3_exact - 1|, |F4 / F4_exact - 1| and, in n = 1 and 3,
+    max |v - v_exact| over the mesh, after ceil(HORIZON / dt) steps."""
+    # p and q do not enter an uncoupled run; 1.5 lies in the theorem
+    # range of every dimension.
+    state = init_state(Exponents(1.5, 1.5, n), DATA, grid_points, HORIZON, coupling=False)
     for _ in range(math.ceil(HORIZON / state.dt)):
         state = step(state)
-    v_error = np.max(np.abs(state.fields[state.r.size:] - v_exact(state.r, state.time, n)))
     f = functionals(state)
-    return (float(v_error), abs(f["F3"] / F3_exact(state.time, n) - 1.0),
-            abs(f["F4"] / F4_exact(state.time, n) - 1.0))
+    out = {"F3": abs(f["F3"] / F3_exact(state.time, n) - 1.0),
+           "F4": abs(f["F4"] / F4_exact(state.time, n) - 1.0)}
+    if n in (1, 3):
+        out["v"] = float(np.max(np.abs(state.fields[state.r.size:]
+                                       - v_exact(state.r, state.time, n))))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -105,18 +114,65 @@ def measured():
     #   n = 1: 2.51e-3, 7.24e-4, 2.02e-4, 5.02e-5; 8.4e-6, 3.0e-6, 7.8e-7, 2.0e-7;
     #          1.30e-5, 3.62e-6, 9.20e-7, 2.30e-7;
     #   n = 3: 7.04e-4, 2.09e-4, 5.56e-5, 1.42e-5; 4.8e-5, 1.6e-5, 4.1e-6, 1.0e-6;
-    #          6.00e-5, 1.66e-5, 4.21e-6, 1.05e-6.
-    return {n: dict(zip(("v", "F3", "F4"), zip(*(errors(n, grid) for grid in GRIDS))))
-            for n in (1, 3)}
+    #          6.00e-5, 1.66e-5, 4.21e-6, 1.05e-6;
+    #   n = 5: F3 and F4 only; 8.18e-5, 3.67e-5, 1.01e-5, 2.53e-6;
+    #          1.29e-4, 3.95e-5, 1.02e-5, 2.56e-6.
+    measured = {}
+    for n in (1, 3, 5):
+        runs = [errors(n, grid) for grid in GRIDS]
+        measured[n] = {key: tuple(run[key] for run in runs) for key in runs[0]}
+    return measured
 
 
-class TestFreeWave:
+class FreeWaveFunctionals:
+    """The F3 and F4 checks of dimension ``n``, which each test class
+    below sets with its own bounds; this class itself is not collected."""
+
+    def test_F3_second_order(self, measured):
+        # The coarsest halving is still short of the asymptotic rate, so
+        # it must cut the error F3_coarse_ratio times, 2.5x in n = 1 and
+        # 3 and 1.8x in n = 5; the later halvings 2.5x (measured 3.6 and
+        # 4.0 in n = 5).  From grid 1 000 to 4 000 a second-order error
+        # falls 16x (measured 15.3, 15 and 14.5), and 12x is required.
+        e = measured[self.n]["F3"]
+        assert e[0] >= self.F3_coarse_ratio * e[1], e
+        assert all(coarse >= 2.5 * fine for coarse, fine in zip(e[1:], e[2:])), e
+        assert e[1] >= 12.0 * e[3], e
+
+    def test_F3_error_at_grid_2000(self, measured):
+        assert measured[self.n]["F3"][GRIDS.index(2000)] <= self.F3_bound, measured[self.n]
+
+    def test_F4_second_order(self, measured):
+        # Measured ratios 3.6, 3.9, 4.0 in n = 1 and 3, and 3.3, 3.9, 4.0
+        # in n = 5; 3x, 9% below the least, is required.  Without the
+        # seed's dt^2 term the error is first order (ratio 2.0), and a
+        # damping divisor of 1 + dt in place of 1 + dt/2 leaves it near 1.
+        e = measured[self.n]["F4"]
+        assert all(coarse >= 3.0 * fine for coarse, fine in zip(e, e[1:])), e
+
+    def test_F4_error_at_grid_2000(self, measured):
+        assert measured[self.n]["F4"][GRIDS.index(2000)] <= self.F4_bound, measured[self.n]
+
+
+class TestFreeWaveN5(FreeWaveFunctionals):
+    """F3 and F4 of the n = 5 run; d'Alembert's v is left for n = 1, 3."""
+
+    n = 5
+    # Measured at grid 2 000: 1.01e-5 for F3 and 1.02e-5 for F4.
+    F3_bound, F4_bound = 2e-5, 2e-5
+    # The measured coarsest F3 ratio is 2.2.
+    F3_coarse_ratio = 1.8
+
+
+class TestFreeWave(FreeWaveFunctionals):
     """The n = 3 wave; TestFreeWaveN1 runs the same checks in n = 1."""
 
     n = 3
     # Measured at grid 2 000: 5.56e-5 for v, 4.1e-6 for F3 and 4.21e-6
     # for F4.
     v_bound, F3_bound, F4_bound = 1e-4, 1e-5, 1e-5
+    # The measured coarsest F3 ratios are 3.1 (n = 3) and 2.8 (n = 1).
+    F3_coarse_ratio = 2.5
 
     def test_second_order(self, measured):
         # A second-order scheme cuts the error 4x per halving of h; the
@@ -127,29 +183,6 @@ class TestFreeWave:
 
     def test_error_at_grid_2000(self, measured):
         assert measured[self.n]["v"][GRIDS.index(2000)] <= self.v_bound, measured[self.n]
-
-    def test_F3_second_order(self, measured):
-        # The coarsest halving is still short of the asymptotic rate
-        # (ratio 3.1 in n = 3, 2.8 in n = 1), so it must cut the error
-        # 2.5x; from grid 1 000 to 4 000 a second-order error falls 16x
-        # (measured 15.3 and 15), and 12x is required.
-        e = measured[self.n]["F3"]
-        assert all(coarse >= 2.5 * fine for coarse, fine in zip(e, e[1:])), e
-        assert e[1] >= 12.0 * e[3], e
-
-    def test_F3_error_at_grid_2000(self, measured):
-        assert measured[self.n]["F3"][GRIDS.index(2000)] <= self.F3_bound, measured[self.n]
-
-    def test_F4_second_order(self, measured):
-        # Measured ratios 3.6, 3.9, 4.0 in both dimensions; 3x, 16%
-        # below the least, is required.  Without the seed's dt^2 term the error is first
-        # order (ratio 2.0), and a damping divisor of 1 + dt in place of
-        # 1 + dt/2 leaves it near 1.
-        e = measured[self.n]["F4"]
-        assert all(coarse >= 3.0 * fine for coarse, fine in zip(e, e[1:])), e
-
-    def test_F4_error_at_grid_2000(self, measured):
-        assert measured[self.n]["F4"][GRIDS.index(2000)] <= self.F4_bound, measured[self.n]
 
 
 class TestFreeWaveN1(TestFreeWave):

@@ -49,6 +49,8 @@ from blowlab.testfuncs import (
 )
 
 FIELDS = ("u", "u_prev", "v", "v_prev")
+# The keys of ``functionals``, in order.
+FUNCTIONALS = ("F1", "F2", "F3", "F4", "dF1", "dF2", "int_v_p", "int_u_q")
 
 
 def mirrored(u, v):
@@ -293,44 +295,64 @@ def shell_volumes(state):
 
 
 def functionals_full_mesh(state):
-    """Oracle: F1-F4 as ``math.fsum`` of the whole mesh's volume-weighted
-    terms, each as a pair (value, sum of the terms' magnitudes)."""
+    """Oracle: the values of ``functionals`` from ``math.fsum`` of the
+    whole mesh's volume-weighted terms, each as a pair (value, sum of the
+    terms' magnitudes).  dF1 and dF2 are the centred differences that
+    the leapfrog identities give, from the level sums and the sources."""
+    ex = state.exponents
     vol = shell_volumes(state)
-    phi_mesh = phi(state.r, state.exponents.n)
+    phi_mesh = phi(state.r, ex.n)
     level = mesh_order(state)
-    t = state.time
+    t, dt = state.time, state.dt
 
     def integral(f, factor=1.0):
         terms = (f * vol).tolist()
         return factor * math.fsum(terms), factor * math.fsum(map(abs, terms))
 
+    with np.errstate(over="ignore"):
+        S1, S2 = (integral(np.abs(f) ** s if state.coupling else 0.0 * f)
+                  for f, s in ((level.v, ex.p), (level.u, ex.q)))
+    du, dv = integral(level.u - level.u_prev), integral(level.v - level.v_prev)
     return {"F1": integral(level.u), "F2": integral(level.v),
             "F3": integral(level.v * phi_mesh, math.exp(-t)),
-            "F4": integral(level.u * phi_mesh, math.exp(-Kind.PSI1.decay_rate * t))}
+            "F4": integral(level.u * phi_mesh, math.exp(-Kind.PSI1.decay_rate * t)),
+            "dF1": tuple((d + dt**2 / 2.0 * s) / (dt * (1.0 + dt / 2.0))
+                         for d, s in zip(du, S1)),
+            "dF2": tuple(d / dt + dt / 2.0 * s for d, s in zip(dv, S2)),
+            "int_v_p": S1, "int_u_q": S2}
 
 
 def functionals_mesh_order(state):
     """Oracle: F1-F4 as numpy sums of the mesh-order products u vol,
     v vol, v phi vol and u phi vol over the nodes inside the causal
-    radius, with the volumes and phi of the mesh's nodes 0 .. N-1 built
-    here in mesh order; the mirrored sums must equal these bit for bit."""
-    n = state.exponents.n
+    radius, and the sources and rates from the sums of |v|^p vol,
+    |u|^q vol and the level changes, with the volumes and phi of the
+    mesh's nodes 0 .. N-1 built here in mesh order; the mirrored sums
+    must equal these bit for bit."""
+    ex = state.exponents
+    n = ex.n
     end = state.r.searchsorted(state.time + state.exponents.R + 2.0 * state.h, side="right")
     vol = (sphere_area(n) * state.h ** (n - 2) / plain_stencil(state)[1])[:end]
     phi_w = phi(state.r, n)[:end]
     f = mesh_order(state)
     u, v = f.u[:end], f.v[:end]
-    t = state.time
+    t, dt = state.time, state.dt
     with np.errstate(over="ignore", invalid="ignore"):
+        S1, S2 = (float(np.add.reduce(np.abs(g) ** s * vol)) if state.coupling else 0.0
+                  for g, s in ((v, ex.p), (u, ex.q)))
+        du = float(np.add.reduce((u - f.u_prev[:end]) * vol))
+        dv = float(np.add.reduce((v - f.v_prev[:end]) * vol))
         return {"F1": float(np.add.reduce(u * vol)), "F2": float(np.add.reduce(v * vol)),
                 "F3": math.exp(-t) * float(np.add.reduce(v * phi_w * vol)),
                 "F4": math.exp(-Kind.PSI1.decay_rate * t)
-                * float(np.add.reduce(u * phi_w * vol))}
+                * float(np.add.reduce(u * phi_w * vol)),
+                "dF1": (du + dt**2 / 2.0 * S1) / (dt * (1.0 + dt / 2.0)),
+                "dF2": dv / dt + dt / 2.0 * S2, "int_v_p": S1, "int_u_q": S2}
 
 
 def near_full_mesh(got, want):
-    """F1-F4 within 1e-13 of the oracle's sum of term magnitudes."""
-    return list(got) == list(want) == ["F1", "F2", "F3", "F4"] and all(
+    """Every value within 1e-13 of the oracle's sum of term magnitudes."""
+    return list(got) == list(want) == list(FUNCTIONALS) and all(
         abs(got[key] - value) <= 1e-13 * scale for key, (value, scale) in want.items())
 
 
@@ -588,9 +610,8 @@ class TestFullMeshOracles:
                 samples.append(state)
         assert trace.outcome == "completed"
         assert len(samples) == trace.times.size > 20
-        columns = ("F1", "F2", "F3", "F4")
         for i, s in enumerate(samples):
-            got = {key: float(getattr(trace, key)[i]) for key in columns}
+            got = {key: float(getattr(trace, key)[i]) for key in FUNCTIONALS}
             assert near_full_mesh(got, functionals_full_mesh(s)), s.time
         times = np.array([s.time for s in samples])
         max_u, max_v, support = np.array([peaks_full_mesh(s) for s in samples]).T
@@ -610,7 +631,7 @@ class TestFullMeshOracles:
     @pytest.mark.parametrize("coupling", [True, False])
     @pytest.mark.parametrize("profile", list(Profile))
     def test_as_the_window_reaches_the_last_node(self, n, coupling, profile):
-        # F1-F4, the functionals that a sample measures of the fields.
+        # The functionals that a sample measures of the fields.
         ex = Exponents(1.5, 2.5, n)
         horizon = 1.0
         state = init_state(ex, InitialData(profile=profile), 250, horizon,
@@ -711,24 +732,40 @@ class TestFunctionals:
         # int |v|^p and F2'' = int |u|^q exactly, up to rounding:
         #   F1^{k+1} (1 + dt/2) - 2 F1^k + (1 - dt/2) F1^{k-1} = dt^2 sum V |v^k|^p,
         #   F2^{k+1} - 2 F2^k + F2^{k-1} = dt^2 sum V |u^k|^q.
+        # The sources that functionals records are these sums (0 in an
+        # uncoupled run), and its dF1 and dF2 the centred differences
+        # (F^{k+1} - F^{k-1}) / (2 dt) of the levels.
         ex = Exponents(4.0 / 3.0, 4.0 / 3.0, n)
         state = init_state(ex, smooth_data(), 600, 10.0, cfl_factor=0.45, coupling=coupling)
         vol = shell_volumes(state)
         dt = state.dt
-        F, sources = [functionals(state)], []
-        for _ in range(400):
+        F, sources = [], []
+        for _ in range(401):
             level = mesh_order(state)
             sources.append([math.fsum((vol * np.abs(f) ** s).tolist()) if coupling else 0.0
                             for f, s in ((level.v, ex.p), (level.u, ex.q))])
-            state = step(state)
             F.append(functionals(state))
-        F1, F2 = (np.array([f[key] for f in F]) for key in ("F1", "F2"))
-        S1, S2 = np.array(sources[1:]).T
+            state = step(state)
+        F1, F2, dF1, dF2, S1, S2 = (np.array([f[key] for f in F]) for key in FUNCTIONALS
+                                    if key not in ("F3", "F4"))
+        oracle1, oracle2 = np.array(sources).T
+        assert np.all(np.abs(S1 - oracle1) <= 1e-14 * oracle1)
+        assert np.all(np.abs(S2 - oracle2) <= 1e-14 * oracle2)
+        assert bool(np.all(S1 > 0.0)) == bool(np.all(S2 > 0.0)) == coupling
         residual1 = F1[2:] * (1.0 + dt / 2.0) - 2.0 * F1[1:-1] + (1.0 - dt / 2.0) * F1[:-2] \
-            - dt**2 * S1
-        residual2 = F2[2:] - 2.0 * F2[1:-1] + F2[:-2] - dt**2 * S2
+            - dt**2 * S1[1:-1]
+        residual2 = F2[2:] - 2.0 * F2[1:-1] + F2[:-2] - dt**2 * S2[1:-1]
         assert np.max(np.abs(residual1)) <= 1e-13 * np.max(F1)
         assert np.max(np.abs(residual2)) <= 1e-13 * np.max(F2)
+        # Relative to the largest rate: uncoupled, dF1 decays as e^{-t}
+        # while the levels' rounding does not (at most 8.8e-13, n = 8).
+        for rate, level in ((dF1, F1), (dF2, F2)):
+            centred = (level[2:] - level[:-2]) / (2.0 * dt)
+            assert np.max(np.abs(rate[1:-1] - centred)) <= 1e-12 * np.max(np.abs(rate))
+        # At t = 0 the backward level is the seed's Taylor level, so the
+        # rates are int u1 and int v1, here equal to F1 and F2.
+        assert dF1[0] == pytest.approx(F1[0], rel=1e-12)
+        assert dF2[0] == pytest.approx(F2[0], rel=1e-12)
 
     def test_j_columns_are_powers(self):
         # A run derives W2 and W4 in one pass over its recorded times, and
@@ -837,7 +874,20 @@ class TestRun:
         state = init_state(ex, data, 200, horizon=192.0, cfl_factor=0.45)
         for _ in range(10 * trace.times.size):
             state = step(state)
-        assert min(functionals(state).values()) < 0.0
+        f = functionals(state)
+        assert min(f["F1"], f["F2"], f["F3"], f["F4"]) < 0.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_signed_rate_is_not_instability(self, n):
+        # Only F1-F4 decide rule 4.  Uncoupled from u1 = 0, F1' = 0, so
+        # the recorded dF1 is rounding of either sign, and the run
+        # completes with its negative samples.
+        data = InitialData(amplitude_u0=1.0, amplitude_u1=0.0, amplitude_v0=1.0,
+                           amplitude_v1=0.0)
+        trace = run(Exponents(2.0, 2.0, n), data, grid_points=400, horizon=2.0,
+                    sample_every=1, coupling=False)
+        assert trace.outcome == "completed"
+        assert np.min(trace.dF1) < 0.0 and np.max(np.abs(trace.dF1)) < 1e-12
 
     @pytest.mark.parametrize("amplitude, threshold", [(1e13, 1e12), (1.0, 0.5)])
     def test_data_above_threshold_blow_up_at_t0(self, amplitude, threshold):
@@ -892,7 +942,7 @@ class TestRun:
         assert arrays == list(want)
         assert tuple(getattr(trace, name)[0] for name in arrays) == \
             tuple(want.values())
-        assert len(set(want.values())) == len(want) == 14
+        assert len(set(want.values())) == len(want) == 18
 
     def test_same_bytes_on_one_blas_thread(self):
         # OpenBLAS splits a dot of more than 10 000 elements across its
@@ -1009,17 +1059,18 @@ class TestAudit:
                            / (8.0 * kp.alpha1))
         assert [rec.constant for rec in report.inequalities] == \
             [kp.k0, kp.k1, kp.k2, kp.k3, kp.k4]
+        # The left sides are the recorded identities: F1'' + F1' and F2''
+        # are the sources int |v|^p and int |u|^q.
         t, F1, F2 = trace.times, trace.F1, trace.F2
         s = t + kp.R
-        dF1 = np.gradient(F1, t)
-        dF2 = np.gradient(F2, t)
-        lhs = [F1, dF1 + F1, np.gradient(dF1, t) + dF1, F2, np.gradient(dF2, t)]
+        lhs = [F1, trace.dF1 + F1, trace.int_v_p, F2, trace.int_u_q]
         rhs = [kp.k0 * s**kp.alpha1,
                kp.k1 * s**kp.alpha1,
                kp.k2 * (s**-kp.alpha2 * F2**kp.p),
                kp.k3 * s**kp.beta1,
                kp.k4 * (np.exp(-kp.beta3 * t) * s**-kp.beta2 * F1**kp.q)]
-        window = (t >= report.window[0]) & (t <= report.window[1])
+        assert report.window[1] == t[-1]
+        window = t >= report.window[0]
         assert window.sum() > 10
         for rec, lower, upper in zip(report.inequalities, lhs, rhs):
             assert rec.margin_min == np.min((lower - upper)[window]), rec.name
@@ -1030,11 +1081,11 @@ class TestAudit:
         # samples, and None when no window sample is left.
         ex, trace = reference
         t = trace.times
-        start, end = audit_inequalities(trace, ex).window
+        base = audit_inequalities(trace, ex)
+        start, end = base.window
         window = (t >= start) & (t <= end)
         late = t > np.median(t[window])
         w = derive_params(ex)
-        lhs5 = np.gradient(np.gradient(trace.F2, t), t)
         for kept in (late, np.zeros_like(late)):
             F1 = np.where(kept, trace.F1, 1e-200)
             report = audit_inequalities(replace(trace, F1=F1), ex)
@@ -1043,16 +1094,25 @@ class TestAudit:
             assert np.all(shape[window & ~kept] == 0.0)
             if kept.any():
                 keep = window & kept
-                assert report.constants["k4"] == np.min(lhs5[keep] / shape[keep])
+                assert report.constants["k4"] == np.min(trace.int_u_q[keep] / shape[keep])
             else:
                 assert report.constants["k4"] is None
-            # F2 is untouched, so no k2 shape underflows and k2 is the least
-            # ratio over the whole window.  The jump in F1 makes it
-            # negative, so it reads None.
-            dF1 = np.gradient(F1, t)
-            shape2 = (t + ex.R) ** -w.alpha2 * trace.F2**ex.p
-            assert np.min(((np.gradient(dF1, t) + dF1) / shape2)[window]) < 0.0
-            assert report.constants["k2"] is None
+            # F2 and int |v|^p are untouched, so k2, their least ratio over
+            # the whole window, is the unchanged trace's.
+            assert report.constants["k2"] == base.constants["k2"] > 0.0
+
+    def test_fitted_k_of_a_zero_source_is_null(self, reference):
+        # A source of 0 over the window gives the least ratio 0, which
+        # the comparison system rejects as k4: it reads null, and the
+        # record fails, while k2 keeps its value.
+        ex, trace = reference
+        base = audit_inequalities(trace, ex)
+        window = trace.times >= base.window[0]
+        report = audit_inequalities(
+            replace(trace, int_u_q=np.where(window, 0.0, trace.int_u_q)), ex)
+        assert report.constants["k4"] is None
+        assert report.constants["k2"] == base.constants["k2"] > 0.0
+        assert not report.inequalities[4].passed and report.inequalities[2].passed
 
     def test_min_passing_T0_reported(self, reference):
         ex, trace = reference
@@ -1060,27 +1120,21 @@ class TestAudit:
         assert report.min_passing_T0 is not None
         assert 0.0 <= report.min_passing_T0 <= report.window[0]
 
-    def test_empty_window_is_inconclusive(self, reference):
+    @pytest.mark.parametrize("samples, T0_fraction",
+                             [(None, 0.3), (None, 0.999999), (1, 0.3), (2, 0.3), (3, 0.3)])
+    def test_window_ends_at_the_last_sample(self, reference, samples, T0_fraction):
+        # T0 = T0_fraction t[-1] lies below t[-1], or at t[-1] = 0 for a
+        # one-sample trace, so the window runs through the last sample
+        # and is never empty: every trace is audited, however short.
         ex, trace = reference
-        report = audit_inequalities(trace, ex, T0_fraction=0.999999)
-        assert report.inconclusive
-        assert not report.all_pass
-        assert report.min_passing_T0 is None
-
-    @pytest.mark.parametrize("samples", [1, 2, 3])
-    def test_short_trace_is_inconclusive(self, reference, samples):
-        # The last three samples are always excluded, so at most three
-        # samples leave the window empty, before any derivative is taken.
-        ex, trace = reference
-        short = replace(trace, **{f.name: getattr(trace, f.name)[:samples]
-                                  for f in fields(trace)
-                                  if isinstance(getattr(trace, f.name), np.ndarray)})
-        report = audit_inequalities(short, ex)
-        assert report.inconclusive
-        assert report.inequalities == []
-        assert report.min_passing_T0 is None
-        assert report.note.startswith("audit window empty: every sample at or "
-                                      f"after T0 = {0.3 * short.times[-1]:.6g}")
+        if samples is not None:
+            trace = replace(trace, **{f.name: getattr(trace, f.name)[:samples]
+                                      for f in fields(trace)
+                                      if isinstance(getattr(trace, f.name), np.ndarray)})
+        t = trace.times
+        report = audit_inequalities(trace, ex, T0_fraction=T0_fraction)
+        assert not report.inconclusive and len(report.inequalities) == 5
+        assert report.window == (float(t[t >= T0_fraction * t[-1]][0]), float(t[-1]))
 
     def test_C3_beyond_float_range_is_inconclusive(self):
         # C0 = 2.6e200, so C0^p leaves the float range: the audit says so
