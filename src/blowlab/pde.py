@@ -683,7 +683,7 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
         ok_suffix = np.logical_and.accumulate(pointwise_ok[::-1])[::-1]
         first = np.nonzero(ok_suffix)[0]
         min_T0 = float(t[first[0]]) if first.size else None
-        window = (float(t[mask][0]), float(t[mask][-1]))
+        window = (float(t[mask][0]), float(t[-1]))
         note = ("C2tilde (fitted from the J4 weight) stands in for C2 in the "
                 "exponentially weighted envelope; second-order constants are "
                 "unit-ball Hoelder floors, with the trace-supported best "
