@@ -65,7 +65,8 @@ DEFAULT_BLOWUP_THRESHOLD = 1e12
 
 # Bounds on the work one run may ask for: mesh nodes, and leapfrog steps
 # ceil(horizon / dt).  The grid-refinement ladder's finest rung has 16000
-# nodes and takes about 29000 steps.
+# nodes and plans about 29000 steps to its horizon; it blows up after
+# about 2000.
 MAX_GRID_POINTS = 100_000
 MAX_STEPS = 1_000_000
 
@@ -235,20 +236,13 @@ def init_state(exponents: Exponents, data: InitialData, grid_points: int,
     with np.errstate(over="ignore", invalid="ignore"):
         accelerations = radial_laplacian(fields, *stencil)
         accelerations[:grid_points] -= velocities[:grid_points]
-        # The previous level's buffer holds |v0|^p on the u half and |u0|^q
-        # on the v half until they are added, then fields - dt velocities
-        # + dt^2/2 accelerations, one operation at a time.
-        fields_prev = np.abs(fields[::-1])
-        if coupling:
-            fields_prev[:grid_points] **= exponents.p
-            fields_prev[grid_points:] **= exponents.q
-        accelerations += fields_prev if coupling else 0.0
-        np.multiply(velocities, dt, out=fields_prev)
-        np.subtract(fields, fields_prev, out=fields_prev)
+        accelerations += _sources(fields, exponents) if coupling else 0.0
+        fields_prev = np.multiply(velocities, -dt, out=velocities)
+        fields_prev += fields
         accelerations *= 0.5 * dt**2
         fields_prev += accelerations
     fields_prev[0] = fields_prev[-1] = 0.0
-    del velocities, accelerations  # so that phi's temporaries do not raise the peak
+    del accelerations  # so that phi's temporaries do not raise the peak
     phi_r = phi(r, exponents.n)
     phi_mesh = np.concatenate((phi_r[::-1], phi_r))
 
@@ -309,17 +303,10 @@ def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
     #   u^{k+1} = (2 u^k - (1 - dt/2) u^{k-1} + dt^2 (lap u^k + |v^k|^p)) / (1 + dt/2),
     #   v^{k+1} = 2 v^k - v^{k-1} + dt^2 (lap v^k + |u^k|^q),
     # one operation at a time, in the order Python evaluates these.  The
-    # output window serves as scratch for |v|^p and |u|^q, which the
-    # reversed window puts on the halves they feed.
+    # output window serves as scratch for the sources.
     new = fields[lo:top]
     with np.errstate(over="ignore", invalid="ignore"):
-        if state.coupling:
-            sources = np.abs(w[::-1], out=new)
-            sources[:hi] **= ex.p
-            sources[hi:] **= ex.q
-        else:
-            sources = 0.0
-        lap += sources
+        lap += _sources(w, ex, out=new) if state.coupling else 0.0
         lap *= dt**2
         damped_prev = np.multiply(w_prev[:hi], 1.0 - 0.5 * dt)
         np.multiply(w, 2.0, out=new)
@@ -347,6 +334,18 @@ def step(state: CoupledState, out: np.ndarray | None = None) -> CoupledState:
                         stencil=state.stencil, volumes=state.volumes, phi_mesh=state.phi_mesh,
                         fields=fields, fields_prev=state.fields, peak=float(peak),
                         coupling=state.coupling)
+
+
+def _sources(w: np.ndarray, exponents: Exponents,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """|v|^p on the u half and |u|^q on the v half of the mirrored level
+    ``w``, in that layout: |w| reversed, each half raised to its power in
+    place, in ``out`` if given."""
+    sources = np.abs(w[::-1], out=out)
+    end = sources.size // 2
+    sources[:end] **= exponents.p
+    sources[end:] **= exponents.q
+    return sources
 
 
 def _causal_end(state: CoupledState, time: float) -> int:
@@ -411,12 +410,7 @@ def functionals(state: CoupledState) -> dict:
         F1, F2 = halves(w.copy())
         G4, G3 = halves(w * state.phi_mesh[window])
         du, dv = halves(w - state.fields_prev[window])
-        int_u_q = int_v_p = 0.0
-        if state.coupling:
-            powers = state.magnitudes.copy()
-            powers[:end] **= ex.q
-            powers[end:] **= ex.p
-            int_u_q, int_v_p = halves(powers)
+        int_v_p, int_u_q = halves(_sources(state.magnitudes, ex)) if state.coupling else (0.0, 0.0)
         return {"F1": F1, "F2": F2, "F3": math.exp(-t) * G3,
                 "F4": math.exp(-TestFunctionKind.PSI1.decay_rate * t) * G4,
                 "dF1": (du + dt**2 / 2.0 * int_v_p) / (dt * (1.0 + dt / 2.0)),
