@@ -426,7 +426,7 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
             cells = np.stack(criticality.scan(p_range, q_range, n, resolution,
                                               rows=range(j, min(j + band_rows, resolution))))
             if svg:
-                emit_region_svg(svg_fh, svg_map, _svg_categories(cells, n), j)
+                emit_region_svg(svg_fh, svg_map, cells["category"], j)
             if j == 0:
                 p_text = _g17(cells["p"][0])
             labels = _LABEL_TEXT[8 * cells["label_new"] + 4 * cells["label_nakao_wakasugi"]
@@ -439,25 +439,9 @@ def _write_regions(p_range: tuple, q_range: tuple, n: int, resolution: int,
     return paths
 
 
-# Cell colors: interior blow-up, boundary blow-up, undetermined, and
-# points where the inequality holds but the exponent hypotheses fail.
-_SVG_CATEGORIES = (
-    ("blowup", "#d73027"),
-    ("boundary", "#fc8d59"),
-    ("undetermined", "#4575b4"),
-    ("hypothesis-failed", "#bdbdbd"),
-)
-
-
-def _svg_categories(cells, n: int) -> np.ndarray:
-    """The _SVG_CATEGORIES index of each cell of a dimension-n scan."""
-    threshold = (n - 1) / 2.0
-    alpha = cells["alpha_new"]
-    on_curve = np.abs(alpha - threshold) <= 1e-12
-    # label_new is alpha >= threshold and the hypotheses: where it is
-    # False, an alpha at or above the threshold failed the hypotheses.
-    return np.where(cells["label_new"], np.where(on_curve, 1, 0),
-                    np.where(alpha >= threshold, 3, 2))
+# Each cell category's name and color, in criticality.CATEGORIES order.
+_SVG_CATEGORIES = tuple(zip(criticality.CATEGORIES,
+                            ("#d73027", "#fc8d59", "#4575b4", "#bdbdbd")))
 
 
 class _SvgMap:

@@ -27,6 +27,7 @@ import numpy as np
 from .exponents import check_dimension, check_powers, theorem_range
 
 __all__ = [
+    "CATEGORIES",
     "CELL_DTYPE",
     "Label",
     "CriticalityReport",
@@ -89,13 +90,17 @@ _CURVES = (
     ("damped", alpha_damped, 0),
 )
 
-# The fields of one scanned cell: the classify report without the
-# threshold, with each label as a mask that is True for BlowUp.
+# The verdict on alpha_new by index: blow-up inside and on the boundary,
+# undetermined, and the inequality holding with the hypotheses failing.
+CATEGORIES = ("blowup", "boundary", "undetermined", "hypothesis-failed")
+
+# The fields of one scanned cell: the classify report less its threshold
+# and hypotheses flag, with each label as a mask that is True for BlowUp.
 CELL_DTYPE = np.dtype(
     [("p", "f8"), ("q", "f8")]
     + [(f"alpha_{name}", "f8") for name, _, _ in _CURVES]
     + [(f"label_{name}", "?") for name, _, _ in _CURVES]
-    + [("hypotheses_ok", "?")])
+    + [("category", "u1")])
 
 
 def _evaluate(p, q, n: int) -> dict:
@@ -103,14 +108,19 @@ def _evaluate(p, q, n: int) -> dict:
 
     Every inequality is non-strict.  label_new also needs the exponent
     hypotheses of the blow-up theorem; the other three labels come from
-    their inequality alone.
+    their inequality alone.  The category indexes CATEGORIES; a point
+    within 1e-12 of the threshold (n-1)/2 is on the boundary.
     """
-    hyp = theorem_range(p, q, n)
-    fields = {"hypotheses_ok": hyp}
+    fields = {}
     for name, curve, k in _CURVES:
         alpha = fields[f"alpha_{name}"] = curve(p, q)
         fields[f"label_{name}"] = alpha >= (n - k) / 2.0
-    fields["label_new"] = fields["label_new"] & hyp
+    label_new = fields["label_new"] = fields["label_new"] & theorem_range(p, q, n)
+    alpha, threshold = fields["alpha_new"], (n - 1) / 2.0
+    # Where label_new is False, an alpha at or above the threshold failed
+    # the hypotheses.
+    fields["category"] = np.where(label_new, np.abs(alpha - threshold) <= 1e-12,
+                                  np.where(alpha >= threshold, 3, 2))
     return fields
 
 
@@ -130,6 +140,7 @@ class CriticalityReport:
     label_wave: Label
     label_damped: Label
     hypotheses_ok: bool
+    category: int                 # index into CATEGORIES
 
 
 def classify(p: float, q: float, n: int) -> CriticalityReport:
@@ -145,7 +156,8 @@ def classify(p: float, q: float, n: int) -> CriticalityReport:
     fields = _evaluate(p, q, n)
     return CriticalityReport(
         p=p, q=q, threshold_wavelike=(n - 1) / 2.0,
-        hypotheses_ok=bool(fields.pop("hypotheses_ok")),
+        hypotheses_ok=bool(theorem_range(p, q, n)),
+        category=int(fields.pop("category")),
         **{key: float(value) if key.startswith("alpha_")
            else Label.BLOW_UP if value else Label.UNDETERMINED
            for key, value in fields.items()})

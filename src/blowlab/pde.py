@@ -622,7 +622,8 @@ def audit_inequalities(trace: FunctionalTrace, exponents: Exponents,
              / math.sqrt(5.0))
     p_conj = p / (p - 1.0)
     q_conj = q / (q - 1.0)
-    # Float64 powers, equal to Python's float ** bit for bit where finite.
+    # The envelopes take numpy array powers, as KatoParams.lower_bounds
+    # does, which need not equal Python's float ** bit for bit.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         env2 = (t + R) ** (n - 1 - (n - 1) * p_conj / 2.0)
         env4 = (np.exp((3.0 - math.sqrt(5.0)) / 2.0 * q_conj * t)

@@ -30,7 +30,6 @@ from blowlab.cli import (
     MAX_PHI_SAMPLES,
     MODES,
     ConfigError,
-    _svg_categories,
     main,
     parse_config,
     run_experiment,
@@ -852,7 +851,7 @@ class TestSvg:
                                              ((1.5, 2.5), (1.5, 2.5), 1)):
             # One call over the whole grid, as the map makes one per band.
             grid = np.stack(scan(p_range, q_range, n, resolution))
-            for cell, k in zip(grid.ravel(), _svg_categories(grid, n).ravel().tolist()):
+            for cell, k in zip(grid.ravel(), grid["category"].ravel().tolist()):
                 p, q = float(cell["p"]), float(cell["q"])
                 assert names[k] == _svg_category(classify(p, q, n)), (p, q, n)
                 seen.add(names[k])

@@ -228,12 +228,14 @@ class TestScanOracle:
 
     def test_windows_reach_every_outcome(self):
         # Guards the oracle test: over n = 1..8 its windows hold cells
-        # with each label value and with the hypotheses failing.
+        # with each label value and of each category.
         cells = np.concatenate([row for n in range(1, 9)
                                 for p_range, q_range, res in windows(n)
                                 for row in scan(p_range, q_range, n, res)])
-        for key in CELL_DTYPE.names[6:]:
+        for key in [key for key in CELL_DTYPE.names if key.startswith("label_")]:
             assert cells[key].any() and not cells[key].all(), key
+        counts = np.bincount(cells["category"], minlength=len(criticality.CATEGORIES))
+        assert counts.tolist() == [1973, 1, 11231, 155]
         assert (cells["alpha_new"] == 1.0).any()  # (2, 2) in n = 3
 
     @pytest.mark.parametrize("n", [0, 9, 2.5, True])

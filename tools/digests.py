@@ -8,7 +8,8 @@ but ``summary.json`` (whose wall time varies), then a
 ``result  <case>  ...`` line with the outcome and ``blowup_time``, or
 with the name and message of an ``OverflowGuardError``.  Run it in two
 checkouts and ``diff`` the outputs: equal outputs mean byte-identical
-artifacts and the same outcomes.  Any other exception exits 1.
+artifacts and the same outcomes.  Any other exception exits 1, and so
+does a case that wrote no artifact but ``summary.json``.
 """
 
 import hashlib
@@ -59,10 +60,12 @@ def main() -> None:
                 result = f"{summary.outcome}  {summary.blowup_time!r}"
             except OverflowGuardError as e:
                 result = f"{type(e).__name__}: {e}"
-            for path in sorted(out.iterdir()):
-                if path.name != "summary.json":
-                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {case}/{path.name}")
+            paths = [path for path in sorted(out.iterdir()) if path.name != "summary.json"]
+            for path in paths:
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {case}/{path.name}")
             print(f"result  {case}  {result}")
+            if not paths:
+                sys.exit(f"no digest for {case}")
 
 
 if __name__ == "__main__":
